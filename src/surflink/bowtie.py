@@ -73,7 +73,6 @@ class BowtieDecomposition:
     shaded: tuple[ShadedTriangle, ...]
     circle_slots: tuple[tuple, ...]  # per circle, the four arc ids in slot order
     half_twists: tuple[tuple[bool, int], ...]  # recorded and stripped flags
-    chunk_count: int = 1
 
     @property
     def white_count(self) -> int:
@@ -349,56 +348,18 @@ def _corner_order(tri: Triangle, tail_end: dict) -> Optional[tuple[int, int, int
 
 
 def _orient_cells(surface: SurfaceTriangulation) -> dict:
-    """Diagonal direction per cell: tail at the smaller ideal vertex site.
+    """Diagonal direction per cell: tail at the smaller ideal vertex site,
+    at end 0 when both ends are the same site.
 
-    Cells with equal endpoint sites are free; a deterministic backtracking
-    pass orients them so every prism admits the staircase cut.  Triangles
-    with at most one repeated corner are order-able for any choice, so only
-    clusters of all-same-corner triangles ever constrain the search.
+    Every triangle then has a linear corner order.  Sides between distinct
+    sites follow the strict site order, so a triangle can only be cyclic
+    when all three of its corners are the same site.  Shaded triangles have
+    a beta corner and two arc corners.  decompose's side-count check forces
+    every circle vertex to be 4-valent, so each site occurs exactly twice
+    among the white-polygon corners and no fan triangle repeats a corner
+    three times.
     """
-    tail_end: dict = {}
-    free = []
-    for cid, (a, b) in enumerate(surface.cells):
-        if a < b:
-            tail_end[cid] = 0
-        elif b < a:
-            tail_end[cid] = 1
-        else:
-            free.append(cid)
-            tail_end[cid] = 0
-
-    def affected(cid):
-        return [
-            t
-            for t in surface.triangles
-            if any(cell == cid for cell, _ in t.sides)
-        ]
-
-    def ok(tris):
-        return all(_corner_order(t, tail_end) is not None for t in tris)
-
-    if ok(surface.triangles):
-        return tail_end
-
-    def solve(i: int) -> bool:
-        if i == len(free):
-            return ok(surface.triangles)
-        cid = free[i]
-        for bit in (0, 1):
-            tail_end[cid] = bit
-            candidates = [
-                t
-                for t in affected(cid)
-                if all(tail_end.get(c) is not None for c, _ in t.sides)
-            ]
-            if ok(candidates) and solve(i + 1):
-                return True
-        tail_end[cid] = 0
-        return False
-
-    if not solve(0):
-        raise MalformedMap("no diagonal orientation triangulates all prisms")
-    return tail_end
+    return {cid: 0 if a <= b else 1 for cid, (a, b) in enumerate(surface.cells)}
 
 
 # Tetrahedron slot labels within one prism, as (corner rank, level): rank 0
@@ -467,7 +428,8 @@ def prism_triangulation(
     order = []  # per triangle: rank -> corner position
     for tri in surface.triangles:
         ranked = _corner_order(tri, tail_end)
-        assert ranked is not None
+        if ranked is None:
+            raise MalformedMap("no diagonal orientation triangulates all prisms")
         order.append(ranked)
 
     n_tets = 3 * surface.triangle_count

@@ -28,13 +28,7 @@ from .curves_mcg import (
     word_to_homology,
 )
 from .errors import ParseError, SurflinkError
-from .fal_diagram import (
-    CrossingCircle,
-    augment,
-    check_weakly_prime,
-    fill_all,
-    validate_fal,
-)
+from .fal_diagram import augment, check_weakly_prime, fill_all, validate_fal
 from .generator import generate_fal
 from .surface_map import checkerboard_coloring
 
@@ -60,6 +54,14 @@ def _emit(report: dict, as_json: bool) -> None:
                 print(f"{name}: {'pass' if ok else 'FAIL'}")
         else:
             print(f"{key}: {value}")
+
+
+def _write_diagram(diagram, output) -> int:
+    if output:
+        sio.dump_diagram(diagram, output)
+    else:
+        sys.stdout.write(sio.dumps_json(sio.diagram_to_json_dict(diagram)))
+    return EXIT_PASS
 
 
 def _seed(args) -> int:
@@ -96,37 +98,21 @@ def cmd_validate(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    diagram = augment(sio.load_diagram(args.path))
-    text = sio.dumps_json(sio.diagram_to_json_dict(diagram))
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_PASS
+    return _write_diagram(augment(sio.load_diagram(args.path)), args.output)
 
 
 def cmd_fill(args) -> int:
     diagram = sio.load_diagram(args.path)
-    coefficients = [int(x) for x in args.t.split(",")] if args.t else []
+    try:
+        coefficients = [int(x) for x in args.t.split(",")] if args.t else []
+    except ValueError as exc:
+        raise ParseError(f"--t coefficients must be integers: {exc}") from exc
     if len(coefficients) != diagram.c:
         raise ParseError(
             f"expected {diagram.c} coefficients for {diagram.c} circles, "
             f"got {len(coefficients)}"
         )
-    circle_indices = [
-        v
-        for v in range(diagram.map.vertex_count)
-        if isinstance(diagram.vertex_kind[v], CrossingCircle)
-    ]
-    filled = fill_all(diagram, dict(zip(circle_indices, coefficients)))
-    text = sio.dumps_json(sio.diagram_to_json_dict(filled))
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_PASS
+    return _write_diagram(fill_all(diagram, dict(zip(diagram.circles, coefficients))), args.output)
 
 
 def cmd_decompose(args) -> int:
@@ -221,17 +207,19 @@ def cmd_generate(args) -> int:
         half_twist_probability=args.half_twist_probability,
         require_checkerboard=args.require_checkerboard,
     )
-    text = sio.dumps_json(sio.diagram_to_json_dict(diagram))
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_PASS
+    return _write_diagram(diagram, args.output)
+
+
+_CURVES_WORD_COUNT = {"intersect": 2, "reduce": 1, "conjugate": 2}
 
 
 def cmd_curves(args) -> int:
     g = args.genus
+    expected = _CURVES_WORD_COUNT[args.action]
+    if len(args.words) != expected:
+        raise ParseError(
+            f"curves {args.action} takes {expected} word(s), got {len(args.words)}"
+        )
     if args.action == "intersect":
         w1 = parse_curve_word(args.words[0], g)
         w2 = parse_curve_word(args.words[1], g)
@@ -247,19 +235,24 @@ def cmd_curves(args) -> int:
         out = {"command": "curves reduce", "reduced": format_curve_word(reduced)}
         _emit(out, args.json)
         return EXIT_PASS
-    if args.action == "conjugate":
-        w1 = parse_curve_word(args.words[0], g)
-        w2 = parse_curve_word(args.words[1], g)
-        equal = conjugacy_equal(
-            w1,
-            w2,
-            g,
-            budget=args.budget if args.budget is not None else 64,
-            up_to_inverse=args.up_to_inverse,
-        )
-        _emit({"command": "curves conjugate", "equal": equal}, args.json)
-        return EXIT_PASS if equal else EXIT_PROPERTY
-    raise ParseError(f"unknown curves action {args.action!r}")
+    w1 = parse_curve_word(args.words[0], g)
+    w2 = parse_curve_word(args.words[1], g)
+    equal = conjugacy_equal(
+        w1,
+        w2,
+        g,
+        budget=args.budget if args.budget is not None else 64,
+        up_to_inverse=args.up_to_inverse,
+    )
+    _emit({"command": "curves conjugate", "equal": equal}, args.json)
+    return EXIT_PASS if equal else EXIT_PROPERTY
+
+
+def probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a probability in [0, 1]")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--circles", type=int, required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--half-twist-probability", type=float, default=0.0)
+    p.add_argument("--half-twist-probability", type=probability, default=0.0)
     p.add_argument("--require-checkerboard", action="store_true")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_generate)

@@ -13,7 +13,7 @@ twisted diagram.  Hyperbolicity is tracked as an assumption flag only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 from .bowtie import V_TET
@@ -320,7 +320,8 @@ def fill_to_wga(
     link: ManifoldLink, s: Sequence[int], surface_incompressible: bool = True
 ) -> ManifoldLink:
     """Fill every crossing circle of the base with magnitude |s_k| and the
-    alternation-preserving sign choice, attaching a WGA report."""
+    alternation-preserving sign choice, attaching a WGA report.  s_k goes to
+    the k-th crossing circle in vertex order; plain crossings are skipped."""
     s = tuple(s)
     base = link.family.base
     if len(s) != base.c:
@@ -330,7 +331,7 @@ def fill_to_wga(
     if any(sk == 0 for sk in s):
         raise ZeroCoefficient("crossing-circle coefficients must be nonzero")
     signs = choose_alternating_signs(base)
-    coefficients = {k: signs[k] * abs(sk) for k, sk in enumerate(s)}
+    coefficients = {k: sign * abs(sk) for k, sign, sk in zip(base.circles, signs, s)}
     filled = fill_all(base, coefficients)
     regions = detect_twist_regions(filled)
     report = check_wga(filled, surface_incompressible=surface_incompressible)

@@ -9,8 +9,8 @@ to the same strand arc.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Union
 
 from .errors import (
     MalformedMap,
@@ -24,6 +24,7 @@ from .surface_map import (
     CombinatorialMap,
     canonical_form,
     checkerboard_coloring,
+    components_of,
     cut_along_two_cut,
     genus as map_genus,
     trace_faces,
@@ -90,9 +91,19 @@ class FalDiagram:
                 raise MalformedMap(f"unknown vertex kind {k!r}")
 
     @property
+    def circles(self) -> tuple[int, ...]:
+        """Vertex indices of the crossing circles, in vertex order."""
+        return tuple(v for v, k in enumerate(self.vertex_kind) if isinstance(k, CrossingCircle))
+
+    @property
+    def crossings(self) -> tuple[int, ...]:
+        """Vertex indices of the plain crossings, in vertex order."""
+        return tuple(v for v, k in enumerate(self.vertex_kind) if isinstance(k, Crossing))
+
+    @property
     def c(self) -> int:
         """Number of crossing circles."""
-        return sum(1 for k in self.vertex_kind if isinstance(k, CrossingCircle))
+        return len(self.circles)
 
     @property
     def l(self) -> int:
@@ -106,29 +117,11 @@ class FalDiagram:
         positions of any vertex (strands pass straight through).
         """
         m = self.map
-        parent: dict[int, int] = {d: d for d in m.darts}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: int, y: int) -> None:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        for d in m.darts:
-            union(d, m.opposite[d])
+        pairs = list(m.opposite.items())
         for cycle in m.rotation:
             half = len(cycle) // 2
-            for i in range(half):
-                union(cycle[i], cycle[i + half])
-        groups: dict[int, set[int]] = {}
-        for d in m.darts:
-            groups.setdefault(find(d), set()).add(d)
-        return sorted((frozenset(g) for g in groups.values()), key=min)
+            pairs.extend(zip(cycle[:half], cycle[half:]))
+        return sorted((frozenset(g) for g in components_of(m.darts, pairs)), key=min)
 
     def is_over_end(self, dart: int) -> bool:
         """True when the strand through `dart` is the overstrand at its
@@ -198,15 +191,9 @@ def validate_fal(diagram: FalDiagram) -> ValidationReport:
     four_valent = all(m.degree(v) == 4 for v in range(m.vertex_count))
     # A crossing disc is met exactly twice iff its circle vertex carries
     # exactly the two strand passages, i.e. is 4-valent.
-    crossing_discs = all(
-        m.degree(v) == 4
-        for v in range(m.vertex_count)
-        if isinstance(diagram.vertex_kind[v], CrossingCircle)
-    )
-    circles = {
-        v for v in range(m.vertex_count) if isinstance(diagram.vertex_kind[v], CrossingCircle)
-    }
-    crossings = set(range(m.vertex_count)) - circles
+    circles = set(diagram.circles)
+    crossings = set(diagram.crossings)
+    crossing_discs = all(m.degree(v) == 4 for v in circles)
     if circles and crossings:
         anchored = all(
             any(m.vertex_of(m.opposite[d]) in circles for d in m.rotation[v])
@@ -238,9 +225,7 @@ def detect_twist_regions(diagram: FalDiagram) -> list[TwistRegion]:
     """Maximal end-to-end bigon chains of crossings, plus lone crossings."""
     m = diagram.map
     fs = trace_faces(m)
-    crossings = {
-        v for v in range(m.vertex_count) if isinstance(diagram.vertex_kind[v], Crossing)
-    }
+    crossings = set(diagram.crossings)
     # Bigon faces joining two distinct crossings link the chain.
     links: dict[int, list[tuple[int, tuple[int, int]]]] = {v: [] for v in crossings}
     for cycle in fs.faces:
@@ -507,14 +492,11 @@ def choose_alternating_signs(diagram: FalDiagram) -> tuple[int, ...]:
     forcing +1 at the lowest-index circle.
     """
     m = diagram.map
-    circles = [
-        v for v in range(m.vertex_count) if isinstance(diagram.vertex_kind[v], CrossingCircle)
-    ]
     coloring = checkerboard_coloring(m)
     if coloring is None:
         raise NotCheckerboard("diagram faces admit no checkerboard coloring")
     fs = trace_faces(m)
-    signs = [1 if coloring[fs.face_of[m.rotation[v][0]]] == 0 else -1 for v in circles]
+    signs = [1 if coloring[fs.face_of[m.rotation[v][0]]] == 0 else -1 for v in diagram.circles]
     if signs and signs[0] == -1:
         signs = [-s for s in signs]
     return tuple(signs)
@@ -552,9 +534,7 @@ def check_weakly_prime(diagram: FalDiagram):
 
 def check_wga(diagram: FalDiagram, surface_incompressible: bool) -> WgaReport:
     m = diagram.map
-    crossings = {
-        v for v in range(m.vertex_count) if isinstance(diagram.vertex_kind[v], Crossing)
-    }
+    crossings = set(diagram.crossings)
     try:
         alternating = check_alternating(diagram)
     except UnfilledCircle:

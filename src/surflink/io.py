@@ -13,10 +13,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Optional
 
 from .constructions import (
-    LayeredFamily,
     ManifoldLink,
     annular_fill,
     build_doubled,

@@ -12,7 +12,7 @@ so face cycles, Euler characteristic and genus are all derived data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .errors import InternalParity, InvalidCorridor, MalformedMap
 
@@ -24,6 +24,7 @@ __all__ = [
     "genus",
     "checkerboard_coloring",
     "cut_along_two_cut",
+    "components_of",
 ]
 
 
@@ -212,9 +213,10 @@ class CutPiece:
     disc: bool
 
 
-def _components_without(m: CombinatorialMap, e1: int, e2: int) -> list[set[int]]:
-    """Vertex components of the graph with edges e1, e2 removed."""
-    parent = list(range(m.vertex_count))
+def components_of(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> list[set[int]]:
+    """Connected components of the graph on `nodes` with edges `pairs`,
+    in order of each component's first node."""
+    parent = {x: x for x in nodes}
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -222,15 +224,13 @@ def _components_without(m: CombinatorialMap, e1: int, e2: int) -> list[set[int]]
             x = parent[x]
         return x
 
-    for d in m.edges():
-        if d in (e1, e2):
-            continue
-        a, b = find(m.vertex_of(d)), find(m.vertex_of(m.opposite[d]))
+    for x, y in pairs:
+        a, b = find(x), find(y)
         if a != b:
             parent[a] = b
     groups: dict[int, set[int]] = {}
-    for v in range(m.vertex_count):
-        groups.setdefault(find(v), set()).add(v)
+    for x in parent:
+        groups.setdefault(find(x), set()).add(x)
     return list(groups.values())
 
 
@@ -260,7 +260,10 @@ def cut_along_two_cut(
         if flanks != corridor:
             raise InvalidCorridor(f"edge {e} is not flanked by the two corridor faces")
 
-    components = _components_without(m, e1, e2)
+    components = components_of(
+        range(m.vertex_count),
+        ((m.vertex_of(d), m.vertex_of(m.opposite[d])) for d in m.edges() if d not in (e1, e2)),
+    )
     chi_surface = 2 - 2 * genus(m)
     if len(components) == 1:
         piece = CutPiece(frozenset(components[0]), chi_surface + 2, False)

@@ -165,3 +165,29 @@ def test_kind_checked():
     d = decompose(generate_fal(2, 3, seed=0))
     with pytest.raises(WrongManifoldKind):
         prism_triangulation(d, kind="MappingTorus")
+
+
+# Diagrams whose boundary triangulation has cells with both ends at the
+# same ideal vertex site; one-face diagrams (c = 2g - 1) always have them.
+EQUAL_SITE_CASES = [(2, 3, 0), (2, 4, 1), (2, 9, 0), (3, 5, 0), (3, 12, 5)]
+
+
+@pytest.mark.parametrize("g,c,seed", EQUAL_SITE_CASES)
+def test_equal_site_cells_orient_by_default(g, c, seed):
+    d = decompose(generate_fal(g, c, seed=seed))
+    assert any(a == b for a, b in triangulate_white_faces(d).cells)
+    # Each site is a corner exactly twice, so no fan triangle has three
+    # equal corners and the site order ranks every prism's corners.
+    corners = [site for poly in d.white for site, _ in poly.entries]
+    assert sorted(corners) == sorted(d.ideal_vertices() * 2)
+    assert prism_triangulation(d).tetrahedron_count == 6 * (3 * c + 2 * g - 2)
+
+
+def test_equal_site_gluing_table_digest():
+    import hashlib
+
+    table = prism_triangulation(decompose(generate_fal(2, 4, seed=1))).export_gluing_table()
+    assert hashlib.sha256(table.encode()).hexdigest() == GOLDEN_G2C4S1_TABLE
+
+
+GOLDEN_G2C4S1_TABLE = "54ea3fe5790cea230cf274b6f04dfedddd7bf5cd6f5e025d7c6142c25d80b784"

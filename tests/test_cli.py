@@ -92,6 +92,15 @@ class TestGenerateCommand:
     def test_impossible_parameters_exit_two(self, capsys):
         assert cli.main(["generate", "--genus", "2", "--circles", "2"]) == 2
 
+    @pytest.mark.parametrize("value", ["7", "-0.1", "nan", "x"])
+    def test_bad_probability_exit_two(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                ["generate", "--genus", "2", "--circles", "4", "--half-twist-probability", value]
+            )
+        assert exc.value.code == 2
+        assert "error: argument --half-twist-probability" in capsys.readouterr().err
+
     def test_golden_digest(self, tmp_path):
         import hashlib
 
@@ -123,6 +132,11 @@ class TestFillAndAugmentCommands:
     def test_wrong_count_exit_two(self, diagram_file):
         _, path = diagram_file
         assert cli.main(["fill", path, "--t", "1,2"]) == 2
+
+    def test_non_integer_coefficient_exit_two(self, diagram_file, capsys):
+        _, path = diagram_file
+        assert cli.main(["fill", path, "--t", "1,x,1,1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestDecomposeCommand:
@@ -242,3 +256,12 @@ class TestCurvesCommand:
 
     def test_bad_word_exit_two(self, capsys):
         assert cli.main(["curves", "reduce", "z9", "--genus", "2"]) == 2
+
+    @pytest.mark.parametrize(
+        "words",
+        [["intersect", "a1"], ["reduce", "a1", "b1"], ["conjugate", "a1", "b1", "a2"]],
+    )
+    def test_wrong_word_count_exit_two(self, words, capsys):
+        assert cli.main(["curves", *words, "--genus", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

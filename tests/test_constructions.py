@@ -24,8 +24,14 @@ from surflink.errors import (
     NonPositiveCoefficient,
     ZeroCoefficient,
 )
-from surflink.fal_diagram import detect_twist_regions
+from surflink.fal_diagram import (
+    CrossingCircle,
+    FalDiagram,
+    detect_twist_regions,
+    fill_crossing_circle,
+)
 from surflink.generator import generate_fal
+from surflink.surface_map import CombinatorialMap
 
 
 def base_diagram(g=2, c=6, seed=1, checkerboard=True):
@@ -223,6 +229,23 @@ class TestFillToWga:
         link = build_trivial_torus(base, build_layered(base, A1, B1, 0))
         with pytest.raises(CoefficientCountMismatch):
             fill_to_wga(link, (1, 1))
+
+    def test_crossings_before_circles(self):
+        # s_k goes to the k-th crossing circle, not to vertex k.
+        filled = fill_crossing_circle(base_diagram(g=2, c=6, seed=3), 0, 1)
+        n = filled.map.vertex_count
+        order = [n - 2, n - 1] + list(range(n - 2))  # the two new crossings first
+        base = FalDiagram(
+            CombinatorialMap(tuple(filled.map.rotation[v] for v in order), filled.map.opposite),
+            2,
+            tuple(filled.vertex_kind[v] for v in order),
+        )
+        assert not any(isinstance(k, CrossingCircle) for k in base.vertex_kind[:2])
+        link = build_trivial_torus(base, build_layered(base, A1, B1, 0))
+        out = fill_to_wga(link, (1,) * base.c)
+        assert out.filled_diagram.c == 0
+        assert out.twist_region_count == 6
+        assert out.wga_report.alternating
 
 
 class TestPlanVolumeTarget:
