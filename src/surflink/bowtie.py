@@ -14,6 +14,7 @@ circles, 3c sites in all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import (
@@ -82,6 +83,11 @@ class BowtieDecomposition:
     def shaded_count(self) -> int:
         return len(self.shaded)
 
+    @cached_property
+    def boundary(self) -> "SurfaceTriangulation":
+        """The boundary triangulation, built on first use and then shared."""
+        return triangulate_white_faces(self)
+
     def ideal_vertices(self) -> tuple:
         sites = {e for slots in self.circle_slots for e in slots}
         return tuple(sorted(("arc", e) for e in sites)) + tuple(
@@ -108,13 +114,11 @@ def decompose(fal: FalDiagram) -> BowtieDecomposition:
     for v, kind in enumerate(fal.vertex_kind):
         if not isinstance(kind, CrossingCircle):
             raise MalformedMap(f"vertex {v} is not a crossing circle; augment first")
-    try:
-        if map_genus(m) != fal.genus:
-            raise NotCellular(
-                f"map genus {map_genus(m)} differs from declared genus {fal.genus}"
-            )
-    except MalformedMap as exc:
-        raise NotCellular(str(exc))
+        if m.degree(v) != 4:
+            raise MalformedMap(f"circle vertex {v} has degree {m.degree(v)}, not 4")
+    genus = map_genus(m)
+    if genus != fal.genus:
+        raise NotCellular(f"map genus {genus} differs from declared genus {fal.genus}")
 
     c = m.vertex_count
     arc = m.edge_of  # collapsed strand arcs, one per map edge
@@ -354,10 +358,9 @@ def _orient_cells(surface: SurfaceTriangulation) -> dict:
     Every triangle then has a linear corner order.  Sides between distinct
     sites follow the strict site order, so a triangle can only be cyclic
     when all three of its corners are the same site.  Shaded triangles have
-    a beta corner and two arc corners.  decompose's side-count check forces
-    every circle vertex to be 4-valent, so each site occurs exactly twice
-    among the white-polygon corners and no fan triangle repeats a corner
-    three times.
+    a beta corner and two arc corners.  decompose rejects every circle
+    vertex that is not 4-valent, so each site occurs exactly twice among the
+    white-polygon corners and no fan triangle repeats a corner three times.
     """
     return {cid: 0 if a <= b else 1 for cid, (a, b) in enumerate(surface.cells)}
 
@@ -422,7 +425,7 @@ def prism_triangulation(
         raise WrongManifoldKind(
             "prism triangulation is defined only for the trivial mapping torus"
         )
-    surface = triangulate_white_faces(d)
+    surface = d.boundary
     tail_end = _orient_cells(surface)
 
     order = []  # per triangle: rank -> corner position

@@ -15,7 +15,6 @@ from .bowtie import (
     build_nerve,
     decompose,
     prism_triangulation,
-    triangulate_white_faces,
     volume_bounds,
 )
 from .curves_mcg import (
@@ -119,7 +118,6 @@ def cmd_decompose(args) -> int:
     diagram = sio.load_diagram(args.path)
     d = decompose(diagram)
     nerve = build_nerve(d)
-    surf = triangulate_white_faces(d)
     out = {
         "command": "decompose",
         "input_digest": sio.file_digest(args.path),
@@ -130,7 +128,7 @@ def cmd_decompose(args) -> int:
             "shaded_triangles": d.shaded_count,
             "nerve": [nerve.node_count, nerve.edge_count, nerve.face_count],
             "nerve_euler": nerve.chi,
-            "boundary_triangles": surf.triangle_count,
+            "boundary_triangles": d.boundary.triangle_count,
         },
         "checks": {
             "white_face_law": d.white_count == d.c + 2 - 2 * d.genus,

@@ -15,6 +15,7 @@ tokens are concatenated with uppercase meaning inverse.
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -100,11 +101,8 @@ class MappingClassWord:
                 raise MalformedMap("twist exponents must be nonzero")
 
     def curve_class(self, curve) -> HomologyClass:
-        if isinstance(curve, tuple) and curve and isinstance(curve[0], int) and any(
-            abs(x) > 0 for x in curve
-        ) and len(curve) != 2 * self.g:
-            # A word (signed letters); abelianize.
-            return word_to_homology(curve, self.g)
+        # Length 2g means a homology class, any other length a word; a word
+        # of exactly 2g letters is therefore misread (a known defect).
         if len(curve) == 2 * self.g:
             return tuple(curve)
         return word_to_homology(curve, self.g)
@@ -115,11 +113,16 @@ class MappingClassWord:
         )
 
 
-def word_to_homology(w: CurveWord, g: int) -> HomologyClass:
-    coords = [0] * (2 * g)
+def _check_letters(w: CurveWord, g: int) -> None:
     for letter in w:
         if letter == 0 or abs(letter) > 2 * g:
             raise ParseError(f"letter {letter} outside generator range for genus {g}")
+
+
+def word_to_homology(w: CurveWord, g: int) -> HomologyClass:
+    _check_letters(w, g)
+    coords = [0] * (2 * g)
+    for letter in w:
         coords[abs(letter) - 1] += 1 if letter > 0 else -1
     return tuple(coords)
 
@@ -184,26 +187,26 @@ def _inverse_word(w: Sequence[int]) -> tuple[int, ...]:
 
 
 def surface_relator(g: int) -> tuple[int, ...]:
-    r: list[int] = []
-    for i in range(g):
-        a, b = 2 * i + 1, 2 * i + 2
-        r.extend((a, b, -a, -b))
-    return tuple(r)
+    """R = a1 b1 A1 B1 ... ag bg Ag Bg, the one relator of the surface group."""
+    return tuple(x for a in range(1, 2 * g, 2) for x in (a, a + 1, -a, -a - 1))
 
 
-def _relator_pieces(g: int, min_len: int):
-    """Map from cyclic relator subwords of length >= min_len to their
-    strictly shorter (or equal, for half pieces) replacements."""
+@functools.lru_cache(maxsize=None)
+def _relator_table(g: int) -> dict:
+    """Map every cyclic subword of R or R^-1 with at least 2g letters to the
+    inverse of its complement, an equal element no longer than 2g letters.
+
+    A subword of two or more letters occurs at only one position among all
+    rotations of R and R^-1, so no key is assigned twice.  The cached dict
+    is shared by every caller and must not be modified."""
     table: dict = {}
     R = surface_relator(g)
     for rel in (R, _inverse_word(R)):
         n = len(rel)
         for start in range(n):
             rot = rel[start:] + rel[:start]
-            for length in range(min_len, n + 1):
-                piece = rot[:length]
-                complement = rot[length:]
-                table.setdefault(piece, _inverse_word(complement))
+            for length in range(2 * g, n + 1):
+                table[rot[:length]] = _inverse_word(rot[length:])
     return table
 
 
@@ -212,49 +215,31 @@ def dehn_reduce(w: CurveWord, g: int) -> CurveWord:
     relator; length-nonincreasing and idempotent."""
     if g < 2:
         raise MalformedMap("surface-group reduction needs genus >= 2")
-    for letter in w:
-        if letter == 0 or abs(letter) > 2 * g:
-            raise ParseError(f"letter {letter} outside generator range for genus {g}")
-    table = _relator_pieces(g, 2 * g + 1)
+    _check_letters(w, g)
     word = _cyclic_reduce(w)
-    changed = True
-    while changed and word:
-        changed = False
-        n = len(word)
-        doubled = word + word
-        for length in range(min(n, 4 * g), 2 * g, -1):
-            for start in range(n):
-                piece = doubled[start : start + length]
-                if piece in table:
-                    rest = doubled[start + length : start + n]
-                    word = _cyclic_reduce(tuple(rest) + table[piece])
-                    changed = True
-                    break
-            if changed:
-                break
+    while word:
+        lengths = range(min(len(word), 4 * g), 2 * g, -1)
+        shorter = next(
+            (x for length in lengths for x in _relator_swaps(word, g, length)), None
+        )
+        if shorter is None:
+            break
+        word = shorter
     return word
 
 
-def _half_swaps(word: tuple, g: int) -> set:
-    """Words obtained by replacing one half-relator subword by the inverse
-    of the complementary half."""
-    halves = {}
-    R = surface_relator(g)
-    for rel in (R, _inverse_word(R)):
-        for start in range(len(rel)):
-            rot = rel[start:] + rel[:start]
-            halves[rot[: 2 * g]] = _inverse_word(rot[2 * g :])
-    out = set()
+def _relator_swaps(word: tuple, g: int, length: int):
+    """Cyclic reductions of word with one cyclic subword of the given length
+    replaced through the relator table, in order of position."""
     n = len(word)
-    if n < 2 * g:
-        return out
+    if length > n:
+        return
+    table = _relator_table(g)
     doubled = word + word
     for start in range(n):
-        piece = doubled[start : start + 2 * g]
-        if piece in halves:
-            rest = doubled[start + 2 * g : start + n]
-            out.add(_cyclic_reduce(tuple(rest) + halves[piece]))
-    return out
+        piece = doubled[start : start + length]
+        if piece in table:
+            yield _cyclic_reduce(doubled[start + length : start + n] + table[piece])
 
 
 def _conjugacy_class_forms(w: CurveWord, g: int, budget: int) -> frozenset:
@@ -270,7 +255,8 @@ def _conjugacy_class_forms(w: CurveWord, g: int, budget: int) -> frozenset:
             if rot not in seen:
                 seen.add(rot)
                 frontier.append(rot)
-        for swapped in _half_swaps(word, g):
+        # Half-relator swaps: 2g letters to the inverse of the other half.
+        for swapped in set(_relator_swaps(word, g, 2 * g)):
             reduced = dehn_reduce(swapped, g)
             if reduced not in seen:
                 seen.add(reduced)
@@ -305,12 +291,9 @@ def conjugacy_equal(
 # are merged before counting.
 
 
+@functools.lru_cache(maxsize=None)
 def _direction_order(g: int) -> dict:
-    order = []
-    for i in range(g):
-        a, b = 2 * i + 1, 2 * i + 2
-        order.extend((a, b, -a, -b))
-    return {letter: pos for pos, letter in enumerate(order)}
+    return {letter: pos for pos, letter in enumerate(surface_relator(g))}
 
 
 class _Ray:
@@ -409,10 +392,6 @@ def geometric_intersection_oracle(
     return _count_orbits(linked, u, v, g)
 
 
-def _is_identity(word: Sequence[int], g: int) -> bool:
-    return dehn_reduce(tuple(word), g) == ()
-
-
 def _count_orbits(linked, u: CurveWord, v: CurveWord, g: int) -> int:
     """Merge linked rotation pairs that name the same surface intersection.
 
@@ -457,7 +436,7 @@ def _count_orbits(linked, u: CurveWord, v: CurveWord, g: int) -> int:
                         + e1
                         + (v if l > 0 else _inverse_word(v)) * abs(l)
                     )
-                    if _is_identity(candidate + _inverse_word(e2), g):
+                    if dehn_reduce(candidate + _inverse_word(e2), g) == ():
                         parent[find(p2)] = find(p1)
                         merged = True
                         break

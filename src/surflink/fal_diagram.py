@@ -201,20 +201,13 @@ def validate_fal(diagram: FalDiagram) -> ValidationReport:
         )
     else:
         anchored = True
-    if circles:
-        meet = all(
-            any(m.vertex_of(d) in circles for d in comp)
-            for comp in diagram.strand_components()
-        )
-    else:
-        meet = all(
-            any(m.vertex_of(d) in crossings for d in comp)
-            for comp in diagram.strand_components()
-        )
-    try:
-        cellular = four_valent and map_genus(m) == diagram.genus
-    except MalformedMap:
-        cellular = False
+    # Every strand component meets a circle, or a crossing when none exists.
+    anchors = circles or crossings
+    meet = all(
+        any(m.vertex_of(d) in anchors for d in comp)
+        for comp in diagram.strand_components()
+    )
+    cellular = four_valent and map_genus(m) == diagram.genus
     return ValidationReport(four_valent, crossing_discs, anchored, meet, cellular)
 
 
@@ -544,13 +537,9 @@ def check_wga(diagram: FalDiagram, surface_incompressible: bool) -> WgaReport:
         any(m.vertex_of(d) in crossings for d in comp)
         for comp in diagram.strand_components()
     )
-    try:
-        cellular = map_genus(m) == diagram.genus
-    except MalformedMap:
-        cellular = False
     return WgaReport(
         weakly_prime=weakly_prime,
-        components_on_all_surfaces=cellular,
+        components_on_all_surfaces=map_genus(m) == diagram.genus,
         crossing_per_component=per_component,
         checkerboard=checkerboard_coloring(m) is not None,
         alternating=alternating,

@@ -103,6 +103,10 @@ def _insert_circle(rng: random.Random, m: CombinatorialMap, tries: int = 200) ->
                 grown = CombinatorialMap(rotation, opposite)
             except MalformedMap:
                 continue
+            # Reduced diagrams only: a bigon face between two circles would
+            # let their twist regions merge after filling, spoiling the
+            # one-region-per-circle correspondence.  The one-face base map
+            # has 4(2g-1) >= 12 darts, so checking each insertion suffices.
             if (
                 map_genus(grown) == g
                 and not _has_same_parity_loop(grown)
@@ -150,11 +154,6 @@ def generate_fal(
                 break
             m = grown
         if not ok:
-            continue
-        # Reduced diagrams only: a bigon face between two circles would let
-        # their twist regions merge after filling, spoiling the one-region-
-        # per-circle correspondence.
-        if any(len(f) < 3 for f in trace_faces(m).faces):
             continue
         if require_checkerboard and checkerboard_coloring(m) is None:
             continue

@@ -124,7 +124,7 @@ def _resolve_diagram(entry, spec_dir: str) -> FalDiagram:
 
 def load_family_spec(path: str) -> dict:
     spec = _load_json(path)
-    if "kind" not in spec or spec["kind"] not in KINDS:
+    if not isinstance(spec, dict) or spec.get("kind") not in KINDS:
         raise ParseError(f"spec field 'kind' must be one of {KINDS}")
     for required in ("base", "gamma_odd", "gamma_even", "m"):
         if required not in spec:
@@ -133,17 +133,34 @@ def load_family_spec(path: str) -> dict:
     return spec
 
 
-def _parse_curve_entry(entry, g: int):
+def _spec_int(value, field: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"spec field {field!r}: {value!r} is not an integer") from exc
+
+
+def _spec_list(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"spec field {field!r} must be a list, got {value!r}")
+    return value
+
+
+def _spec_ints(value, field: str) -> tuple:
+    return tuple(_spec_int(x, field) for x in _spec_list(value, field))
+
+
+def _parse_curve_entry(entry, field: str):
     if isinstance(entry, str):
         return entry  # word text; curve_class handles parsing
     if isinstance(entry, list):
-        return tuple(entry)
+        return _spec_ints(entry, field)
     raise ParseError(f"curve entry must be a word string or a list, got {type(entry)}")
 
 
 def _parse_phi(entries, g: int) -> MappingClassWord:
     letters = []
-    for item in entries:
+    for item in _spec_list(entries, "phi"):
         try:
             curve, exp = item
         except (TypeError, ValueError) as exc:
@@ -151,8 +168,8 @@ def _parse_phi(entries, g: int) -> MappingClassWord:
         if isinstance(curve, str):
             curve = parse_curve_word(curve, g)
         else:
-            curve = tuple(curve)
-        letters.append((curve, int(exp)))
+            curve = _spec_ints(curve, "phi")
+        letters.append((curve, _spec_int(exp, "phi")))
     return MappingClassWord(tuple(letters), g)
 
 
@@ -162,13 +179,16 @@ def build_link_from_spec(spec: dict) -> ManifoldLink:
     spec_dir = spec.get("_dir", ".")
     base = _resolve_diagram(spec["base"], spec_dir)
     g = base.genus
-    gamma_odd = _parse_curve_entry(spec["gamma_odd"], g)
-    gamma_even = _parse_curve_entry(spec["gamma_even"], g)
+    gamma_odd = _parse_curve_entry(spec["gamma_odd"], "gamma_odd")
+    gamma_even = _parse_curve_entry(spec["gamma_even"], "gamma_even")
+    m = _spec_int(spec["m"], "m")
+    if m < 0:
+        raise ParseError(f"spec field 'm' must be nonnegative, got {m}")
     family = build_layered(
         base,
         gamma_odd,
         gamma_even,
-        int(spec["m"]),
+        m,
         assert_intersection=bool(spec.get("assert_intersection", False)),
     )
     kind = spec["kind"]
@@ -188,7 +208,7 @@ def build_link_from_spec(spec: dict) -> ManifoldLink:
     else:
         link = build_trivial_torus(base, family)
     if "t" in spec:
-        link = annular_fill(link, tuple(int(x) for x in spec["t"]))
+        link = annular_fill(link, _spec_ints(spec["t"], "t"))
     if "s" in spec:
-        link = fill_to_wga(link, tuple(int(x) for x in spec["s"]))
+        link = fill_to_wga(link, _spec_ints(spec["s"], "s"))
     return link

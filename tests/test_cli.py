@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from surflink import cli
+import surflink
+from surflink import bowtie, cli
 from surflink.errors import ParseError
 from surflink.fal_diagram import diagrams_isomorphic
 from surflink.generator import generate_fal
@@ -139,6 +143,24 @@ class TestFillAndAugmentCommands:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def _one_circle(genus, vertex, pairs):
+    return {
+        "vertices": [vertex],
+        "opposite": pairs,
+        "genus": genus,
+        "vertex_kind": ["circle"],
+        "over_pair": [None],
+        "half_twist": [False],
+        "half_twist_sign": [1],
+    }
+
+
+ONE_CIRCLE_NOT_FOUR_VALENT = {
+    "six_valent": _one_circle(1, [0, 1, 2, 3, 4, 5], [[0, 3], [1, 4], [2, 5]]),
+    "two_valent": _one_circle(0, [0, 1], [[0, 1]]),
+}
+
+
 class TestDecomposeCommand:
     def test_counts_for_minimal_genus_two(self, tmp_path, capsys):
         d = generate_fal(2, 3, seed=0)
@@ -170,6 +192,46 @@ class TestDecomposeCommand:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         assert cli.main(["decompose", str(path)]) == 2
+
+    @pytest.mark.parametrize("name", sorted(ONE_CIRCLE_NOT_FOUR_VALENT))
+    def test_circle_not_four_valent_exit_two(self, name, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(ONE_CIRCLE_NOT_FOUR_VALENT[name]))
+        assert cli.main(["decompose", str(path)]) == 2
+        assert "MalformedMap: circle vertex 0 has degree" in capsys.readouterr().err
+
+    def test_circle_not_four_valent_exit_two_under_optimize(self, tmp_path):
+        # Under -O no assert runs, so the degree check itself must reject.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(ONE_CIRCLE_NOT_FOUR_VALENT["six_valent"]))
+        src = os.path.dirname(os.path.dirname(surflink.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "surflink.cli", "decompose", str(path)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_export_gluing_triangulates_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = bowtie.triangulate_white_faces
+
+        def counting(d):
+            calls.append(d)
+            return original(d)
+
+        # Patch every module binding, as a caller importing the name would see it.
+        for module in (bowtie, cli):
+            monkeypatch.setattr(module, "triangulate_white_faces", counting, raising=False)
+        path = tmp_path / "d.json"
+        dump_diagram(generate_fal(2, 4, seed=1), str(path))
+        table = tmp_path / "gluing.txt"
+        args = ["decompose", str(path), "--json", "--export-gluing", str(table)]
+        assert cli.main(args) == 0
+        assert len(calls) == 1
 
 
 class TestBoundsCommand:
@@ -235,6 +297,38 @@ class TestFamilyCommand:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"kind": "TrivialMappingTorus"}))
         assert cli.main(["family", str(path)]) == 2
+
+    def test_spec_not_an_object_exit_two(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text("5")
+        assert cli.main(["family", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"m": -1},
+            {"m": "x"},
+            {"t": ["x"]},
+            {"kind": "MappingTorus", "phi": 5},
+            {"kind": "MappingTorus", "phi": [["b1", "x"]]},
+            {"kind": "MappingTorus", "phi": [[5, 1]]},
+            {"gamma_odd": ["x", 0, 0, 0]},
+        ],
+        ids=[
+            "m-negative",
+            "m-text",
+            "t-text",
+            "phi-number",
+            "phi-exponent-text",
+            "phi-curve-number",
+            "gamma-entry-text",
+        ],
+    )
+    def test_malformed_field_exit_two(self, extra, diagram_file, tmp_path, capsys):
+        _, path = diagram_file
+        spec = self._write_spec(tmp_path, path, extra)
+        assert cli.main(["family", spec]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCurvesCommand:

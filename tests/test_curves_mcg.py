@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from surflink.curves_mcg import (
     Certificate,
+    _relator_table,
     MappingClassWord,
     acts_nontrivially,
     algebraic_intersection,
@@ -306,3 +309,80 @@ class TestIntersectionOracle:
             geometric_intersection_oracle(
                 tuple([1, 2] * 20), (2,), 2, budget=8
             )
+
+
+class TestRelatorTable:
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    def test_keys_are_long_subwords_mapped_to_inverse_complements(self, g):
+        table = _relator_table(g)
+        # One key per (relator or inverse, start, length 2g..4g): none collide.
+        assert len(table) == 2 * 4 * g * (2 * g + 1)
+        R = surface_relator(g)
+        rotations = {
+            rel[i:] + rel[:i]
+            for rel in (R, tuple(-x for x in reversed(R)))
+            for i in range(4 * g)
+        }
+        for piece, replacement in table.items():
+            assert len(piece) >= 2 * g
+            complement = tuple(-x for x in reversed(replacement))
+            assert piece + complement in rotations
+
+
+def _seeded_word(rng, g, pieces):
+    """Random relator subwords and single letters, so reductions happen."""
+    R = surface_relator(g)
+    letters = [s * x for x in range(1, 2 * g + 1) for s in (1, -1)]
+    word = []
+    for _ in range(pieces):
+        if rng.random() < 0.5:
+            rel = R if rng.random() < 0.5 else tuple(-x for x in reversed(R))
+            start = rng.randrange(len(rel))
+            rot = rel[start:] + rel[:start]
+            word.extend(rot[: rng.randint(1, len(rel))])
+        else:
+            word.append(rng.choice(letters))
+    return tuple(word)
+
+
+def _curve_results():
+    rng = random.Random(20261018)
+    out = []
+    for _ in range(200):
+        g = rng.randint(2, 4)
+        w = _seeded_word(rng, g, rng.randint(1, 6))
+        out.append(["reduce", g, w, dehn_reduce(w, g)])
+    for _ in range(60):
+        g = rng.randint(2, 3)
+        w = _seeded_word(rng, g, rng.randint(1, 3))[:8]
+        u = _seeded_word(rng, g, 1)[:3]
+        conj = u + w + tuple(-x for x in reversed(u))
+        other = _seeded_word(rng, g, rng.randint(1, 3))[:8]
+        out.append(
+            [
+                "conjugate",
+                g,
+                w,
+                conj,
+                other,
+                conjugacy_equal(w, conj, g),
+                conjugacy_equal(w, other, g, up_to_inverse=True),
+            ]
+        )
+    for _ in range(30):
+        w1 = _seeded_word(rng, 2, 2)[:5]
+        w2 = _seeded_word(rng, 2, 2)[:5]
+        out.append(["oracle", w1, w2, geometric_intersection_oracle(w1, w2, 2)])
+    return out
+
+
+def test_curve_results_digest():
+    # 200 reductions, 60 conjugacy pairs and 30 oracle calls, pinned so that
+    # any change to the relator table or its users that alters a result shows.
+    results = _curve_results()
+    assert all(r[5] for r in results if r[0] == "conjugate")
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert digest == CURVE_RESULTS_SHA256
+
+
+CURVE_RESULTS_SHA256 = "6569d87c5de6b0649836f627f18a3bf47019a72ca0eac5316c2be8cc10a32ea0"
