@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 all requested checks pass, 1 a checked property fails,
-2 malformed input or violated precondition.
+2 malformed input or violated precondition, 3 an internal error (an
+exception that is not a SurflinkError), reported on one stderr line.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .surface_map import checkerboard_coloring
 EXIT_PASS = 0
 EXIT_PROPERTY = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 INCONCLUSIVE_NOTE = (
     "note: the monodromy acts trivially on the homology classes supplied; "
@@ -327,6 +329,10 @@ def main(argv=None) -> int:
         if type(exc).__name__ == "MonodromyActsTrivially":
             print(INCONCLUSIVE_NOTE, file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

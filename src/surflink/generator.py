@@ -16,14 +16,14 @@ from typing import Optional
 
 from .errors import GenerationFailed, MalformedMap
 from .fal_diagram import CrossingCircle, FalDiagram
-from .surface_map import (
-    CombinatorialMap,
-    checkerboard_coloring,
-    genus as map_genus,
-    trace_faces,
-)
+from .surface_map import CombinatorialMap, checkerboard_coloring, trace_faces
 
 __all__ = ["generate_fal"]
+
+BASE_TRIES = 4000  # random pairings per one-face base map
+INSERT_TRIES = 200  # (face, u, w) draws per circle insertion
+GENERATE_TRIES = 50  # base maps grown per diagram
+CHECKERBOARD_TRIES = 2000  # the same, when the checkerboard filter is on
 
 
 def _has_same_parity_loop(m: CombinatorialMap) -> bool:
@@ -36,12 +36,15 @@ def _has_same_parity_loop(m: CombinatorialMap) -> bool:
     return False
 
 
-def _random_base(rng: random.Random, g: int, tries: int = 4000) -> CombinatorialMap:
-    """One-face 4-valent map on 2g-1 vertices (the minimum circle count)."""
+def _random_base(rng: random.Random, g: int) -> CombinatorialMap:
+    """One-face 4-valent map on 2g-1 vertices (the minimum circle count).
+
+    With V = 2g-1, E = 4g-2 and F = 1 the Euler characteristic is 2-2g,
+    so one face is exactly genus g."""
     n = 2 * g - 1
     darts = list(range(4 * n))
     rotation = tuple(tuple(darts[4 * v : 4 * v + 4]) for v in range(n))
-    for _ in range(tries):
+    for _ in range(BASE_TRIES):
         pool = darts[:]
         rng.shuffle(pool)
         opposite = {}
@@ -56,62 +59,55 @@ def _random_base(rng: random.Random, g: int, tries: int = 4000) -> Combinatorial
         if _has_same_parity_loop(m):
             continue
         if trace_faces(m).count == 1:
-            assert map_genus(m) == g
             return m
     raise GenerationFailed(f"no one-face base map found for genus {g}")
 
 
-def _insert_circle(rng: random.Random, m: CombinatorialMap, tries: int = 200) -> Optional[CombinatorialMap]:
+def _insert_circle(rng: random.Random, m: CombinatorialMap) -> Optional[CombinatorialMap]:
     """Reroute two edges of one face through a new vertex, preserving genus.
 
-    The new vertex's slot pairs {0,2} and {1,3} each carry one of the two
-    severed edges, so both strand passages are genuine.  Of the four ways
-    of reattaching the severed ends, the ones that keep the curve between
-    the two edges inside the chosen face add exactly one face; the wiring
-    is found by trying them.
+    The new vertex h = (h0, h1, h2, h3) takes the severed edge u-u2 on the
+    slot pair {0, 2} and w-w2 on {1, 3}, so both strand passages are
+    genuine.  Of the four ways of reattaching the ends, the two with u on
+    h2 are the two with u on h0 under the swap h0<->h2, h1<->h3.  The swap
+    keeps the cyclic order of h and every slot parity, so each twin has the
+    same faces as its partner; only the wirings with u on h0 are built.
+    The insertion adds one vertex and two edges, so a wiring keeps the
+    genus exactly when it adds one face.  Many draws admit no such wiring;
+    they are redrawn.
+
+    The grown map is always a valid map: the four new darts are fresh and
+    paired with distinct old darts, and every old adjacency A-B across a
+    severed edge becomes A-h-B, so it stays connected.  It has no
+    same-parity loop either: no edge joins h to itself, and the old
+    vertices keep their slots and gain no edge between two old darts, so
+    it has one only if the parent has -- and neither the base nor any map
+    grown from it does.
     """
-    g = map_genus(m)
     fs = trace_faces(m)
     base = max(m.darts) + 1
     h = (base, base + 1, base + 2, base + 3)
-    for _ in range(tries):
+    rotation = m.rotation + (h,)
+    for _ in range(INSERT_TRIES):
         face = fs.faces[rng.randrange(fs.count)]
-        if len(face) < 2:
-            continue
         u = face[rng.randrange(len(face))]
         w = face[rng.randrange(len(face))]
         if m.edge_of(u) == m.edge_of(w):
             continue
         u2, w2 = m.opposite[u], m.opposite[w]
-        rotation = m.rotation + (h,)
-        for ends_u, ends_w in (
-            ((u, u2), (w, w2)),
-            ((u, u2), (w2, w)),
-            ((u2, u), (w, w2)),
-            ((u2, u), (w2, w)),
-        ):
+        for ends in ((u, w, u2, w2), (u, w2, u2, w)):
             opposite = dict(m.opposite)
-            opposite[ends_u[0]] = h[0]
-            opposite[h[0]] = ends_u[0]
-            opposite[ends_u[1]] = h[2]
-            opposite[h[2]] = ends_u[1]
-            opposite[ends_w[0]] = h[1]
-            opposite[h[1]] = ends_w[0]
-            opposite[ends_w[1]] = h[3]
-            opposite[h[3]] = ends_w[1]
-            try:
-                grown = CombinatorialMap(rotation, opposite)
-            except MalformedMap:
-                continue
+            for old, new in zip(ends, h):
+                opposite[old] = new
+                opposite[new] = old
+            grown = CombinatorialMap(rotation, opposite)
             # Reduced diagrams only: a bigon face between two circles would
             # let their twist regions merge after filling, spoiling the
             # one-region-per-circle correspondence.  The one-face base map
-            # has 4(2g-1) >= 12 darts, so checking each insertion suffices.
-            if (
-                map_genus(grown) == g
-                and not _has_same_parity_loop(grown)
-                and all(len(f) >= 3 for f in trace_faces(grown).faces)
-            ):
+            # has 4(2g-1) >= 12 darts, so checking each insertion suffices,
+            # and every face drawn from above has at least three darts.
+            faces = trace_faces(grown).faces
+            if len(faces) == fs.count + 1 and all(len(f) >= 3 for f in faces):
                 return grown
     return None
 
@@ -122,7 +118,6 @@ def generate_fal(
     seed: Optional[int] = None,
     half_twist_probability: float = 0.0,
     require_checkerboard: bool = False,
-    tries: int = 50,
 ) -> FalDiagram:
     """Random cellular FAL with c crossing circles on a genus-g surface.
 
@@ -137,25 +132,16 @@ def generate_fal(
         raise GenerationFailed(
             f"no cellular diagram exists with c={c} < 2g-1={2 * g - 1} on genus {g}"
         )
-    if require_checkerboard:
-        if c < 2 * g:
-            raise GenerationFailed(
-                "a one-face diagram is self-adjacent, never checkerboard; need c >= 2g"
-            )
-        tries = max(tries, 2000)
+    if require_checkerboard and c < 2 * g:
+        raise GenerationFailed(
+            "a one-face diagram is self-adjacent, never checkerboard; need c >= 2g"
+        )
     rng = random.Random(seed)
-    for _ in range(tries):
+    for _ in range(CHECKERBOARD_TRIES if require_checkerboard else GENERATE_TRIES):
         m = _random_base(rng, g)
-        ok = True
-        while m.vertex_count < c:
-            grown = _insert_circle(rng, m)
-            if grown is None:
-                ok = False
-                break
-            m = grown
-        if not ok:
-            continue
-        if require_checkerboard and checkerboard_coloring(m) is None:
+        while m is not None and m.vertex_count < c:
+            m = _insert_circle(rng, m)
+        if m is None or (require_checkerboard and checkerboard_coloring(m) is None):
             continue
         kinds = []
         for _ in range(c):

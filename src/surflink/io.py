@@ -134,10 +134,10 @@ def load_family_spec(path: str) -> dict:
 
 
 def _spec_int(value, field: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"spec field {field!r}: {value!r} is not an integer") from exc
+    # JSON integers only: int() would truncate 2.5 and read true as 1.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"spec field {field!r}: {value!r} is not an integer")
+    return value
 
 
 def _spec_list(value, field: str) -> list:
@@ -184,13 +184,12 @@ def build_link_from_spec(spec: dict) -> ManifoldLink:
     m = _spec_int(spec["m"], "m")
     if m < 0:
         raise ParseError(f"spec field 'm' must be nonnegative, got {m}")
-    family = build_layered(
-        base,
-        gamma_odd,
-        gamma_even,
-        m,
-        assert_intersection=bool(spec.get("assert_intersection", False)),
-    )
+    assert_intersection = spec.get("assert_intersection", False)
+    if not isinstance(assert_intersection, bool):
+        raise ParseError(
+            f"spec field 'assert_intersection' must be true or false, got {assert_intersection!r}"
+        )
+    family = build_layered(base, gamma_odd, gamma_even, m, assert_intersection=assert_intersection)
     kind = spec["kind"]
     if kind == "DoubledThickenedSurface":
         base2 = _resolve_diagram(spec.get("base2", spec["base"]), spec_dir)

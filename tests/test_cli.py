@@ -308,7 +308,10 @@ class TestFamilyCommand:
         [
             {"m": -1},
             {"m": "x"},
+            {"m": 2.5},
+            {"m": True},
             {"t": ["x"]},
+            {"t": [1.9, 1]},
             {"kind": "MappingTorus", "phi": 5},
             {"kind": "MappingTorus", "phi": [["b1", "x"]]},
             {"kind": "MappingTorus", "phi": [[5, 1]]},
@@ -317,7 +320,10 @@ class TestFamilyCommand:
         ids=[
             "m-negative",
             "m-text",
+            "m-float",
+            "m-bool",
             "t-text",
+            "t-float",
             "phi-number",
             "phi-exponent-text",
             "phi-curve-number",
@@ -329,6 +335,40 @@ class TestFamilyCommand:
         spec = self._write_spec(tmp_path, path, extra)
         assert cli.main(["family", spec]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "flag,code",
+        [(True, 0), (False, 2), ("false", 2), (1, 2)],
+        ids=["true", "false", "text", "one"],
+    )
+    def test_assert_intersection_must_be_boolean(self, flag, code, diagram_file, tmp_path, capsys):
+        """a1 and a2 have pairing zero and no oracle evidence, so only a real
+        `true` may stand in for the intersection certificate."""
+        _, path = diagram_file
+        spec = self._write_spec(
+            tmp_path, path, {"gamma_even": "a2", "assert_intersection": flag}
+        )
+        assert cli.main(["family", spec, "--json"]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            report = json.loads(captured.out)
+            assert report["certificates"]["intersection"] == ["asserted", None]
+        else:
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_three(self, monkeypatch, diagram_file, capsys):
+        def broken(args):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setattr(cli, "cmd_validate", broken)
+        _, path = diagram_file
+        assert cli.main(["validate", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: internal: RuntimeError: boom second line\n"
 
 
 class TestCurvesCommand:

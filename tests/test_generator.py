@@ -1,9 +1,13 @@
+import hashlib
+import random
+
 import pytest
 
-from surflink.errors import GenerationFailed
+from surflink.errors import GenerationFailed, MalformedMap
 from surflink.fal_diagram import CrossingCircle, validate_fal
-from surflink.generator import generate_fal
-from surflink.surface_map import checkerboard_coloring, genus, trace_faces
+from surflink.generator import _has_same_parity_loop, _insert_circle, _random_base, generate_fal
+from surflink.io import diagram_to_json_dict, dumps_json
+from surflink.surface_map import CombinatorialMap, checkerboard_coloring, genus, trace_faces
 
 
 def test_counts_and_validity():
@@ -55,3 +59,84 @@ def test_half_twist_sprinkling():
     assert all(k.half_twist for k in d.vertex_kind)
     d = generate_fal(2, 9, seed=3)
     assert not any(k.half_twist for k in d.vertex_kind)
+
+
+def reference_insert_circle(rng, m, tries=200):
+    """The four-wiring insertion the generator used before it was cut down
+    to the two distinct wirings; kept as the oracle for the differential
+    test below."""
+    g = genus(m)
+    fs = trace_faces(m)
+    base = max(m.darts) + 1
+    h = (base, base + 1, base + 2, base + 3)
+    for _ in range(tries):
+        face = fs.faces[rng.randrange(fs.count)]
+        if len(face) < 2:
+            continue
+        u = face[rng.randrange(len(face))]
+        w = face[rng.randrange(len(face))]
+        if m.edge_of(u) == m.edge_of(w):
+            continue
+        u2, w2 = m.opposite[u], m.opposite[w]
+        rotation = m.rotation + (h,)
+        for ends_u, ends_w in (
+            ((u, u2), (w, w2)),
+            ((u, u2), (w2, w)),
+            ((u2, u), (w, w2)),
+            ((u2, u), (w2, w)),
+        ):
+            opposite = dict(m.opposite)
+            opposite[ends_u[0]] = h[0]
+            opposite[h[0]] = ends_u[0]
+            opposite[ends_u[1]] = h[2]
+            opposite[h[2]] = ends_u[1]
+            opposite[ends_w[0]] = h[1]
+            opposite[h[1]] = ends_w[0]
+            opposite[ends_w[1]] = h[3]
+            opposite[h[3]] = ends_w[1]
+            try:
+                grown = CombinatorialMap(rotation, opposite)
+            except MalformedMap:
+                continue
+            if (
+                genus(grown) == g
+                and not _has_same_parity_loop(grown)
+                and all(len(f) >= 3 for f in trace_faces(grown).faces)
+            ):
+                return grown
+    return None
+
+
+@pytest.mark.parametrize("g,c", [(2, 12), (3, 12), (2, 40), (3, 60)])
+@pytest.mark.parametrize("seed", range(4))
+def test_insert_circle_matches_reference(g, c, seed):
+    """Same grown map and same rng state as the four-wiring routine, at
+    every step of a seeded growth run."""
+    rng = random.Random(seed)
+    m = _random_base(rng, g)
+    while m.vertex_count < c:
+        ref_rng = random.Random()
+        ref_rng.setstate(rng.getstate())
+        grown = _insert_circle(rng, m)
+        expected = reference_insert_circle(ref_rng, m)
+        assert rng.getstate() == ref_rng.getstate()
+        if expected is None:
+            assert grown is None
+            break
+        assert grown.rotation == expected.rotation
+        assert grown.opposite == expected.opposite
+        m = grown
+
+
+def test_generated_output_digest():
+    """sha256 of the JSON of 15 generated diagrams, taken before the growth
+    step was cut down to two wirings; any change to a generated diagram or
+    to the rng stream shows here."""
+    digest = hashlib.sha256()
+    for seed in (1, 2, 3):
+        for g, c in ((2, 4), (2, 9), (3, 8), (2, 25), (3, 50)):
+            d = generate_fal(
+                g, c, seed=seed, half_twist_probability=0.3, require_checkerboard=c >= 2 * g
+            )
+            digest.update(dumps_json(diagram_to_json_dict(d)).encode())
+    assert digest.hexdigest() == "8f2afe7b24ff94d572c6c90cf7b33c97b611666a799d75f55f6e24c1a1ee4e7a"
