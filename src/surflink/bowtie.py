@@ -20,6 +20,7 @@ from typing import Optional
 from .errors import (
     DegenerateFace,
     GenusTooSmall,
+    InternalInvariant,
     MalformedMap,
     NotCellular,
     WrongManifoldKind,
@@ -155,7 +156,8 @@ def decompose(fal: FalDiagram) -> BowtieDecomposition:
 
     # Every shaded side must border exactly one white polygon.
     used = [ref[:3] for poly in white for _, ref in poly.entries]
-    assert len(used) == 6 * c and len(set(used)) == 6 * c
+    if len(used) != 6 * c or len(set(used)) != 6 * c:
+        raise InternalInvariant("a shaded side does not border exactly one white polygon")
 
     decomposition = BowtieDecomposition(
         genus=fal.genus,
@@ -167,7 +169,11 @@ def decompose(fal: FalDiagram) -> BowtieDecomposition:
             (kind.half_twist, kind.half_twist_sign) for kind in fal.vertex_kind
         ),
     )
-    assert decomposition.white_count == c + 2 - 2 * fal.genus
+    if decomposition.white_count != c + 2 - 2 * fal.genus:
+        raise InternalInvariant(
+            f"white-face law: {decomposition.white_count} white faces, "
+            f"expected c + 2 - 2g = {c + 2 - 2 * fal.genus}"
+        )
     return decomposition
 
 
@@ -222,15 +228,19 @@ def build_nerve(d: BowtieDecomposition) -> Nerve:
     edges = []
     for site in sorted(incidences):
         occ = incidences[site]
-        assert len(occ) == 2, (site, occ)
+        if len(occ) != 2:
+            raise InternalInvariant(f"ideal vertex {site} has {len(occ)} polygon corners, not 2")
         edges.append((site, (occ[0][0], occ[1][0])))
     faces = []
     for tri in d.shaded:
         nodes = tuple(side_owner[(tri.circle, tri.half, s)] for s in range(3))
         faces.append(((tri.circle, tri.half), nodes))
     nerve = Nerve(d.white_count, tuple(edges), tuple(faces))
-    assert nerve.edge_count == 3 * d.c
-    assert nerve.face_count == 2 * d.c
+    if nerve.edge_count != 3 * d.c or nerve.face_count != 2 * d.c:
+        raise InternalInvariant(
+            f"nerve has {nerve.edge_count} edges and {nerve.face_count} faces, "
+            f"expected 3c = {3 * d.c} and 2c = {2 * d.c}"
+        )
     return nerve
 
 
@@ -317,14 +327,22 @@ def triangulate_white_faces(d: BowtieDecomposition) -> SurfaceTriangulation:
         )
 
     out = SurfaceTriangulation(tuple(triangles), tuple(cells))
-    assert out.triangle_count == 6 * d.c + 4 * d.genus - 4
-    assert len(cells) == 9 * d.c + 6 * d.genus - 6
+    if out.triangle_count != 6 * d.c + 4 * d.genus - 4:
+        raise InternalInvariant(
+            f"{out.triangle_count} boundary triangles, expected 6c + 4g - 4 = "
+            f"{6 * d.c + 4 * d.genus - 4}"
+        )
+    if len(cells) != 9 * d.c + 6 * d.genus - 6:
+        raise InternalInvariant(
+            f"{len(cells)} boundary edges, expected 9c + 6g - 6 = {9 * d.c + 6 * d.genus - 6}"
+        )
     # Closed surface: every cell used by exactly two triangle sides.
     use = {}
     for t in triangles:
         for cell, _ in t.sides:
             use[cell] = use.get(cell, 0) + 1
-    assert all(v == 2 for v in use.values())
+    if any(v != 2 for v in use.values()):
+        raise InternalInvariant("a boundary edge is not shared by exactly two triangles")
     return out
 
 
@@ -411,7 +429,10 @@ def _glue(table, tet_a, labels_a, tet_b, labels_b, label_map):
     inverse = [None] * 4
     for i, j in enumerate(perm):
         inverse[j] = i
-    assert table[tet_a][face_a] is None and table[tet_b][face_b] is None
+    if table[tet_a][face_a] is not None or table[tet_b][face_b] is not None:
+        raise InternalInvariant(
+            f"tetrahedron face glued twice: ({tet_a}, {face_a}) or ({tet_b}, {face_b})"
+        )
     table[tet_a][face_a] = (tet_b, face_b, tuple(perm))
     table[tet_b][face_b] = (tet_a, face_a, tuple(inverse))
 
@@ -486,15 +507,22 @@ def prism_triangulation(
             }
             _glue(table, tet_a, labels_a, tet_b, labels_b, label_map)
 
-    assert all(entry is not None for faces in table for entry in faces)
+    if any(entry is None for faces in table for entry in faces):
+        raise InternalInvariant("a tetrahedron face is left unglued")
     for tet, faces in enumerate(table):
         for face, (nbr, nf, perm) in enumerate(faces):
             back = table[nbr][nf]
-            assert back[0] == tet and back[1] == face
-            assert tuple(back[2][p] for p in perm) == (0, 1, 2, 3)
+            if (back[0], back[1]) != (tet, face) or tuple(back[2][p] for p in perm) != (0, 1, 2, 3):
+                raise InternalInvariant(
+                    f"gluing of tetrahedron {tet} face {face} is not an involution"
+                )
 
     out = PrismTriangulation(n_tets, tuple(tuple(faces) for faces in table))
-    assert out.tetrahedron_count == 6 * (3 * d.c + 2 * d.genus - 2)
+    if out.tetrahedron_count != 6 * (3 * d.c + 2 * d.genus - 2):
+        raise InternalInvariant(
+            f"{out.tetrahedron_count} tetrahedra, expected 6(3c + 2g - 2) = "
+            f"{6 * (3 * d.c + 2 * d.genus - 2)}"
+        )
     return out
 
 

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 all requested checks pass, 1 a checked property fails,
-2 malformed input or violated precondition, 3 an internal error (an
-exception that is not a SurflinkError), reported on one stderr line.
+2 malformed input or violated precondition, 3 an internal error (a broken
+InternalInvariant or an exception that is not a SurflinkError), reported
+on one stderr line.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .curves_mcg import (
     parse_curve_word,
     word_to_homology,
 )
-from .errors import ParseError, SurflinkError
+from .errors import InternalInvariant, ParseError, SurflinkError
 from .fal_diagram import augment, check_weakly_prime, fill_all, validate_fal
 from .generator import generate_fal
 from .surface_map import checkerboard_coloring
@@ -69,7 +70,12 @@ def _seed(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("SLK_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise ParseError(f"SLK_SEED must be an integer, got {env!r}") from exc
 
 
 def cmd_validate(args) -> int:
@@ -255,6 +261,13 @@ def probability(text: str) -> float:
     return value
 
 
+def budget(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="surflink",
@@ -309,7 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["intersect", "reduce", "conjugate"])
     p.add_argument("words", nargs="+")
     p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument(
+        "--budget", type=budget, default=None, help="search budget (reduce ignores it)"
+    )
     p.add_argument("--up-to-inverse", action="store_true")
     p.set_defaults(func=cmd_curves)
 
@@ -321,6 +336,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InternalInvariant as exc:
+        print(f"error: internal: InternalInvariant: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

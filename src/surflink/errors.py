@@ -13,6 +13,11 @@ class InternalParity(SurflinkError):
     """Euler characteristic came out odd; indicates an internal bug."""
 
 
+class InternalInvariant(SurflinkError):
+    """A counting law or consistency check of a construction failed;
+    indicates an internal bug, never bad input."""
+
+
 class InvalidCorridor(SurflinkError):
     """The requested two-cut curve is not realizable through the named faces."""
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import (
+    InternalInvariant,
     MalformedMap,
     NonAlternatingTwistRegion,
     NotACrossingCircle,
@@ -319,6 +320,13 @@ def _check_region_alternates(diagram: FalDiagram, chain, links) -> None:
 # -- augmentation and filling -----------------------------------------------
 
 
+def _check_genus_kept(out: FalDiagram, diagram: FalDiagram) -> None:
+    if map_genus(out.map) != diagram.genus:
+        raise InternalInvariant(
+            f"surgery changed the surface genus from {diagram.genus} to {map_genus(out.map)}"
+        )
+
+
 def augment(diagram: FalDiagram) -> FalDiagram:
     """Replace every twist region by a crossing circle.
 
@@ -383,7 +391,7 @@ def augment(diagram: FalDiagram) -> FalDiagram:
         opposite[b] = a
 
     out = FalDiagram(CombinatorialMap(tuple(rotation), opposite), diagram.genus, tuple(kinds))
-    assert map_genus(out.map) == diagram.genus
+    _check_genus_kept(out, diagram)
     return out
 
 
@@ -441,7 +449,7 @@ def fill_crossing_circle(diagram: FalDiagram, k: int, t: int) -> FalDiagram:
     kinds.extend(Crossing(over_pair) for _ in range(n))
 
     out = FalDiagram(CombinatorialMap(tuple(rotation), opposite), diagram.genus, tuple(kinds))
-    assert map_genus(out.map) == diagram.genus
+    _check_genus_kept(out, diagram)
     return out
 
 

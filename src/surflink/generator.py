@@ -14,9 +14,9 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .errors import GenerationFailed, MalformedMap
+from .errors import GenerationFailed
 from .fal_diagram import CrossingCircle, FalDiagram
-from .surface_map import CombinatorialMap, checkerboard_coloring, trace_faces
+from .surface_map import CombinatorialMap, FaceSet, checkerboard_coloring, trace_faces
 
 __all__ = ["generate_fal"]
 
@@ -26,41 +26,86 @@ GENERATE_TRIES = 50  # base maps grown per diagram
 CHECKERBOARD_TRIES = 2000  # the same, when the checkerboard filter is on
 
 
-def _has_same_parity_loop(m: CombinatorialMap) -> bool:
-    """A loop joining two equal-parity slots of one vertex pinches a strand
-    passage; such diagrams fill to non-checkerboard messes and are skipped."""
-    for d in m.darts:
-        e = m.opposite[d]
-        if m.vertex_of(d) == m.vertex_of(e) and m.position_of(d) % 2 == m.position_of(e) % 2:
-            return True
-    return False
-
-
 def _random_base(rng: random.Random, g: int) -> CombinatorialMap:
     """One-face 4-valent map on 2g-1 vertices (the minimum circle count).
 
     With V = 2g-1, E = 4g-2 and F = 1 the Euler characteristic is 2-2g,
-    so one face is exactly genus g."""
+    so one face is exactly genus g.
+
+    Vertex v holds darts 4v..4v+3 in slot order, so each shuffled pairing
+    is decided on the flat pool and only the returned one is built.  A
+    pair (a, b) is a same-parity loop -- it joins two equal-parity slots of
+    one vertex, pinching a strand passage, and such diagrams fill to
+    non-checkerboard messes -- when a//4 == b//4 and a-b is even.  The
+    pairing has one face when the face walk from dart 0, d -> the slot
+    after opposite[d], takes all 4(2g-1) darts; one face visits every
+    dart, so the map is connected.
+    """
     n = 2 * g - 1
     darts = list(range(4 * n))
     rotation = tuple(tuple(darts[4 * v : 4 * v + 4]) for v in range(n))
     for _ in range(BASE_TRIES):
         pool = darts[:]
         rng.shuffle(pool)
+        pairs = list(zip(pool[::2], pool[1::2]))
+        if any(a // 4 == b // 4 and (a - b) % 2 == 0 for a, b in pairs):
+            continue
         opposite = {}
-        for i in range(0, len(pool), 2):
-            a, b = pool[i], pool[i + 1]
+        for a, b in pairs:
             opposite[a] = b
             opposite[b] = a
-        try:
-            m = CombinatorialMap(rotation, opposite)
-        except MalformedMap:
-            continue
-        if _has_same_parity_loop(m):
-            continue
-        if trace_faces(m).count == 1:
-            return m
+        d, length = 0, 0
+        while True:
+            e = opposite[d]
+            d = e - e % 4 + (e + 1) % 4
+            length += 1
+            if d == 0:
+                break
+        if length == len(darts):
+            return CombinatorialMap(rotation, opposite)
     raise GenerationFailed(f"no one-face base map found for genus {g}")
+
+
+def _splice(
+    fs: FaceSet, position: dict[int, int], ends: tuple[int, int, int, int]
+) -> tuple[int, list[int]]:
+    """Faces gained, and the lengths of the faces through the new vertex,
+    when the parent's darts ends[i] are paired with the new darts h[i].
+
+    The ends are two edges of the parent, ends[i] opposite ends[i+2].  A
+    dart's face successor is the rotation successor of its opposite, so
+    the parent's successor phi is kept by every old dart but the four
+    ends, and the grown map has phi'(ends[i]) = h[i+1] and phi'(h[i+1]) =
+    the rotation successor of ends[i+1] = phi(ends[i-1]).  From ends[i]
+    a face thus runs through h[i+1] and on along the parent's face of
+    ends[i-1] up to the next end there, gap(ends[i-1]) phi-steps away
+    (the whole face length when ends[i-1] is that face's only end): that
+    is 1 + gap(ends[i-1]) darts.  The faces through h are the cycles of
+    ends[i] -> next end after ends[i-1]; every other face is a parent face
+    that holds no end.  `position` is each dart's index in its parent face.
+    """
+    after = []
+    for i, e in enumerate(ends):
+        face = fs.face_of[e]
+        size = len(fs.faces[face])
+        steps, nxt = size, i
+        for j, x in enumerate(ends):
+            if j != i and fs.face_of[x] == face:
+                k = (position[x] - position[e]) % size
+                if k < steps:
+                    steps, nxt = k, j
+        after.append((nxt, steps))
+    lengths = []
+    seen = [False] * 4
+    for start in range(4):
+        i, length = start, 0
+        while not seen[i]:
+            seen[i] = True
+            i, steps = after[i - 1]
+            length += 1 + steps
+        if length:
+            lengths.append(length)
+    return len(lengths) - len({fs.face_of[e] for e in ends}), lengths
 
 
 def _insert_circle(rng: random.Random, m: CombinatorialMap) -> Optional[CombinatorialMap]:
@@ -71,10 +116,17 @@ def _insert_circle(rng: random.Random, m: CombinatorialMap) -> Optional[Combinat
     genuine.  Of the four ways of reattaching the ends, the two with u on
     h2 are the two with u on h0 under the swap h0<->h2, h1<->h3.  The swap
     keeps the cyclic order of h and every slot parity, so each twin has the
-    same faces as its partner; only the wirings with u on h0 are built.
+    same faces as its partner; only the wirings with u on h0 are tried.
     The insertion adds one vertex and two edges, so a wiring keeps the
-    genus exactly when it adds one face.  Many draws admit no such wiring;
-    they are redrawn.
+    genus exactly when it adds one face.  Reduced diagrams only: a bigon
+    between two circles would let their twist regions merge after
+    filling, spoiling the one-region-per-circle correspondence, so every
+    new face needs at least three darts; the faces the splice leaves
+    alone are parent faces, which have them already (the one-face base
+    has 4(2g-1) >= 12 darts, and every insertion is checked).  `_splice`
+    reads both numbers off the parent's faces, so a draw is decided
+    without building a map, and only the accepted wiring is built.  Many
+    draws admit no such wiring; they are redrawn.
 
     The grown map is always a valid map: the four new darts are fresh and
     paired with distinct old darts, and every old adjacency A-B across a
@@ -85,9 +137,9 @@ def _insert_circle(rng: random.Random, m: CombinatorialMap) -> Optional[Combinat
     grown from it does.
     """
     fs = trace_faces(m)
+    position = {d: k for face in fs.faces for k, d in enumerate(face)}
     base = max(m.darts) + 1
     h = (base, base + 1, base + 2, base + 3)
-    rotation = m.rotation + (h,)
     for _ in range(INSERT_TRIES):
         face = fs.faces[rng.randrange(fs.count)]
         u = face[rng.randrange(len(face))]
@@ -96,19 +148,13 @@ def _insert_circle(rng: random.Random, m: CombinatorialMap) -> Optional[Combinat
             continue
         u2, w2 = m.opposite[u], m.opposite[w]
         for ends in ((u, w, u2, w2), (u, w2, u2, w)):
-            opposite = dict(m.opposite)
-            for old, new in zip(ends, h):
-                opposite[old] = new
-                opposite[new] = old
-            grown = CombinatorialMap(rotation, opposite)
-            # Reduced diagrams only: a bigon face between two circles would
-            # let their twist regions merge after filling, spoiling the
-            # one-region-per-circle correspondence.  The one-face base map
-            # has 4(2g-1) >= 12 darts, so checking each insertion suffices,
-            # and every face drawn from above has at least three darts.
-            faces = trace_faces(grown).faces
-            if len(faces) == fs.count + 1 and all(len(f) >= 3 for f in faces):
-                return grown
+            gained, lengths = _splice(fs, position, ends)
+            if gained == 1 and min(lengths) >= 3:
+                opposite = dict(m.opposite)
+                for old, new in zip(ends, h):
+                    opposite[old] = new
+                    opposite[new] = old
+                return CombinatorialMap(m.rotation + (h,), opposite)
     return None
 
 

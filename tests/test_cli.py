@@ -93,6 +93,13 @@ class TestGenerateCommand:
         assert cli.main(["generate", "--genus", "2", "--circles", "3", "--seed", "7"]) == 0
         assert capsys.readouterr().out == with_env
 
+    def test_non_integer_env_seed_exit_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("SLK_SEED", "abc")
+        assert cli.main(["generate", "--genus", "2", "--circles", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: SLK_SEED must be an integer, got 'abc'\n"
+
     def test_impossible_parameters_exit_two(self, capsys):
         assert cli.main(["generate", "--genus", "2", "--circles", "2"]) == 2
 
@@ -359,6 +366,49 @@ class TestFamilyCommand:
 
 
 class TestInternalError:
+    # Breaks the boundary-triangle law T = 6c + 4g - 4 that
+    # triangulate_white_faces checks.
+    BREAK_TRIANGLE_LAW = (
+        "from surflink import bowtie\n"
+        "bowtie.SurfaceTriangulation.triangle_count = property(\n"
+        "    lambda self: len(self.triangles) + 1\n"
+        ")\n"
+    )
+
+    def test_broken_counting_law_exits_three(self, monkeypatch, diagram_file, capsys):
+        monkeypatch.setattr(
+            bowtie.SurfaceTriangulation,
+            "triangle_count",
+            property(lambda self: len(self.triangles) + 1),
+        )
+        _, path = diagram_file
+        assert cli.main(["decompose", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal: InternalInvariant: ")
+        assert "expected 6c + 4g - 4" in captured.err
+
+    def test_broken_counting_law_exits_three_under_optimize(self, diagram_file):
+        # Under -O no assert runs; the law must still be checked.
+        _, path = diagram_file
+        src = os.path.dirname(os.path.dirname(surflink.__file__))
+        script = (
+            self.BREAK_TRIANGLE_LAW
+            + "import sys\nfrom surflink import cli\n"
+            + f"sys.exit(cli.main(['decompose', {path!r}]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: internal: InternalInvariant: ")
+        assert proc.stderr.count("\n") == 1
+
     def test_unexpected_exception_exits_three(self, monkeypatch, diagram_file, capsys):
         def broken(args):
             raise RuntimeError("boom\nsecond line")
@@ -387,6 +437,17 @@ class TestCurvesCommand:
     def test_conjugate_exit_codes(self, capsys):
         assert cli.main(["curves", "conjugate", "a1", "b1a1B1", "--genus", "2"]) == 0
         assert cli.main(["curves", "conjugate", "a1", "b1", "--genus", "2"]) == 1
+
+    @pytest.mark.parametrize("action", [["reduce", "a1"], ["intersect", "a1", "b1"]])
+    @pytest.mark.parametrize("value", ["-1", "x"])
+    def test_bad_budget_exit_two(self, action, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["curves", *action, "--genus", "2", "--budget", value])
+        assert exc.value.code == 2
+        assert "error: argument --budget" in capsys.readouterr().err
+
+    def test_zero_budget_accepted(self, capsys):
+        assert cli.main(["curves", "reduce", "a1", "--genus", "2", "--budget", "0"]) == 0
 
     def test_bad_word_exit_two(self, capsys):
         assert cli.main(["curves", "reduce", "z9", "--genus", "2"]) == 2

@@ -5,7 +5,7 @@ import pytest
 
 from surflink.errors import GenerationFailed, MalformedMap
 from surflink.fal_diagram import CrossingCircle, validate_fal
-from surflink.generator import _has_same_parity_loop, _insert_circle, _random_base, generate_fal
+from surflink.generator import INSERT_TRIES, _insert_circle, _random_base, _splice, generate_fal
 from surflink.io import diagram_to_json_dict, dumps_json
 from surflink.surface_map import CombinatorialMap, checkerboard_coloring, genus, trace_faces
 
@@ -59,6 +59,52 @@ def test_half_twist_sprinkling():
     assert all(k.half_twist for k in d.vertex_kind)
     d = generate_fal(2, 9, seed=3)
     assert not any(k.half_twist for k in d.vertex_kind)
+
+
+def _has_same_parity_loop(m):
+    """A loop joining two equal-parity slots of one vertex."""
+    for d in m.darts:
+        e = m.opposite[d]
+        if m.vertex_of(d) == m.vertex_of(e) and m.position_of(d) % 2 == m.position_of(e) % 2:
+            return True
+    return False
+
+
+def reference_random_base(rng, g, tries=4000):
+    """The base sampler that built a map for every shuffled pairing; kept
+    as the oracle for the flat-pool decision in `_random_base`."""
+    n = 2 * g - 1
+    darts = list(range(4 * n))
+    rotation = tuple(tuple(darts[4 * v : 4 * v + 4]) for v in range(n))
+    for _ in range(tries):
+        pool = darts[:]
+        rng.shuffle(pool)
+        opposite = {}
+        for i in range(0, len(pool), 2):
+            a, b = pool[i], pool[i + 1]
+            opposite[a] = b
+            opposite[b] = a
+        try:
+            m = CombinatorialMap(rotation, opposite)
+        except MalformedMap:
+            continue
+        if _has_same_parity_loop(m):
+            continue
+        if trace_faces(m).count == 1:
+            return m
+    raise GenerationFailed(f"no one-face base map found for genus {g}")
+
+
+@pytest.mark.parametrize("g", (2, 3, 4))
+@pytest.mark.parametrize("seed", range(8))
+def test_random_base_matches_reference(g, seed):
+    rng = random.Random(seed)
+    ref_rng = random.Random(seed)
+    m = _random_base(rng, g)
+    expected = reference_random_base(ref_rng, g)
+    assert rng.getstate() == ref_rng.getstate()
+    assert m.rotation == expected.rotation
+    assert m.opposite == expected.opposite
 
 
 def reference_insert_circle(rng, m, tries=200):
@@ -140,3 +186,60 @@ def test_generated_output_digest():
             )
             digest.update(dumps_json(diagram_to_json_dict(d)).encode())
     assert digest.hexdigest() == "8f2afe7b24ff94d572c6c90cf7b33c97b611666a799d75f55f6e24c1a1ee4e7a"
+
+
+def _wire(m, ends, h):
+    opposite = dict(m.opposite)
+    for old, new in zip(ends, h):
+        opposite[old] = new
+        opposite[new] = old
+    return CombinatorialMap(m.rotation + (h,), opposite)
+
+
+@pytest.mark.parametrize("g,c", [(2, 20), (3, 20)])
+@pytest.mark.parametrize("seed", range(3))
+def test_splice_predicts_traced_faces(g, c, seed):
+    """Every draw of a seeded growth run, rejected ones included, and both
+    wirings: the face count and the new-face lengths `_splice` reads off
+    the parent equal those traced on the map built by hand."""
+    rng = random.Random(seed)
+    m = _random_base(rng, g)
+    outcomes = {"count": 0, "bigon": 0}
+    while m.vertex_count < c:
+        fs = trace_faces(m)
+        position = {d: k for face in fs.faces for k, d in enumerate(face)}
+        base = max(m.darts) + 1
+        h = tuple(range(base, base + 4))
+        draws = random.Random()
+        draws.setstate(rng.getstate())
+        accepted = None
+        for _ in range(INSERT_TRIES):
+            face = fs.faces[draws.randrange(fs.count)]
+            u = face[draws.randrange(len(face))]
+            w = face[draws.randrange(len(face))]
+            if m.edge_of(u) == m.edge_of(w):
+                continue
+            u2, w2 = m.opposite[u], m.opposite[w]
+            for ends in ((u, w, u2, w2), (u, w2, u2, w)):
+                gained, lengths = _splice(fs, position, ends)
+                grown = _wire(m, ends, h)
+                traced = trace_faces(grown).faces
+                assert fs.count + gained == len(traced)
+                assert sorted(lengths) == sorted(len(f) for f in traced if max(f) >= base)
+                if len(traced) != fs.count + 1:
+                    outcomes["count"] += 1
+                elif min(map(len, traced)) < 3:
+                    outcomes["bigon"] += 1
+                elif accepted is None:
+                    accepted = grown
+            if accepted is not None:
+                break
+        grown = _insert_circle(rng, m)
+        assert rng.getstate() == draws.getstate()
+        if accepted is None:
+            assert grown is None
+            break
+        assert grown.rotation == accepted.rotation
+        assert grown.opposite == accepted.opposite
+        m = grown
+    assert outcomes["count"] and outcomes["bigon"]
