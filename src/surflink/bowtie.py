@@ -35,6 +35,7 @@ __all__ = [
     "SurfaceTriangulation",
     "PrismTriangulation",
     "VolumeBounds",
+    "require_cellular",
     "decompose",
     "reglue",
     "build_nerve",
@@ -104,6 +105,18 @@ class BowtieDecomposition:
         return incidences
 
 
+def require_cellular(fal: FalDiagram) -> None:
+    """Raise unless every circle vertex is 4-valent and the map is cellular
+    on the surface of the declared genus."""
+    m = fal.map
+    for v in fal.circles:
+        if m.degree(v) != 4:
+            raise MalformedMap(f"circle vertex {v} has degree {m.degree(v)}, not 4")
+    genus = map_genus(m)
+    if genus != fal.genus:
+        raise NotCellular(f"map genus {genus} differs from declared genus {fal.genus}")
+
+
 def decompose(fal: FalDiagram) -> BowtieDecomposition:
     """The five cutting steps, done combinatorially.
 
@@ -115,11 +128,7 @@ def decompose(fal: FalDiagram) -> BowtieDecomposition:
     for v, kind in enumerate(fal.vertex_kind):
         if not isinstance(kind, CrossingCircle):
             raise MalformedMap(f"vertex {v} is not a crossing circle; augment first")
-        if m.degree(v) != 4:
-            raise MalformedMap(f"circle vertex {v} has degree {m.degree(v)}, not 4")
-    genus = map_genus(m)
-    if genus != fal.genus:
-        raise NotCellular(f"map genus {genus} differs from declared genus {fal.genus}")
+    require_cellular(fal)
 
     c = m.vertex_count
     arc = m.edge_of  # collapsed strand arcs, one per map edge

@@ -17,6 +17,7 @@ from .bowtie import (
     build_nerve,
     decompose,
     prism_triangulation,
+    require_cellular,
     volume_bounds,
 )
 from .curves_mcg import (
@@ -154,6 +155,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_bounds(args) -> int:
     diagram = sio.load_diagram(args.path)
+    require_cellular(diagram)
     vb = volume_bounds(diagram.c, diagram.genus, diagram.l, args.m, args.kind)
     out = {
         "command": "bounds",

@@ -27,6 +27,7 @@ from .surface_map import (
     checkerboard_coloring,
     components_of,
     cut_along_two_cut,
+    cycle_space_labels,
     genus as map_genus,
     trace_faces,
 )
@@ -513,6 +514,9 @@ def check_weakly_prime(diagram: FalDiagram):
     faces.  A separating candidate whose disc side contains vertices is a
     weak-primeness witness: on a disc any vertex-free strand would be
     unknotted, so only vertex-carrying disc sides disqualify the diagram.
+    A candidate separates exactly when its two edges have equal cycle-space
+    labels, so only those pairs are cut and tested for a disc side; the
+    scan order is by corridor, then by edge pair.
     Returns (True, None) or (False, (e1, e2)).
     """
     m = diagram.map
@@ -522,11 +526,14 @@ def check_weakly_prime(diagram: FalDiagram):
         key = frozenset((fs.face_of[d], fs.face_of[m.opposite[d]]))
         if len(key) == 2:
             by_corridor.setdefault(key, []).append(d)
+    labels = cycle_space_labels(m)
     for key in sorted(by_corridor, key=sorted):
         group = by_corridor[key]
         fa, fb = sorted(key)
         for i, e1 in enumerate(group):
             for e2 in group[i + 1 :]:
+                if labels[e2] != labels[e1]:
+                    continue
                 a, b, disc_a, disc_b = cut_along_two_cut(m, e1, e2, fa, fb)
                 if (disc_a and a.vertices) or (disc_b and b.vertices):
                     return False, (e1, e2)

@@ -12,6 +12,7 @@ so face cycles, Euler characteristic and genus are all derived data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .errors import InternalParity, InvalidCorridor, MalformedMap
@@ -24,6 +25,7 @@ __all__ = [
     "genus",
     "checkerboard_coloring",
     "cut_along_two_cut",
+    "cycle_space_labels",
     "components_of",
 ]
 
@@ -120,8 +122,42 @@ class CombinatorialMap:
     def edges(self) -> list[int]:
         return sorted(d for d in self._vertex_of if d < self.opposite[d])
 
-    def face_successor(self, dart: int) -> int:
-        return self.rotation_successor(self.opposite[dart])
+    def rotation_successors(self) -> dict[int, int]:
+        """Every dart's rotation successor, built in one pass."""
+        nxt: dict[int, int] = {}
+        for cycle in self.rotation:
+            prev = cycle[-1]
+            for d in cycle:
+                nxt[prev] = d
+                prev = d
+        return nxt
+
+    @cached_property
+    def faces(self) -> "FaceSet":
+        """The face cycles, traced on first use and then shared.
+
+        The cache lives in the instance ``__dict__``, so it is not a field:
+        equality and repr still see only the rotation and the involution.
+        Callers must treat the returned FaceSet as read-only.
+        """
+        nxt = self.rotation_successors()
+        opp = self.opposite
+        faces: list[tuple[int, ...]] = []
+        face_of: dict[int, int] = {}
+        for start in sorted(nxt):
+            if start in face_of:
+                continue
+            index = len(faces)
+            cycle = []
+            d = start
+            while True:
+                cycle.append(d)
+                face_of[d] = index
+                d = nxt[opp[d]]
+                if d == start:
+                    break
+            faces.append(tuple(cycle))
+        return FaceSet(tuple(faces), face_of)
 
 
 @dataclass(frozen=True)
@@ -143,24 +179,11 @@ class FaceSet:
 
 
 def trace_faces(m: CombinatorialMap) -> FaceSet:
-    """Return the face cycles of the map under the fixed tracing convention."""
-    unseen = set(m._vertex_of)
-    faces: list[tuple[int, ...]] = []
-    face_of: dict[int, int] = {}
-    for start in sorted(m._vertex_of):
-        if start not in unseen:
-            continue
-        cycle = []
-        d = start
-        while True:
-            cycle.append(d)
-            unseen.discard(d)
-            face_of[d] = len(faces)
-            d = m.face_successor(d)
-            if d == start:
-                break
-        faces.append(tuple(cycle))
-    return FaceSet(tuple(faces), face_of)
+    """Return the face cycles of the map under the fixed tracing convention.
+
+    The walk runs once per map; later calls return the same shared object.
+    """
+    return m.faces
 
 
 def genus(m: CombinatorialMap) -> int:
@@ -232,6 +255,47 @@ def components_of(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> lis
     for x in parent:
         groups.setdefault(find(x), set()).add(x)
     return list(groups.values())
+
+
+def cycle_space_labels(m: CombinatorialMap) -> dict[int, int]:
+    """Cut label of every edge, keyed by edge id, as a Python-int bitset.
+
+    A BFS spanning tree of the primal graph is grown from vertex 0.  Each
+    non-tree edge gets its own bit; each tree edge gets the XOR of the bits
+    of the non-tree edges whose fundamental cycles run through it.  An edge
+    set lies in the cut space exactly when its labels XOR to 0, so two
+    non-bridge edges have equal labels exactly when removing both
+    disconnects the graph, and a bridge has label 0.  These are the labels
+    of Pritchard and Thurimella ("Fast computation of small cuts via cycle
+    space sampling", ACM TALG 2011) with one bit per non-tree edge in place
+    of random sampling, so equality is exact.
+    """
+    if not m.rotation:
+        return {}
+    vertex_of = m._vertex_of
+    parent: dict[int, tuple[int, int]] = {}  # vertex -> (parent vertex, tree edge)
+    order = [0]
+    for v in order:
+        for d in m.rotation[v]:
+            u = vertex_of[m.opposite[d]]
+            if u != 0 and u not in parent:
+                parent[u] = (v, m.edge_of(d))
+                order.append(u)
+    tree = {e for _, e in parent.values()}
+    labels: dict[int, int] = {}
+    leaving = [0] * m.vertex_count  # XOR of the non-tree bits leaving each vertex's subtree
+    bit = 1
+    for e in m.edges():
+        if e not in tree:
+            labels[e] = bit
+            leaving[vertex_of[e]] ^= bit
+            leaving[vertex_of[m.opposite[e]]] ^= bit
+            bit <<= 1
+    for v in reversed(order[1:]):
+        p, e = parent[v]
+        labels[e] = leaving[v]
+        leaving[p] ^= leaving[v]
+    return labels
 
 
 def cut_along_two_cut(
@@ -312,30 +376,49 @@ def map_to_json_dict(m: CombinatorialMap) -> dict:
 def canonical_form(m: CombinatorialMap, dart_label=None) -> tuple:
     """Canonical encoding of the map up to dart relabeling.
 
-    A breadth-first relabeling is performed from every starting dart and the
-    lexicographically smallest transcript is returned.  dart_label, when
-    given, maps a dart to extra data carried into the encoding (used to
-    compare decorated diagrams).
+    A breadth-first relabeling from a start dart gives a transcript that
+    determines the map, so the smallest transcript over any set of starts
+    picked by isomorphism-invariant data is canonical.  Each dart is
+    coloured by its dart_label, its vertex degree and the lengths of its own
+    face and of its opposite dart's face; one refinement round adds the
+    colours of its rotation successor and its opposite dart.  The starts
+    are the darts of the smallest colour class, ties broken by colour value.
+    dart_label, when given, maps a dart to hashable, ordered extra data
+    carried into the colours and the encoding (used to compare decorated
+    diagrams).
     """
+    darts = sorted(m._vertex_of)
+    if not darts:
+        return ()
+    index = {d: i for i, d in enumerate(darts)}
+    nxt = m.rotation_successors()
+    succ = [index[nxt[d]] for d in darts]
+    opp = [index[m.opposite[d]] for d in darts]
+    extra = [(dart_label(d),) for d in darts] if dart_label is not None else [()] * len(darts)
+    fs = trace_faces(m)
+    face_len = [len(fs.faces[fs.face_of[d]]) for d in darts]
+    colour = [
+        (extra[i], m.degree(m._vertex_of[d]), face_len[i], face_len[opp[i]])
+        for i, d in enumerate(darts)
+    ]
+    rank = {c: r for r, c in enumerate(sorted(set(colour)))}
+    base = [rank[c] for c in colour]
+    classes: dict[tuple[int, int, int], list[int]] = {}
+    for i in range(len(darts)):
+        classes.setdefault((base[i], base[succ[i]], base[opp[i]]), []).append(i)
+    _, starts = min(classes.items(), key=lambda item: (len(item[1]), item[0]))
+
     best = None
-    for start in sorted(m._vertex_of):
-        label = {start: 0}
+    for start in starts:
+        label = [-1] * len(darts)
+        label[start] = 0
         order = [start]
-        i = 0
-        while i < len(order):
-            d = order[i]
-            i += 1
-            for e in (m.rotation_successor(d), m.opposite[d]):
-                if e not in label:
+        for d in order:
+            for e in (succ[d], opp[d]):
+                if label[e] < 0:
                     label[e] = len(order)
                     order.append(e)
-        transcript = []
-        for d in order:
-            entry = [label[m.rotation_successor(d)], label[m.opposite[d]]]
-            if dart_label is not None:
-                entry.append(dart_label(d))
-            transcript.append(tuple(entry))
-        encoded = tuple(transcript)
+        encoded = tuple((label[succ[d]], label[opp[d]]) + extra[d] for d in order)
         if best is None or encoded < best:
             best = encoded
-    return best if best is not None else ()
+    return best

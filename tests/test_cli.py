@@ -252,6 +252,24 @@ class TestBoundsCommand:
         assert report["upper"] is None
         assert report["lower"] > 0
 
+    def test_wrong_declared_genus_exit_two(self, tmp_path, capsys):
+        data = diagram_to_json_dict(generate_fal(2, 4, seed=1))
+        data["genus"] = 5
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["bounds", str(path), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "NotCellular" in captured.err
+
+    def test_empty_diagram_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"genus": 2, "vertices": [], "opposite": [], "vertex_kind": []}))
+        assert cli.main(["bounds", str(path), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "NotCellular" in captured.err
+
 
 class TestFamilyCommand:
     def _write_spec(self, tmp_path, diagram_path, extra):

@@ -1,9 +1,14 @@
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from surflink.errors import InternalParity, InvalidCorridor, MalformedMap
 from surflink.surface_map import (
     CombinatorialMap,
+    FaceSet,
     canonical_form,
     checkerboard_coloring,
     cut_along_two_cut,
@@ -12,6 +17,8 @@ from surflink.surface_map import (
     map_to_json_dict,
     trace_faces,
 )
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "surflink"
 
 
 def theta_graph():
@@ -272,3 +279,104 @@ def test_euler_formula_random_maps(m):
     assert g >= 0
     assert genus(m) == g
     assert sum(fs.degrees()) == 2 * m.edge_count
+
+
+def uncached_faces(m):
+    """A fresh face walk, independent of the map's cache."""
+    faces, face_of = [], {}
+    for start in m.darts:
+        if start in face_of:
+            continue
+        cycle, d = [], start
+        while True:
+            cycle.append(d)
+            face_of[d] = len(faces)
+            d = m.rotation_successor(m.opposite[d])
+            if d == start:
+                break
+        faces.append(tuple(cycle))
+    return FaceSet(tuple(faces), face_of)
+
+
+class TestFaceCache:
+    MAPS = (theta_graph, torus_one_vertex, genus2_one_vertex, square_grid_torus, loop_cluster)
+
+    def test_traced_once_and_shared(self):
+        for build in self.MAPS:
+            m = build()
+            assert trace_faces(m) is trace_faces(m)
+            assert trace_faces(m) is m.faces
+
+    def test_cache_equals_an_uncached_walk(self):
+        for build in self.MAPS:
+            m = build()
+            assert trace_faces(m) == uncached_faces(m)
+
+    def test_cache_is_not_part_of_the_value(self):
+        for build in self.MAPS:
+            m, fresh = build(), build()
+            before = (repr(m), map_to_json_dict(m))
+            trace_faces(m)
+            assert "faces" in vars(m)
+            assert m == fresh
+            assert (repr(m), map_to_json_dict(m)) == before == (repr(fresh), map_to_json_dict(fresh))
+            assert "faces" not in {f.name for f in dataclasses.fields(m)}
+
+
+FACESET_PARTS = {"faces", "face_of"}
+MUTATORS = {
+    "append", "extend", "insert", "pop", "popitem", "clear", "update", "setdefault",
+    "remove", "sort", "reverse", "__setitem__", "__delitem__",
+}
+
+
+def faceset_writes(source):
+    """Lines that assign into, delete from or mutate `<x>.faces` or
+    `<x>.face_of`, or rebind those attributes."""
+
+    def touches_faceset(node):
+        while isinstance(node, (ast.Subscript, ast.Attribute)):
+            if isinstance(node, ast.Attribute) and node.attr in FACESET_PARTS:
+                return True
+            node = node.value
+        return False
+
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Delete):
+            targets = node.targets
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in MUTATORS
+            and touches_faceset(node.func.value)
+        ):
+            hits.append(node.lineno)
+        hits.extend(t.lineno for t in targets if touches_faceset(t))
+    return sorted(hits)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_writes_into_a_faceset(path):
+    # trace_faces returns one FaceSet shared by every caller of the map.
+    assert faceset_writes(path.read_text()) == []
+
+
+def test_faceset_write_detector_fires():
+    source = (
+        "fs = trace_faces(m)\n"
+        "fs.face_of[3] = 1\n"
+        "fs.faces[0] += (1,)\n"
+        "del m.faces.face_of[2]\n"
+        "fs.face_of.update({})\n"
+        "x.faces = None\n"
+        "faces = []\n"
+        "faces.append(1)\n"
+        "n = len(fs.faces[fs.face_of[0]])\n"
+    )
+    assert faceset_writes(source) == [2, 3, 4, 5, 6]

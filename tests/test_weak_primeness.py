@@ -1,0 +1,187 @@
+"""Weak primeness by cycle-space cut labels, checked against the all-pairs
+scan it replaced and against networkx connectivity."""
+
+import itertools
+
+import networkx as nx
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from surflink import fal_diagram
+from surflink.fal_diagram import Crossing, FalDiagram, check_weakly_prime
+from surflink.generator import generate_fal
+from surflink.surface_map import (
+    CombinatorialMap,
+    cut_along_two_cut,
+    cycle_space_labels,
+    genus,
+    trace_faces,
+)
+from test_fal_diagram import connect_sum_of_trefoils, trefoil
+from test_surface_map import square_grid_torus
+
+
+def reference_check_weakly_prime(diagram):
+    """The all-pairs scan: cut along every same-corridor edge pair."""
+    m = diagram.map
+    fs = trace_faces(m)
+    by_corridor = {}
+    for d in m.edges():
+        key = frozenset((fs.face_of[d], fs.face_of[m.opposite[d]]))
+        if len(key) == 2:
+            by_corridor.setdefault(key, []).append(d)
+    for key in sorted(by_corridor, key=sorted):
+        group = by_corridor[key]
+        fa, fb = sorted(key)
+        for i, e1 in enumerate(group):
+            for e2 in group[i + 1 :]:
+                a, b, disc_a, disc_b = cut_along_two_cut(m, e1, e2, fa, fb)
+                if (disc_a and a.vertices) or (disc_b and b.vertices):
+                    return False, (e1, e2)
+    return True, None
+
+
+def kink():
+    """One crossing closed by two loops: a planar figure eight."""
+    m = CombinatorialMap(((0, 1, 2, 3),), {0: 1, 1: 0, 2: 3, 3: 2})
+    return FalDiagram(m, 0, (Crossing(0),))
+
+
+def torus_grid():
+    """Four crossings on the torus: splicing it in gives a separating
+    candidate whose small side is not a disc."""
+    return FalDiagram(square_grid_torus(), 1, tuple(Crossing(0) for _ in range(4)))
+
+
+SUMMANDS = {"trefoil": trefoil, "kink": kink, "torus": torus_grid}
+
+
+def connect_sum(d, piece, i, j):
+    """Splice `piece` into edge i of d through its edge j.
+
+    Of the two ways to rewire the pair of cut edges, the first that keeps
+    the genus additive is used; None when neither does."""
+    m, p = d.map, piece.map
+    shift = max(m.darts) + 1
+    rotation = m.rotation + tuple(tuple(x + shift for x in cycle) for cycle in p.rotation)
+    a = m.edges()[i % m.edge_count]
+    a2 = m.opposite[a]
+    x = p.edges()[j % p.edge_count] + shift
+    x2 = p.opposite[x - shift] + shift
+    for u, w in ((x, x2), (x2, x)):
+        opposite = {**m.opposite, **{s + shift: t + shift for s, t in p.opposite.items()}}
+        opposite.update({a: u, u: a, a2: w, w: a2})
+        out = CombinatorialMap(rotation, opposite)
+        if genus(out) == d.genus + piece.genus:
+            return FalDiagram(out, d.genus + piece.genus, d.vertex_kind + piece.vertex_kind)
+    return None
+
+
+@st.composite
+def diagrams(draw, max_c=50):
+    """Generated diagrams, g in {2, 3}, c <= max_c, with an optional
+    summand spliced in at drawn edges."""
+    g = draw(st.sampled_from((2, 3)))
+    c = draw(st.integers(min_value=2 * g - 1, max_value=max_c))
+    d = generate_fal(g, c, seed=draw(st.integers(0, 2**16)), half_twist_probability=0.3)
+    summand = draw(st.sampled_from((None,) + tuple(sorted(SUMMANDS))))
+    if summand is not None:
+        spliced = connect_sum(d, SUMMANDS[summand](), draw(st.integers(0, 999)), draw(st.integers(0, 999)))
+        if spliced is not None:
+            d = spliced
+    return d
+
+
+@given(diagrams())
+@settings(max_examples=30, deadline=None)
+def test_label_scan_matches_all_pairs_scan(d):
+    assert check_weakly_prime(d) == reference_check_weakly_prime(d)
+
+
+@pytest.mark.parametrize("build", [connect_sum_of_trefoils, trefoil, kink, torus_grid])
+def test_fixtures_match_all_pairs_scan(build):
+    d = build()
+    assert check_weakly_prime(d) == reference_check_weakly_prime(d)
+
+
+def test_spliced_diagrams_reach_both_verdicts(monkeypatch):
+    """The differential test is not vacuous: splicing in a trefoil or a kink
+    makes a diagram non-prime, a torus summand a separating candidate that
+    is cut and found to bound no disc."""
+    calls = []
+    original = fal_diagram.cut_along_two_cut
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(fal_diagram, "cut_along_two_cut", counting)
+    for seed in range(3):
+        base = generate_fal(2, 8, seed=seed)
+        assert check_weakly_prime(base) == (True, None)
+        # Splice at an edge between two distinct faces, so the curve around
+        # the summand is a candidate.
+        fs = trace_faces(base.map)
+        edges = base.map.edges()
+        at = next(i for i, e in enumerate(edges) if fs.face_of[e] != fs.face_of[base.map.opposite[e]])
+        for name in ("trefoil", "kink"):
+            d = connect_sum(base, SUMMANDS[name](), at, 0)
+            verdict, witness = check_weakly_prime(d)
+            assert not verdict
+            assert (verdict, witness) == reference_check_weakly_prime(d)
+        calls.clear()
+        d = connect_sum(base, torus_grid(), at, 0)
+        assert check_weakly_prime(d) == (True, None) == reference_check_weakly_prime(d)
+        assert calls  # the spliced pair separates and goes to the disc test
+
+
+def test_prime_scan_makes_no_cut_calls(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("no candidate separates, so nothing should be cut")
+
+    monkeypatch.setattr(fal_diagram, "cut_along_two_cut", refuse)
+    for g, c in ((2, 25), (3, 40)):
+        assert check_weakly_prime(generate_fal(g, c, seed=1)) == (True, None)
+
+
+def test_empty_map_has_no_labels():
+    empty = FalDiagram(CombinatorialMap((), {}), 2, ())
+    assert cycle_space_labels(empty.map) == {}
+    assert check_weakly_prime(empty) == (True, None)
+
+
+def test_bridge_has_label_zero():
+    # Two one-loop vertices joined by a bridge (darts 0/1).
+    m = CombinatorialMap(((0, 2, 3), (1, 4, 5)), {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4})
+    labels = cycle_space_labels(m)
+    assert labels[0] == 0
+    assert labels[2] != 0 and labels[4] != 0 and labels[2] != labels[4]
+
+
+def primal_multigraph(m):
+    graph = nx.MultiGraph()
+    graph.add_nodes_from(range(m.vertex_count))
+    for e in m.edges():
+        graph.add_edge(m.vertex_of(e), m.vertex_of(m.opposite[e]), key=e)
+    return graph
+
+
+def disconnects(graph, m, edges):
+    removed = [(m.vertex_of(e), m.vertex_of(m.opposite[e]), e) for e in edges]
+    graph.remove_edges_from(removed)
+    try:
+        return not nx.is_connected(graph)
+    finally:
+        graph.add_edges_from(removed)
+
+
+@given(diagrams(max_c=12))
+@settings(max_examples=25, deadline=None)
+def test_equal_labels_exactly_when_the_pair_disconnects(d):
+    m = d.map
+    labels = cycle_space_labels(m)
+    graph = primal_multigraph(m)
+    bridges = {e for e in m.edges() if disconnects(graph, m, [e])}
+    assert {e for e in m.edges() if labels[e] == 0} == bridges
+    for e1, e2 in itertools.combinations(sorted(set(m.edges()) - bridges), 2):
+        assert (labels[e1] == labels[e2]) == disconnects(graph, m, [e1, e2])
