@@ -7,16 +7,29 @@ through a fresh 4-valent vertex, keeping the genus fixed at every step.
 Pure rejection at large c is hopeless -- one-face maps are common, but
 maps hitting an exact intermediate face count are rare -- so growth does
 the heavy lifting.
+
+Growth runs on flat state, never on a `CombinatorialMap`.  Vertex v holds
+darts 4v..4v+3 in slot order, so a map is its edge involution `opp`
+alone, and the face successor of d is the slot after e = opp[d],
+e - e%4 + (e+1)%4.  The rng draws index into the face list, so the faces
+are kept in the order `trace_faces` lists them for the built map: by
+minimum dart, each face's tuple starting at its minimum dart.  Accepting
+a draw drops the faces that held the rerouted ends and traces again only
+from the four new darts, since every face that changes passes through
+the new vertex; the cost per step is the length of the faces through it,
+not the size of the map.  One validated map is built per grown diagram,
+and its own face trace re-proves the counting laws growth kept.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from typing import Optional
 
-from .errors import GenerationFailed
+from .errors import GenerationFailed, InternalInvariant
 from .fal_diagram import CrossingCircle, FalDiagram
-from .surface_map import CombinatorialMap, FaceSet, checkerboard_coloring, trace_faces
+from .surface_map import CombinatorialMap, checkerboard_coloring
 
 __all__ = ["generate_fal"]
 
@@ -26,72 +39,153 @@ GENERATE_TRIES = 50  # base maps grown per diagram
 CHECKERBOARD_TRIES = 2000  # the same, when the checkerboard filter is on
 
 
-def _random_base(rng: random.Random, g: int) -> CombinatorialMap:
-    """One-face 4-valent map on 2g-1 vertices (the minimum circle count).
+def _random_base(rng: random.Random, g: int) -> list[int]:
+    """One-face 4-valent map on 2g-1 vertices (the minimum circle count),
+    as its flat involution: opp[d] is the other dart of d's edge.
 
     With V = 2g-1, E = 4g-2 and F = 1 the Euler characteristic is 2-2g,
     so one face is exactly genus g.
 
-    Vertex v holds darts 4v..4v+3 in slot order, so each shuffled pairing
-    is decided on the flat pool and only the returned one is built.  A
-    pair (a, b) is a same-parity loop -- it joins two equal-parity slots of
-    one vertex, pinching a strand passage, and such diagrams fill to
-    non-checkerboard messes -- when a//4 == b//4 and a-b is even.  The
-    pairing has one face when the face walk from dart 0, d -> the slot
-    after opposite[d], takes all 4(2g-1) darts; one face visits every
-    dart, so the map is connected.
+    A pair (a, b) of the shuffled pool is a same-parity loop -- it joins
+    two equal-parity slots of one vertex, pinching a strand passage, and
+    such diagrams fill to non-checkerboard messes -- when a//4 == b//4 and
+    a-b is even.  The pairing has one face when the face walk from dart 0
+    takes all 4(2g-1) darts; one face visits every dart, so the map is
+    connected.
     """
-    n = 2 * g - 1
-    darts = list(range(4 * n))
-    rotation = tuple(tuple(darts[4 * v : 4 * v + 4]) for v in range(n))
+    size = 4 * (2 * g - 1)
+    darts = list(range(size))
     for _ in range(BASE_TRIES):
         pool = darts[:]
         rng.shuffle(pool)
         pairs = list(zip(pool[::2], pool[1::2]))
         if any(a // 4 == b // 4 and (a - b) % 2 == 0 for a, b in pairs):
             continue
-        opposite = {}
+        opp = [0] * size
         for a, b in pairs:
-            opposite[a] = b
-            opposite[b] = a
+            opp[a] = b
+            opp[b] = a
         d, length = 0, 0
         while True:
-            e = opposite[d]
+            e = opp[d]
             d = e - e % 4 + (e + 1) % 4
             length += 1
             if d == 0:
                 break
-        if length == len(darts):
-            return CombinatorialMap(rotation, opposite)
+        if length == size:
+            return opp
     raise GenerationFailed(f"no one-face base map found for genus {g}")
 
 
-def _splice(
-    fs: FaceSet, position: dict[int, int], ends: tuple[int, int, int, int]
-) -> tuple[int, list[int]]:
-    """Faces gained, and the lengths of the faces through the new vertex,
-    when the parent's darts ends[i] are paired with the new darts h[i].
+class _Growth:
+    """A growing 4-valent map as flat arrays, with its faces in trace order.
 
-    The ends are two edges of the parent, ends[i] opposite ends[i+2].  A
-    dart's face successor is the rotation successor of its opposite, so
-    the parent's successor phi is kept by every old dart but the four
-    ends, and the grown map has phi'(ends[i]) = h[i+1] and phi'(h[i+1]) =
-    the rotation successor of ends[i+1] = phi(ends[i-1]).  From ends[i]
-    a face thus runs through h[i+1] and on along the parent's face of
-    ends[i-1] up to the next end there, gap(ends[i-1]) phi-steps away
-    (the whole face length when ends[i-1] is that face's only end): that
-    is 1 + gap(ends[i-1]) darts.  The faces through h are the cycles of
-    ends[i] -> next end after ends[i-1]; every other face is a parent face
-    that holds no end.  `position` is each dart's index in its parent face.
+    `opp` is the edge involution.  A face is keyed by its minimum dart:
+    `mins` lists the keys in increasing order, `face_at[k]` is the face's
+    dart tuple starting at k, and `key_of[d]` and `pos[d]` are dart d's
+    face key and its index in that tuple.  `face_at[mins[i]]` is then the
+    i-th face `trace_faces` gives for the built map.
     """
+
+    __slots__ = ("opp", "mins", "face_at", "key_of", "pos")
+
+    def __init__(self, opp: list[int]) -> None:
+        self.opp = opp
+        self.mins: list[int] = []
+        self.face_at: dict[int, tuple[int, ...]] = {}
+        self.key_of = [-1] * len(opp)
+        self.pos = [0] * len(opp)
+        for d in range(len(opp)):
+            if self.key_of[d] < 0:
+                self._trace(d)
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.opp) // 4
+
+    def _trace(self, start: int) -> None:
+        opp = self.opp
+        cycle = [start]
+        e = opp[start]
+        d = e - e % 4 + (e + 1) % 4
+        while d != start:
+            cycle.append(d)
+            e = opp[d]
+            d = e - e % 4 + (e + 1) % 4
+        k = cycle.index(min(cycle))
+        face = tuple(cycle[k:] + cycle[:k])
+        key = face[0]
+        for i, x in enumerate(face):
+            self.key_of[x] = key
+            self.pos[x] = i
+        self.face_at[key] = face
+        insort(self.mins, key)
+
+    def grow(self, ends: tuple[int, int, int, int]) -> None:
+        """Pair ends[i] with the new vertex's dart h[i] and update the faces.
+
+        Only the faces holding an end change, and each of their darts ends
+        up on a face through h, so the stale entries of those darts are all
+        overwritten by the traces from h.
+        """
+        h = range(len(self.opp), len(self.opp) + 4)
+        for key in {self.key_of[e] for e in ends}:
+            del self.face_at[key]
+            del self.mins[bisect_left(self.mins, key)]
+        for e, x in zip(ends, h):
+            self.opp[e] = x
+        self.opp.extend(ends)
+        self.key_of.extend((-1, -1, -1, -1))
+        self.pos.extend((0, 0, 0, 0))
+        for x in h:
+            if self.key_of[x] < 0:
+                self._trace(x)
+
+
+def _build_map(opp: list[int], g: int) -> CombinatorialMap:
+    """The validated map of a flat involution grown at genus g.
+
+    Growth keeps the genus and the reduced-face condition by face
+    arithmetic alone; the built map's own face trace, which the checks on
+    the diagram reuse, confirms both: c + 2 - 2g faces (the white-face
+    law, with V = c and E = 2c) and no face of fewer than 3 darts.
+    """
+    c = len(opp) // 4
+    m = CombinatorialMap(tuple(tuple(range(4 * v, 4 * v + 4)) for v in range(c)), dict(enumerate(opp)))
+    faces = m.faces.faces
+    if len(faces) != c + 2 - 2 * g:
+        raise InternalInvariant(
+            f"grown map has {len(faces)} faces, not c + 2 - 2g = {c + 2 - 2 * g}"
+        )
+    if min(map(len, faces)) < 3:
+        raise InternalInvariant("grown map has a face of fewer than 3 darts")
+    return m
+
+
+def _splice(state: _Growth, ends: tuple[int, int, int, int]) -> tuple[int, list[int]]:
+    """Faces gained, and the lengths of the faces through the new vertex,
+    when the current darts ends[i] are paired with the new darts h[i].
+
+    The ends are two edges, ends[i] opposite ends[i+2].  A dart's face
+    successor is the rotation successor of its opposite, so the current
+    successor phi is kept by every old dart but the four ends, and the
+    grown map has phi'(ends[i]) = h[i+1] and phi'(h[i+1]) = the rotation
+    successor of ends[i+1] = phi(ends[i-1]).  From ends[i] a face thus
+    runs through h[i+1] and on along the face of ends[i-1] up to the next
+    end there, gap(ends[i-1]) phi-steps away (the whole face length when
+    ends[i-1] is that face's only end): that is 1 + gap(ends[i-1]) darts.
+    The faces through h are the cycles of ends[i] -> next end after
+    ends[i-1]; every other face is a current face that holds no end.
+    """
+    key_of, pos = state.key_of, state.pos
     after = []
     for i, e in enumerate(ends):
-        face = fs.face_of[e]
-        size = len(fs.faces[face])
+        key = key_of[e]
+        size = len(state.face_at[key])
         steps, nxt = size, i
         for j, x in enumerate(ends):
-            if j != i and fs.face_of[x] == face:
-                k = (position[x] - position[e]) % size
+            if j != i and key_of[x] == key:
+                k = (pos[x] - pos[e]) % size
                 if k < steps:
                     steps, nxt = k, j
         after.append((nxt, steps))
@@ -105,11 +199,12 @@ def _splice(
             length += 1 + steps
         if length:
             lengths.append(length)
-    return len(lengths) - len({fs.face_of[e] for e in ends}), lengths
+    return len(lengths) - len({key_of[e] for e in ends}), lengths
 
 
-def _insert_circle(rng: random.Random, m: CombinatorialMap) -> Optional[CombinatorialMap]:
-    """Reroute two edges of one face through a new vertex, preserving genus.
+def _insert_circle(rng: random.Random, state: _Growth) -> bool:
+    """Reroute two edges of one face through a new vertex, preserving
+    genus; False when no draw of the budget admits a wiring.
 
     The new vertex h = (h0, h1, h2, h3) takes the severed edge u-u2 on the
     slot pair {0, 2} and w-w2 on {1, 3}, so both strand passages are
@@ -122,11 +217,11 @@ def _insert_circle(rng: random.Random, m: CombinatorialMap) -> Optional[Combinat
     between two circles would let their twist regions merge after
     filling, spoiling the one-region-per-circle correspondence, so every
     new face needs at least three darts; the faces the splice leaves
-    alone are parent faces, which have them already (the one-face base
+    alone are current faces, which have them already (the one-face base
     has 4(2g-1) >= 12 darts, and every insertion is checked).  `_splice`
-    reads both numbers off the parent's faces, so a draw is decided
-    without building a map, and only the accepted wiring is built.  Many
-    draws admit no such wiring; they are redrawn.
+    reads both numbers off the current faces, so a draw is decided
+    without touching the state, and only the accepted wiring is applied.
+    Many draws admit no such wiring; they are redrawn.
 
     The grown map is always a valid map: the four new darts are fresh and
     paired with distinct old darts, and every old adjacency A-B across a
@@ -136,26 +231,20 @@ def _insert_circle(rng: random.Random, m: CombinatorialMap) -> Optional[Combinat
     it has one only if the parent has -- and neither the base nor any map
     grown from it does.
     """
-    fs = trace_faces(m)
-    position = {d: k for face in fs.faces for k, d in enumerate(face)}
-    base = max(m.darts) + 1
-    h = (base, base + 1, base + 2, base + 3)
+    opp, mins, face_at = state.opp, state.mins, state.face_at
     for _ in range(INSERT_TRIES):
-        face = fs.faces[rng.randrange(fs.count)]
+        face = face_at[mins[rng.randrange(len(mins))]]
         u = face[rng.randrange(len(face))]
         w = face[rng.randrange(len(face))]
-        if m.edge_of(u) == m.edge_of(w):
+        if w == u or w == opp[u]:
             continue
-        u2, w2 = m.opposite[u], m.opposite[w]
+        u2, w2 = opp[u], opp[w]
         for ends in ((u, w, u2, w2), (u, w2, u2, w)):
-            gained, lengths = _splice(fs, position, ends)
+            gained, lengths = _splice(state, ends)
             if gained == 1 and min(lengths) >= 3:
-                opposite = dict(m.opposite)
-                for old, new in zip(ends, h):
-                    opposite[old] = new
-                    opposite[new] = old
-                return CombinatorialMap(m.rotation + (h,), opposite)
-    return None
+                state.grow(ends)
+                return True
+    return False
 
 
 def generate_fal(
@@ -184,10 +273,14 @@ def generate_fal(
         )
     rng = random.Random(seed)
     for _ in range(CHECKERBOARD_TRIES if require_checkerboard else GENERATE_TRIES):
-        m = _random_base(rng, g)
-        while m is not None and m.vertex_count < c:
-            m = _insert_circle(rng, m)
-        if m is None or (require_checkerboard and checkerboard_coloring(m) is None):
+        state = _Growth(_random_base(rng, g))
+        grown = True
+        while grown and state.vertex_count < c:
+            grown = _insert_circle(rng, state)
+        if not grown:
+            continue
+        m = _build_map(state.opp, g)
+        if require_checkerboard and checkerboard_coloring(m) is None:
             continue
         kinds = []
         for _ in range(c):

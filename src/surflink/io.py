@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 
+from .bowtie import require_cellular
 from .constructions import (
     ManifoldLink,
     annular_fill,
@@ -175,9 +176,11 @@ def _parse_phi(entries, g: int) -> MappingClassWord:
 
 def build_link_from_spec(spec: dict) -> ManifoldLink:
     """Assemble a ManifoldLink from a parsed family spec, applying any
-    annular (t) and crossing-circle (s) fillings it requests."""
+    annular (t) and crossing-circle (s) fillings it requests.  Each base
+    diagram must be cellular on its declared surface."""
     spec_dir = spec.get("_dir", ".")
     base = _resolve_diagram(spec["base"], spec_dir)
+    require_cellular(base)
     g = base.genus
     gamma_odd = _parse_curve_entry(spec["gamma_odd"], "gamma_odd")
     gamma_even = _parse_curve_entry(spec["gamma_even"], "gamma_even")
@@ -192,7 +195,10 @@ def build_link_from_spec(spec: dict) -> ManifoldLink:
     family = build_layered(base, gamma_odd, gamma_even, m, assert_intersection=assert_intersection)
     kind = spec["kind"]
     if kind == "DoubledThickenedSurface":
-        base2 = _resolve_diagram(spec.get("base2", spec["base"]), spec_dir)
+        base2 = base
+        if "base2" in spec:
+            base2 = _resolve_diagram(spec["base2"], spec_dir)
+            require_cellular(base2)
         link = build_doubled(base, base2, family)
     elif kind == "MappingTorus":
         if "phi" not in spec:

@@ -78,6 +78,20 @@ class TestValidateCommand:
         assert cli.main(["validate", str(path)]) == 2
 
 
+# (g, c, seed) -> sha256 of `surflink generate` stdout at --half-twist-probability 0.3.
+GOLDEN_GENERATE_STDOUT = {
+    (2, 4, 1): "06f34c371d5696e85169d4117d36872886715f79a92f9e36cfaed524b815167e",
+    (2, 9, 1): "fb794cbd61412f21595961e98fe3c567cb447f2c0b47f330235c1464f98ba00b",
+    (3, 8, 1): "f39272d7a27336caa590538db08fb5d70729f8d1eafcebb3414d276aa94fd3cc",
+    (2, 4, 2): "3da4483062b505df6cae0eb28840cee2ba081488490cf36747293831c6687986",
+    (2, 9, 2): "105f2057d14ab319a8490f05edd7b25922fd67e5892ba22f797e8bf507bcded3",
+    (3, 8, 2): "d6ddd40259a9113e86e99dd9485322fc45d65dfc55d73de2bc4b88092f4251f9",
+    (2, 4, 3): "fe0522baf4bd5d2dc555208e75595d9d5c37ce6beb21f6ab1978fdb0dd1961cc",
+    (2, 9, 3): "e86367f65933b608ab6b7d03ae511037d27621c6293fe6cddaf6b9920a3694f8",
+    (3, 8, 3): "1567f2552159e4a9d0df8e02bdb2fd5c3a61f1ed1ea77afe50fa772e3e052449",
+}
+
+
 class TestGenerateCommand:
     def test_deterministic_output(self, tmp_path, capsys):
         args = ["generate", "--genus", "2", "--circles", "3", "--seed", "1"]
@@ -122,6 +136,19 @@ class TestGenerateCommand:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         # Frozen at first build; regenerating with the same seed must never drift.
         assert digest == GOLDEN_G2C3S1
+
+
+    @pytest.mark.parametrize("g,c,seed", sorted(GOLDEN_GENERATE_STDOUT), ids=str)
+    def test_stdout_golden_digest(self, g, c, seed, capsys):
+        """sha256 of `generate` stdout with half-twists sprinkled in, taken
+        from the per-step-map generator before growth moved onto flat
+        state; the rng stream and every byte of output must not drift."""
+        import hashlib
+
+        args = ["generate", "--genus", str(g), "--circles", str(c), "--seed", str(seed)]
+        assert cli.main(args + ["--half-twist-probability", "0.3"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == GOLDEN_GENERATE_STDOUT[g, c, seed]
 
 
 GOLDEN_G2C3S1 = "859c1bf210ed34a2b10c319d0d250746a8b9357ccc7d247be16ace9b670c9663"
@@ -297,6 +324,34 @@ class TestFamilyCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["bounds"]["lower"] > 100
         assert report["cusp_count"] == 2 * (4 + 1) + 2 * m
+
+    @pytest.mark.parametrize(
+        "kind,extra,bad",
+        [
+            ("TrivialMappingTorus", {}, "base"),
+            ("MappingTorus", {"phi": [["a1", 1], ["b1", 1]]}, "base"),
+            ("DoubledThickenedSurface", {}, "base"),
+            ("DoubledThickenedSurface", {}, "base2"),
+        ],
+        ids=["trivial", "mapping-torus", "doubled-base", "doubled-base2"],
+    )
+    def test_base_not_cellular_exit_two(self, kind, extra, bad, diagram_file, tmp_path, capsys):
+        """A genus-3 map declared as genus 2 is not cellular on its declared
+        surface: `family` refuses it as `bounds` does, instead of printing
+        bounds for the declared genus."""
+        _, good = diagram_file
+        data = diagram_to_json_dict(generate_fal(3, 6, seed=1))
+        data["genus"] = 2
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        extra = dict(extra, kind=kind)
+        if bad == "base2":
+            extra["base2"] = str(path)
+        spec = self._write_spec(tmp_path, str(path) if bad == "base" else good, extra)
+        assert cli.main(["family", spec, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "NotCellular" in captured.err
 
     def test_trivial_monodromy_exit_two(self, diagram_file, tmp_path, capsys):
         _, path = diagram_file

@@ -2,10 +2,20 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from surflink.errors import GenerationFailed, MalformedMap
+from surflink import generator
+from surflink.errors import GenerationFailed, InternalInvariant, MalformedMap
 from surflink.fal_diagram import CrossingCircle, validate_fal
-from surflink.generator import INSERT_TRIES, _insert_circle, _random_base, _splice, generate_fal
+from surflink.generator import (
+    INSERT_TRIES,
+    _build_map,
+    _Growth,
+    _insert_circle,
+    _random_base,
+    _splice,
+    generate_fal,
+)
 from surflink.io import diagram_to_json_dict, dumps_json
 from surflink.surface_map import CombinatorialMap, checkerboard_coloring, genus, trace_faces
 
@@ -100,7 +110,7 @@ def reference_random_base(rng, g, tries=4000):
 def test_random_base_matches_reference(g, seed):
     rng = random.Random(seed)
     ref_rng = random.Random(seed)
-    m = _random_base(rng, g)
+    m = _build_map(_random_base(rng, g), g)
     expected = reference_random_base(ref_rng, g)
     assert rng.getstate() == ref_rng.getstate()
     assert m.rotation == expected.rotation
@@ -157,21 +167,24 @@ def reference_insert_circle(rng, m, tries=200):
 @pytest.mark.parametrize("seed", range(4))
 def test_insert_circle_matches_reference(g, c, seed):
     """Same grown map and same rng state as the four-wiring routine, at
-    every step of a seeded growth run."""
+    every step of a seeded growth run; the flat state is built into a map
+    before and after each step."""
     rng = random.Random(seed)
-    m = _random_base(rng, g)
-    while m.vertex_count < c:
+    state = _Growth(_random_base(rng, g))
+    while state.vertex_count < c:
         ref_rng = random.Random()
         ref_rng.setstate(rng.getstate())
-        grown = _insert_circle(rng, m)
+        m = _build_map(state.opp, g)
+        grown = _insert_circle(rng, state)
         expected = reference_insert_circle(ref_rng, m)
         assert rng.getstate() == ref_rng.getstate()
         if expected is None:
-            assert grown is None
+            assert not grown
             break
-        assert grown.rotation == expected.rotation
-        assert grown.opposite == expected.opposite
-        m = grown
+        assert grown
+        built = _build_map(state.opp, g)
+        assert built.rotation == expected.rotation
+        assert built.opposite == expected.opposite
 
 
 def test_generated_output_digest():
@@ -201,14 +214,16 @@ def _wire(m, ends, h):
 def test_splice_predicts_traced_faces(g, c, seed):
     """Every draw of a seeded growth run, rejected ones included, and both
     wirings: the face count and the new-face lengths `_splice` reads off
-    the parent equal those traced on the map built by hand."""
+    the flat state equal those traced on the map built by hand.  Draws
+    index into the traced faces of the map built from the state, so the
+    growth step must also keep the faces in trace order."""
     rng = random.Random(seed)
-    m = _random_base(rng, g)
+    state = _Growth(_random_base(rng, g))
     outcomes = {"count": 0, "bigon": 0}
-    while m.vertex_count < c:
+    while state.vertex_count < c:
+        m = _build_map(state.opp, g)
         fs = trace_faces(m)
-        position = {d: k for face in fs.faces for k, d in enumerate(face)}
-        base = max(m.darts) + 1
+        base = len(state.opp)
         h = tuple(range(base, base + 4))
         draws = random.Random()
         draws.setstate(rng.getstate())
@@ -221,7 +236,7 @@ def test_splice_predicts_traced_faces(g, c, seed):
                 continue
             u2, w2 = m.opposite[u], m.opposite[w]
             for ends in ((u, w, u2, w2), (u, w2, u2, w)):
-                gained, lengths = _splice(fs, position, ends)
+                gained, lengths = _splice(state, ends)
                 grown = _wire(m, ends, h)
                 traced = trace_faces(grown).faces
                 assert fs.count + gained == len(traced)
@@ -234,12 +249,81 @@ def test_splice_predicts_traced_faces(g, c, seed):
                     accepted = grown
             if accepted is not None:
                 break
-        grown = _insert_circle(rng, m)
+        grown = _insert_circle(rng, state)
         assert rng.getstate() == draws.getstate()
         if accepted is None:
-            assert grown is None
+            assert not grown
             break
-        assert grown.rotation == accepted.rotation
-        assert grown.opposite == accepted.opposite
-        m = grown
+        built = _build_map(state.opp, g)
+        assert built.rotation == accepted.rotation
+        assert built.opposite == accepted.opposite
     assert outcomes["count"] and outcomes["bigon"]
+
+
+def _assert_faces_match(state, g):
+    fs = trace_faces(_build_map(state.opp, g))
+    assert [state.face_at[k] for k in state.mins] == list(fs.faces)
+    assert state.mins == [face[0] for face in fs.faces]
+    for d in range(len(state.opp)):
+        face = fs.faces[fs.face_of[d]]
+        assert state.key_of[d] == face[0]
+        assert face[state.pos[d]] == d
+
+
+@given(
+    g=st.sampled_from((2, 3, 4)),
+    extra=st.integers(min_value=0, max_value=53),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_incremental_faces_equal_traced_faces(g, extra, seed):
+    """After the base and after every accepted step, the incrementally kept
+    face list, face keys and positions are those of `trace_faces` on the
+    map built from `opp`."""
+    c = min(2 * g - 1 + extra, 60)
+    rng = random.Random(seed)
+    state = _Growth(_random_base(rng, g))
+    _assert_faces_match(state, g)
+    while state.vertex_count < c and _insert_circle(rng, state):
+        _assert_faces_match(state, g)
+
+
+@pytest.mark.parametrize("g,c", [(2, 3), (2, 40), (3, 25)])
+@pytest.mark.parametrize("seed", range(3))
+def test_one_map_per_diagram(g, c, seed, monkeypatch):
+    """Without the checkerboard filter, a generated diagram builds exactly
+    one `CombinatorialMap`: growth never builds one per step."""
+    built = []
+    init = CombinatorialMap.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CombinatorialMap, "__init__", counting_init)
+    d = generate_fal(g, c, seed=seed, half_twist_probability=0.3)
+    assert d.c == c
+    assert len(built) == 1
+
+
+def _splice_ignoring_face_count(state, ends):
+    return 1, _splice(state, ends)[1]
+
+
+def _splice_hiding_bigons(state, ends):
+    gained, lengths = _splice(state, ends)
+    return gained, [max(3, n) for n in lengths]
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [(_splice_ignoring_face_count, "faces, not"), (_splice_hiding_bigons, "fewer than 3")],
+    ids=["face-count", "bigon"],
+)
+def test_corrupt_face_bookkeeping_raises(corrupt, message, monkeypatch):
+    """Growth that misreads its faces yields a map whose own trace breaks
+    the white-face law or has a bigon; the one built map catches it with
+    `InternalInvariant`, which `python -O` keeps."""
+    monkeypatch.setattr(generator, "_splice", corrupt)
+    with pytest.raises(InternalInvariant, match=message):
+        generate_fal(2, 40, seed=0)

@@ -4,6 +4,7 @@ it lists must still exist, and uninstalling must restore the originals."""
 import importlib.util
 from pathlib import Path
 
+import surflink.bowtie
 import surflink.generator
 import surflink.surface_map
 
@@ -20,15 +21,15 @@ def load_tracer():
 def test_install_finds_every_target_and_uninstall_restores():
     tracer = load_tracer()
     generate = surflink.generator.generate_fal
-    trace_faces = surflink.generator.trace_faces
+    trace_faces = surflink.bowtie.trace_faces
     t = tracer.Tracer()
     try:
         t.install()
         assert surflink.generator.generate_fal is not generate
-        assert surflink.generator.trace_faces is surflink.surface_map.trace_faces
-        assert surflink.generator.trace_faces is not trace_faces
+        assert surflink.bowtie.trace_faces is surflink.surface_map.trace_faces
+        assert surflink.bowtie.trace_faces is not trace_faces
     finally:
         t.uninstall()
     assert surflink.generator.generate_fal is generate
-    assert surflink.generator.trace_faces is trace_faces
+    assert surflink.bowtie.trace_faces is trace_faces
     assert surflink.surface_map.trace_faces is trace_faces
