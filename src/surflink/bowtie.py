@@ -506,7 +506,7 @@ def prism_triangulation(
             for tet, labels in zip(tets_of(t), _TET_LABELS):
                 if set(face_labels) <= set(labels):
                     return tet, labels
-            raise AssertionError("face not on any staircase tetrahedron")
+            raise InternalInvariant("face not on any staircase tetrahedron")
 
         for face_a, face_b in ((lo_a, lo_b), (up_a, up_b)):
             tet_a, labels_a = find_tet(ta, face_a)

@@ -397,72 +397,62 @@ def augment(diagram: FalDiagram) -> FalDiagram:
 
 
 def fill_crossing_circle(diagram: FalDiagram, k: int, t: int) -> FalDiagram:
-    """1/t Dehn filling on circle k: the circle becomes a twist region.
+    """1/t Dehn filling on circle k alone; see fill_all."""
+    return fill_all(diagram, {k: t})
+
+
+def fill_all(diagram: FalDiagram, coefficients: dict[int, int]) -> FalDiagram:
+    """1/t Dehn filling on each circle k -> t of `coefficients`, whose keys
+    are vertex indices of `diagram`: every filled circle becomes a twist
+    region.
 
     Without a half-twist the region has 2|t| crossings of sign sgn(t);
     a half-twist merges in (2|t|+1) when its sign matches sgn(t) and
     cancels one crossing (2|t|-1) otherwise.
+
+    Keys are checked from the highest down, t before k, so the first bad
+    key raises ZeroCoefficient or NotACrossingCircle.  The unfilled
+    vertices keep their order; one ladder of crossings per filled circle
+    follows them, from the highest circle index down, with darts numbered
+    upward from the diagram's largest dart, so the result equals filling
+    one circle at a time from the highest index down.  One map is built,
+    and its genus is checked once.
     """
-    if t == 0:
-        raise ZeroCoefficient("filling coefficient t must be nonzero")
+    if not coefficients:
+        return diagram
     m = diagram.map
-    if not (0 <= k < m.vertex_count) or not isinstance(diagram.vertex_kind[k], CrossingCircle):
-        raise NotACrossingCircle(f"vertex {k} is not a crossing circle")
-    kind = diagram.vertex_kind[k]
-    sign = 1 if t > 0 else -1
-    n = 2 * abs(t)
-    if kind.half_twist:
-        n = n + 1 if sign == kind.half_twist_sign else n - 1
-    over_pair = 0 if sign == 1 else 1
+    keys = sorted(coefficients, reverse=True)
+    for k in keys:
+        if coefficients[k] == 0:
+            raise ZeroCoefficient("filling coefficient t must be nonzero")
+        if not (0 <= k < m.vertex_count) or not isinstance(diagram.vertex_kind[k], CrossingCircle):
+            raise NotACrossingCircle(f"vertex {k} is not a crossing circle")
 
-    circle = m.rotation[k]
-    next_dart = max(m.darts) + 1
-    # Ladder of n crossings; each rotation reads (a, b, c, d) with a,b the
-    # rungs facing the previous crossing and c,d facing the next.
-    ladder = []
-    for _ in range(n):
-        ladder.append(tuple(range(next_dart, next_dart + 4)))
-        next_dart += 4
-
-    rep = {
-        circle[0]: ladder[0][0],
-        circle[1]: ladder[0][1],
-        circle[2]: ladder[-1][2],
-        circle[3]: ladder[-1][3],
-    }
-    opposite: dict[int, int] = {}
-    for d in m.edges():
-        e = m.opposite[d]
-        a, b = rep.get(d, d), rep.get(e, e)
-        opposite[a] = b
-        opposite[b] = a
-    for i in range(n - 1):
-        _, _, c_i, d_i = ladder[i]
-        a_next, b_next, _, _ = ladder[i + 1]
-        opposite[c_i] = b_next
-        opposite[b_next] = c_i
-        opposite[d_i] = a_next
-        opposite[a_next] = d_i
-
-    rotation = [m.rotation[v] for v in range(m.vertex_count) if v != k]
-    kinds = [diagram.vertex_kind[v] for v in range(m.vertex_count) if v != k]
-    rotation.extend(ladder)
-    kinds.extend(Crossing(over_pair) for _ in range(n))
+    rotation = [m.rotation[v] for v in range(m.vertex_count) if v not in coefficients]
+    kinds = [diagram.vertex_kind[v] for v in range(m.vertex_count) if v not in coefficients]
+    next_dart = max(m.opposite) + 1
+    rep: dict[int, int] = {}
+    rungs: list[tuple[int, int]] = []
+    for k in keys:
+        t, kind = coefficients[k], diagram.vertex_kind[k]
+        sign = 1 if t > 0 else -1
+        n = 2 * abs(t)
+        if kind.half_twist:
+            n = n + 1 if sign == kind.half_twist_sign else n - 1
+        # Ladder of n crossings; each rotation reads (a, b, c, d) with a,b
+        # the rungs facing the previous crossing and c,d facing the next.
+        ladder = [tuple(range(d, d + 4)) for d in range(next_dart, next_dart + 4 * n, 4)]
+        next_dart += 4 * n
+        rep.update(zip(m.rotation[k], ladder[0][:2] + ladder[-1][2:]))
+        for (_, _, c_i, d_i), (a_next, b_next, _, _) in zip(ladder, ladder[1:]):
+            rungs += ((c_i, b_next), (b_next, c_i), (d_i, a_next), (a_next, d_i))
+        rotation.extend(ladder)
+        kinds.extend([Crossing(0 if sign == 1 else 1)] * n)
+    opposite = {rep.get(d, d): rep.get(e, e) for d, e in m.opposite.items()}
+    opposite.update(rungs)
 
     out = FalDiagram(CombinatorialMap(tuple(rotation), opposite), diagram.genus, tuple(kinds))
     _check_genus_kept(out, diagram)
-    return out
-
-
-def fill_all(diagram: FalDiagram, coefficients: dict[int, int]) -> FalDiagram:
-    """Fill several circles at once; keys are vertex indices of `diagram`.
-
-    Fills are applied from the highest index down so the remaining indices
-    stay valid as vertices are consumed.
-    """
-    out = diagram
-    for k in sorted(coefficients, reverse=True):
-        out = fill_crossing_circle(out, k, coefficients[k])
     return out
 
 

@@ -67,19 +67,24 @@ def diagram_to_json_dict(diagram: FalDiagram) -> dict:
 
 def diagram_from_json_dict(data: dict) -> FalDiagram:
     try:
+        for field in ("vertices", "opposite"):
+            for group in data[field]:
+                for dart in group:
+                    _json_int(dart, field)
         m = map_from_json_dict(data)
-        genus = data["genus"]
+        genus = _json_int(data["genus"], "genus")
         kinds = []
         for i, name in enumerate(data["vertex_kind"]):
             if name == "circle":
-                kinds.append(
-                    CrossingCircle(
-                        half_twist=bool(data["half_twist"][i]),
-                        half_twist_sign=int(data["half_twist_sign"][i] or 1),
-                    )
-                )
+                # null is the documented default: no half-twist, sign +1.
+                twist = data["half_twist"][i]
+                twist = False if twist is None else _json_bool(twist, "half_twist")
+                sign = data["half_twist_sign"][i]
+                sign = 1 if sign is None else _json_int(sign, "half_twist_sign", (1, -1))
+                kinds.append(CrossingCircle(half_twist=twist, half_twist_sign=sign))
             elif name == "crossing":
-                kinds.append(Crossing(over_pair=int(data["over_pair"][i])))
+                over_pair = _json_int(data["over_pair"][i], "over_pair", (0, 1))
+                kinds.append(Crossing(over_pair=over_pair))
             else:
                 raise ParseError(f"vertex {i}: unknown kind {name!r}")
         return FalDiagram(m, genus, tuple(kinds))
@@ -134,34 +139,42 @@ def load_family_spec(path: str) -> dict:
     return spec
 
 
-def _spec_int(value, field: str) -> int:
+def _json_int(value, field: str, allowed: tuple = ()) -> int:
     # JSON integers only: int() would truncate 2.5 and read true as 1.
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ParseError(f"spec field {field!r}: {value!r} is not an integer")
+        raise ParseError(f"field {field!r}: {value!r} is not an integer")
+    if allowed and value not in allowed:
+        raise ParseError(f"field {field!r}: {value!r} is not one of {allowed}")
     return value
 
 
-def _spec_list(value, field: str) -> list:
+def _json_bool(value, field: str) -> bool:
+    if not isinstance(value, bool):
+        raise ParseError(f"field {field!r}: {value!r} is not true or false")
+    return value
+
+
+def _json_list(value, field: str) -> list:
     if not isinstance(value, list):
-        raise ParseError(f"spec field {field!r} must be a list, got {value!r}")
+        raise ParseError(f"field {field!r} must be a list, got {value!r}")
     return value
 
 
-def _spec_ints(value, field: str) -> tuple:
-    return tuple(_spec_int(x, field) for x in _spec_list(value, field))
+def _json_ints(value, field: str) -> tuple:
+    return tuple(_json_int(x, field) for x in _json_list(value, field))
 
 
 def _parse_curve_entry(entry, field: str):
     if isinstance(entry, str):
         return entry  # word text; curve_class handles parsing
     if isinstance(entry, list):
-        return _spec_ints(entry, field)
+        return _json_ints(entry, field)
     raise ParseError(f"curve entry must be a word string or a list, got {type(entry)}")
 
 
 def _parse_phi(entries, g: int) -> MappingClassWord:
     letters = []
-    for item in _spec_list(entries, "phi"):
+    for item in _json_list(entries, "phi"):
         try:
             curve, exp = item
         except (TypeError, ValueError) as exc:
@@ -169,8 +182,8 @@ def _parse_phi(entries, g: int) -> MappingClassWord:
         if isinstance(curve, str):
             curve = parse_curve_word(curve, g)
         else:
-            curve = _spec_ints(curve, "phi")
-        letters.append((curve, _spec_int(exp, "phi")))
+            curve = _json_ints(curve, "phi")
+        letters.append((curve, _json_int(exp, "phi")))
     return MappingClassWord(tuple(letters), g)
 
 
@@ -184,14 +197,10 @@ def build_link_from_spec(spec: dict) -> ManifoldLink:
     g = base.genus
     gamma_odd = _parse_curve_entry(spec["gamma_odd"], "gamma_odd")
     gamma_even = _parse_curve_entry(spec["gamma_even"], "gamma_even")
-    m = _spec_int(spec["m"], "m")
+    m = _json_int(spec["m"], "m")
     if m < 0:
         raise ParseError(f"spec field 'm' must be nonnegative, got {m}")
-    assert_intersection = spec.get("assert_intersection", False)
-    if not isinstance(assert_intersection, bool):
-        raise ParseError(
-            f"spec field 'assert_intersection' must be true or false, got {assert_intersection!r}"
-        )
+    assert_intersection = _json_bool(spec.get("assert_intersection", False), "assert_intersection")
     family = build_layered(base, gamma_odd, gamma_even, m, assert_intersection=assert_intersection)
     kind = spec["kind"]
     if kind == "DoubledThickenedSurface":
@@ -213,7 +222,7 @@ def build_link_from_spec(spec: dict) -> ManifoldLink:
     else:
         link = build_trivial_torus(base, family)
     if "t" in spec:
-        link = annular_fill(link, _spec_ints(spec["t"], "t"))
+        link = annular_fill(link, _json_ints(spec["t"], "t"))
     if "s" in spec:
-        link = fill_to_wga(link, _spec_ints(spec["s"], "s"))
+        link = fill_to_wga(link, _json_ints(spec["s"], "s"))
     return link

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from surflink import bowtie, cli
 from surflink.bowtie import (
     V_TET,
     BowtieDecomposition,
@@ -22,6 +23,7 @@ from surflink.errors import (
 )
 from surflink.fal_diagram import FalDiagram, diagrams_isomorphic, fill_crossing_circle
 from surflink.generator import generate_fal
+from surflink.io import dump_diagram
 
 
 CASES = [(g, c, seed) for g in (2, 3) for c in (2 * g - 1, 2 * g + 2, 11) for seed in (0, 1)]
@@ -181,6 +183,20 @@ def test_equal_site_cells_orient_by_default(g, c, seed):
     corners = [site for poly in d.white for site, _ in poly.entries]
     assert sorted(corners) == sorted(d.ideal_vertices() * 2)
     assert prism_triangulation(d).tetrahedron_count == 6 * (3 * c + 2 * g - 2)
+
+
+def test_square_face_off_every_tetrahedron_exits_three(monkeypatch, tmp_path, capsys):
+    """A square face that no staircase tetrahedron holds is an internal
+    error, reported as such also under -O."""
+    monkeypatch.setattr(bowtie, "_TET_LABELS", ((), (), ()))
+    path = tmp_path / "d.json"
+    dump_diagram(generate_fal(2, 4, seed=1), str(path))
+    table = tmp_path / "table.txt"
+    assert cli.main(["decompose", str(path), "--export-gluing", str(table)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal: InternalInvariant: ")
+    assert "staircase tetrahedron" in captured.err
 
 
 def test_equal_site_gluing_table_digest():

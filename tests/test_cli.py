@@ -8,7 +8,7 @@ import pytest
 import surflink
 from surflink import bowtie, cli
 from surflink.errors import ParseError
-from surflink.fal_diagram import diagrams_isomorphic
+from surflink.fal_diagram import diagrams_isomorphic, fill_all
 from surflink.generator import generate_fal
 from surflink.io import (
     diagram_from_json_dict,
@@ -76,6 +76,46 @@ class TestValidateCommand:
         path = tmp_path / "bad.json"
         path.write_text("{")
         assert cli.main(["validate", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "field,index,value",
+        [
+            ("half_twist", 0, "false"),
+            ("half_twist", 0, 7),
+            ("half_twist", 0, 0),
+            ("half_twist_sign", 0, 0),
+            ("half_twist_sign", 0, 1.9),
+            ("half_twist_sign", 0, True),
+            ("over_pair", 3, 1.0),
+            ("over_pair", 3, True),
+            ("genus", None, 2.0),
+            ("genus", None, "2"),
+            ("genus", None, None),
+            ("vertices", 0, 0.0),
+            ("opposite", 0, 0.0),
+        ],
+        ids=str,
+    )
+    def test_non_json_integer_or_boolean_exit_two(self, field, index, value, tmp_path, capsys):
+        """Diagram fields take JSON integers and booleans only: a float, a
+        bool for an integer or an integer for a bool is rejected, never
+        truncated or coerced.  Vertices 0-2 are circles, 3-4 crossings."""
+        d = fill_all(generate_fal(2, 4, seed=1), {3: 1})
+        data = diagram_to_json_dict(d)
+        if field == "genus":
+            data["genus"] = value
+        elif field in ("vertices", "opposite"):
+            data[field][0][index] = value
+        else:
+            data[field][index] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError):
+            load_diagram(str(path))
+        assert cli.main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 # (g, c, seed) -> sha256 of `surflink generate` stdout at --half-twist-probability 0.3.
@@ -154,6 +194,24 @@ class TestGenerateCommand:
 GOLDEN_G2C3S1 = "859c1bf210ed34a2b10c319d0d250746a8b9357ccc7d247be16ace9b670c9663"
 
 
+# Mixed-sign coefficients for `surflink fill`, the first c for c circles.
+FILL_T = (1, -2, 3, -1, 2, -3, -1, 1, -2)
+
+# (g, c, seed) -> sha256 of `surflink fill --t=FILL_T[:c]` stdout on the
+# diagram `generate` prints at --half-twist-probability 0.3.
+GOLDEN_FILL_STDOUT = {
+    (2, 4, 1): "fc4c34040b989b9bc6470e81e3bfc826023999d3cd6e698636cebdc66e495145",
+    (2, 9, 1): "e9313ea53dcad7a32e280e841b9b168580f26fd29b25f3fbba0c04d28d82edfb",
+    (3, 8, 1): "ddcf7f4488679d21affa415ebd08022e32dbb7d3e671224b8d9ae7456b1062bc",
+    (2, 4, 2): "46cc27f22797c99115ed879ff0548954b6f06fc6e0f75b451178c0667322f83e",
+    (2, 9, 2): "3d22974f1574e0ccd72d4af58857a73419de0811f2e2b6d1445addb4fa6d647c",
+    (3, 8, 2): "23b8d5b70fdc5529324532a4785d6d4c79020892774b341c60c6ef8e3462a6cc",
+    (2, 4, 3): "15dabcbdfc80e782804da64e4b234c4814d112be105b43605b5a44d10929e063",
+    (2, 9, 3): "cef15b230313960783138dec18e2353bec663c37c79438f41db0cba3f41bc8e6",
+    (3, 8, 3): "14648cd588c87e404ae8e86650fab524e59651f4b202f3b3829212dab7304d56",
+}
+
+
 class TestFillAndAugmentCommands:
     def test_fill_then_augment_round_trip(self, diagram_file, tmp_path, capsys):
         d, path = diagram_file
@@ -175,6 +233,21 @@ class TestFillAndAugmentCommands:
         _, path = diagram_file
         assert cli.main(["fill", path, "--t", "1,x,1,1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("g,c,seed", sorted(GOLDEN_FILL_STDOUT), ids=str)
+    def test_stdout_golden_digest(self, g, c, seed, tmp_path, capsys):
+        """sha256 of `fill` stdout on generated diagrams with half-twists,
+        taken when circles were filled one map build at a time."""
+        import hashlib
+
+        args = ["generate", "--genus", str(g), "--circles", str(c), "--seed", str(seed)]
+        assert cli.main(args + ["--half-twist-probability", "0.3"]) == 0
+        path = tmp_path / "d.json"
+        path.write_text(capsys.readouterr().out)
+        t = ",".join(map(str, FILL_T[:c]))
+        assert cli.main(["fill", str(path), f"--t={t}"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == GOLDEN_FILL_STDOUT[g, c, seed]
 
 
 def _one_circle(genus, vertex, pairs):

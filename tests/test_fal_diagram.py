@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from surflink import fal_diagram
 from surflink.errors import (
+    InternalInvariant,
     NotACrossingCircle,
     NotCheckerboard,
+    SurflinkError,
     UnfilledCircle,
     ZeroCoefficient,
 )
@@ -314,3 +318,176 @@ class TestRoundTrips:
         filled = fill_all(d, {k: 1 for k in range(4)})
         assert filled.c == 0
         assert len(detect_twist_regions(filled)) == 4
+
+
+# -- fill_all against the one-circle-at-a-time chain ------------------------
+
+
+def reference_fill_crossing_circle(diagram, k, t):
+    """The former single-circle fill: one validated map per circle."""
+    if t == 0:
+        raise ZeroCoefficient("filling coefficient t must be nonzero")
+    m = diagram.map
+    if not (0 <= k < m.vertex_count) or not isinstance(diagram.vertex_kind[k], CrossingCircle):
+        raise NotACrossingCircle(f"vertex {k} is not a crossing circle")
+    kind = diagram.vertex_kind[k]
+    sign = 1 if t > 0 else -1
+    n = 2 * abs(t)
+    if kind.half_twist:
+        n = n + 1 if sign == kind.half_twist_sign else n - 1
+    over_pair = 0 if sign == 1 else 1
+
+    circle = m.rotation[k]
+    next_dart = max(m.darts) + 1
+    ladder = []
+    for _ in range(n):
+        ladder.append(tuple(range(next_dart, next_dart + 4)))
+        next_dart += 4
+
+    rep = {
+        circle[0]: ladder[0][0],
+        circle[1]: ladder[0][1],
+        circle[2]: ladder[-1][2],
+        circle[3]: ladder[-1][3],
+    }
+    opposite = {}
+    for d in m.edges():
+        e = m.opposite[d]
+        a, b = rep.get(d, d), rep.get(e, e)
+        opposite[a] = b
+        opposite[b] = a
+    for i in range(n - 1):
+        _, _, c_i, d_i = ladder[i]
+        a_next, b_next, _, _ = ladder[i + 1]
+        opposite[c_i] = b_next
+        opposite[b_next] = c_i
+        opposite[d_i] = a_next
+        opposite[a_next] = d_i
+
+    rotation = [m.rotation[v] for v in range(m.vertex_count) if v != k]
+    kinds = [diagram.vertex_kind[v] for v in range(m.vertex_count) if v != k]
+    rotation.extend(ladder)
+    kinds.extend(Crossing(over_pair) for _ in range(n))
+
+    out = FalDiagram(CombinatorialMap(tuple(rotation), opposite), diagram.genus, tuple(kinds))
+    assert genus(out.map) == diagram.genus
+    return out
+
+
+def reference_fill_all(diagram, coefficients):
+    """The former fill_all: single-circle fills from the highest index down."""
+    out = diagram
+    for k in sorted(coefficients, reverse=True):
+        out = reference_fill_crossing_circle(out, k, coefficients[k])
+    return out
+
+
+def assert_same_diagram(a, b):
+    assert a.map.rotation == b.map.rotation
+    assert a.map.opposite == b.map.opposite
+    assert a.vertex_kind == b.vertex_kind
+    assert a.genus == b.genus
+
+
+def crossings_first(d, order):
+    """`d` with its vertices renumbered: crossings in the drawn order, then
+    circles in the drawn order."""
+    order = sorted(order, key=lambda v: isinstance(d.vertex_kind[v], CrossingCircle))
+    m = CombinatorialMap(tuple(d.map.rotation[v] for v in order), d.map.opposite)
+    return FalDiagram(m, d.genus, tuple(d.vertex_kind[v] for v in order))
+
+
+COEFFICIENT = st.sampled_from((-3, -2, -1, 1, 2, 3))
+
+
+@given(
+    g=st.sampled_from((2, 3)),
+    c=st.integers(5, 40),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_fill_all_matches_reference(g, c, seed, data):
+    """One-pass fill equals the per-circle chain, on a fresh diagram and
+    again on the partly filled result with its crossings renumbered ahead
+    of its circles."""
+    d = generate_fal(g, c, seed=seed, half_twist_probability=0.5)
+    first = data.draw(st.dictionaries(st.sampled_from(d.circles), COEFFICIENT))
+    partial = fill_all(d, first)
+    assert_same_diagram(partial, reference_fill_all(d, first))
+    if not partial.circles:
+        return
+    order = data.draw(st.permutations(range(partial.map.vertex_count)))
+    shuffled = crossings_first(partial, order)
+    second = data.draw(st.dictionaries(st.sampled_from(shuffled.circles), COEFFICIENT))
+    assert_same_diagram(fill_all(shuffled, second), reference_fill_all(shuffled, second))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_unit_fill_on_half_twists_matches_reference(seed):
+    """t = +-1 on half-twist circles gives ladders of 3 (sign matches) and
+    1 (sign cancels); both occur and both equal the chain."""
+    d = generate_fal(2, 8, seed=seed, half_twist_probability=1.0)
+    coefficients = {k: (-1) ** k for k in d.circles}
+    filled = fill_all(d, coefficients)
+    assert_same_diagram(filled, reference_fill_all(d, coefficients))
+    lengths = [3 if d.vertex_kind[k].half_twist_sign == t else 1 for k, t in coefficients.items()]
+    assert set(lengths) == {1, 3}
+    assert filled.map.vertex_count == sum(lengths)
+
+
+def _outcome(fill, diagram, coefficients):
+    try:
+        fill(diagram, coefficients)
+    except SurflinkError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "coefficients",
+    [
+        {0: 0},
+        {1: 2, 0: 0},
+        {0: 2, 1: 0},
+        {8: 1},
+        {8: 0, 9: 1},
+        {-1: 1},
+        {0: 1, 11: 2},
+        {11: 0, 12: 1},
+        {2: 1, 99: 0},
+    ],
+    ids=str,
+)
+def test_fill_all_raises_like_reference(coefficients):
+    """On a diagram whose circles 0-2 precede crossings 3-10 (and vertices
+    11+ do not exist), the first bad key from the top raises the same
+    error as the chain."""
+    d = fill_all(generate_fal(2, 5, seed=3), {4: 2, 3: -2})
+    assert d.circles == (0, 1, 2) and d.map.vertex_count == 11
+    expected = _outcome(reference_fill_all, d, coefficients)
+    assert expected is not None
+    assert _outcome(fill_all, d, coefficients) == expected
+
+
+def test_fill_all_builds_one_map(monkeypatch):
+    d = generate_fal(3, 12, seed=5, half_twist_probability=0.5)
+    built = []
+    init = CombinatorialMap.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CombinatorialMap, "__init__", counting_init)
+    filled = fill_all(d, {k: 2 - 4 * (k % 2) for k in d.circles})
+    assert filled.c == 0
+    assert len(built) == 1
+
+
+def test_fill_all_checks_genus(monkeypatch):
+    """The genus check is a raise, not an assert, so it also runs under -O."""
+    d = generate_fal(2, 4, seed=1)
+    monkeypatch.setattr(fal_diagram, "map_genus", lambda m: d.genus + 1)
+    with pytest.raises(InternalInvariant, match="surgery changed the surface genus"):
+        fill_all(d, {0: 1, 2: -2})
