@@ -14,7 +14,8 @@ circles, 3c sites in all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import permutations, product
 from typing import Optional
 
 from .errors import (
@@ -358,29 +359,9 @@ def triangulate_white_faces(d: BowtieDecomposition) -> SurfaceTriangulation:
 # -- prisms over the boundary ------------------------------------------------
 
 
-def _side_end_corners(side_idx: int, flipped: bool) -> tuple[int, int]:
-    """Corner positions matching cell ends (end0, end1) for a triangle side."""
-    a, b = side_idx, (side_idx + 1) % 3
-    return (b, a) if flipped else (a, b)
-
-
-def _corner_order(tri: Triangle, tail_end: dict) -> Optional[tuple[int, int, int]]:
-    """Linear order (lowest first) of the triangle's corner positions under
-    the per-cell diagonal orientations, or None when cyclic."""
-    wins = [0, 0, 0]
-    for s, (cell, flipped) in enumerate(tri.sides):
-        c0, c1 = _side_end_corners(s, flipped)
-        tail_corner = c0 if tail_end[cell] == 0 else c1
-        head_corner = c1 if tail_corner == c0 else c0
-        wins[head_corner] += 1  # head is above tail
-    if sorted(wins) != [0, 1, 2]:
-        return None
-    return tuple(sorted(range(3), key=lambda i: wins[i]))
-
-
-def _orient_cells(surface: SurfaceTriangulation) -> dict:
-    """Diagonal direction per cell: tail at the smaller ideal vertex site,
-    at end 0 when both ends are the same site.
+def _orient_cells(surface: SurfaceTriangulation) -> list:
+    """Diagonal direction per cell id: tail at the smaller ideal vertex
+    site, at end 0 when both ends are the same site.
 
     Every triangle then has a linear corner order.  Sides between distinct
     sites follow the strict site order, so a triangle can only be cyclic
@@ -389,7 +370,7 @@ def _orient_cells(surface: SurfaceTriangulation) -> dict:
     vertex that is not 4-valent, so each site occurs exactly twice among the
     white-polygon corners and no fan triangle repeats a corner three times.
     """
-    return {cid: 0 if a <= b else 1 for cid, (a, b) in enumerate(surface.cells)}
+    return [0 if a <= b else 1 for a, b in surface.cells]
 
 
 # Tetrahedron slot labels within one prism, as (corner rank, level): rank 0
@@ -413,120 +394,139 @@ class PrismTriangulation:
     gluings: tuple  # per tet: four (neighbour, neighbour face, perm) entries
 
     def export_gluing_table(self) -> str:
-        lines = []
-        for tet, faces in enumerate(self.gluings):
-            parts = []
-            for nbr, face, perm in faces:
-                parts.append(f"({nbr},{face},{''.join(map(str, perm))})")
-            lines.append(f"{tet} : " + " ".join(parts))
-        return "\n".join(lines) + "\n"
+        text = _perm_tables()[1]
+        return "\n".join(
+            f"{tet} : ({n0},{f0},{text[p0]}) ({n1},{f1},{text[p1]}) "
+            f"({n2},{f2},{text[p2]}) ({n3},{f3},{text[p3]})"
+            for tet, ((n0, f0, p0), (n1, f1, p1), (n2, f2, p2), (n3, f3, p3)) in enumerate(self.gluings)
+        ) + "\n"
 
 
-def _glue(table, tet_a, labels_a, tet_b, labels_b, label_map):
-    """Record the mutual gluing of the faces of tet_a/tet_b spanned by the
-    three matched labels; the off-face vertices pair with each other."""
+@lru_cache(maxsize=None)
+def _perm_tables() -> tuple[dict, dict]:
+    """Inverse and printed digits of each permutation of (0, 1, 2, 3)."""
+    perms = list(permutations(range(4)))
+    return {p: tuple(map(p.index, range(4))) for p in perms}, {p: "".join(map(str, p)) for p in perms}
+
+
+def _glue(labels_a, labels_b, label_map):
+    """The gluing of the faces of two tetrahedra spanned by the three
+    matched labels, the off-face vertices paired with each other, as
+    (face a, face b, perm, inverse perm)."""
     slot_b = {lab: i for i, lab in enumerate(labels_b)}
-    perm = [None] * 4
-    matched_a = set()
-    for i, lab in enumerate(labels_a):
-        if lab in label_map:
-            perm[i] = slot_b[label_map[lab]]
-            matched_a.add(i)
-    (face_a,) = set(range(4)) - matched_a
-    (face_b,) = set(range(4)) - set(perm[i] for i in matched_a)
+    perm = [slot_b[label_map[lab]] if lab in label_map else None for lab in labels_a]
+    (face_a,) = [i for i, j in enumerate(perm) if j is None]
+    (face_b,) = set(range(4)) - set(perm)
     perm[face_a] = face_b
-    inverse = [None] * 4
-    for i, j in enumerate(perm):
-        inverse[j] = i
-    if table[tet_a][face_a] is not None or table[tet_b][face_b] is not None:
-        raise InternalInvariant(
-            f"tetrahedron face glued twice: ({tet_a}, {face_a}) or ({tet_b}, {face_b})"
+    return face_a, face_b, tuple(perm), tuple(perm.index(j) for j in range(4))
+
+
+@lru_cache(maxsize=None)
+def _gluing_rules(labels: tuple) -> tuple:
+    """The gluings of staircase prisms whose three tetrahedra carry `labels`.
+
+    A gluing is (tet a, tet b, face a, face b, perm, inverse perm), each tet
+    counted from its own prism's first.  A triangle side is named by the
+    rank of its opposite corner; its tail and head hold the other two ranks,
+    the tail the lower.  Returns (inside, across, sides):
+    - inside: the prism's own three gluings;
+    - across[3 * i + j]: the lower and upper square gluings of side i of
+      prism a with side j of prism b, tail to tail and head to head, since
+      both sides read the same tail end of their cell;
+    - sides[u]: the names of sides 0, 1, 2 of a triangle whose side s runs
+      up from corner s exactly when bit s of u is set; None when cyclic.
+    """
+
+    def tet_of(face):
+        for i, tet_labels in enumerate(labels):
+            if set(face) <= set(tet_labels):
+                return i, tet_labels
+        raise InternalInvariant("face not on any staircase tetrahedron")
+
+    across = []
+    for side_a, side_b in product(range(3), repeat=2):
+        (tail_a, head_a), (tail_b, head_b) = (sorted({0, 1, 2} - {n}) for n in (side_a, side_b))
+        rule = []
+        for face in (
+            ((tail_a, 0), (head_a, 0), (head_a, 1)),  # lower
+            ((tail_a, 0), (head_a, 1), (tail_a, 1)),  # upper
+        ):
+            label_map = {(r, lv): ({tail_a: tail_b, head_a: head_b}[r], lv) for r, lv in face}
+            (tet_a, labels_a), (tet_b, labels_b) = tet_of(face), tet_of(label_map.values())
+            rule.append((tet_a, tet_b, *_glue(labels_a, labels_b, label_map)))
+        across.append(tuple(rule))
+
+    # Within each prism: the two staircase cuts and the vertical S^1 gluing.
+    inside = tuple(
+        (a, b, *_glue(labels[a], labels[b], label_map))
+        for a, b, label_map in (
+            (0, 1, {(0, 0): (0, 0), (1, 0): (1, 0), (2, 1): (2, 1)}),
+            (1, 2, {(0, 0): (0, 0), (1, 1): (1, 1), (2, 1): (2, 1)}),
+            (2, 0, {(0, 1): (0, 0), (1, 1): (1, 0), (2, 1): (2, 0)}),
         )
-    table[tet_a][face_a] = (tet_b, face_b, tuple(perm))
-    table[tet_b][face_b] = (tet_a, face_a, tuple(inverse))
+    )
+
+    sides = []
+    for u in range(8):
+        rank = [0, 0, 0]  # a corner's rank is the number of sides it heads
+        for s in range(3):
+            rank[(s + 1) % 3 if u >> s & 1 else s] += 1
+        sides.append((rank[2], rank[0], rank[1]) if sorted(rank) == [0, 1, 2] else None)
+    return inside, tuple(across), tuple(sides)
 
 
 def prism_triangulation(
     d: BowtieDecomposition, kind: str = "TrivialMappingTorus"
 ) -> PrismTriangulation:
     """Triangulate (surface) x S^1: one prism per boundary triangle, cut
-    into three tetrahedra along the staircase of its side diagonals."""
+    into three tetrahedra along the staircase of its side diagonals.  Face
+    slot 4 * tet + face of the table holds (neighbour, its face, perm)."""
     if kind != "TrivialMappingTorus":
         raise WrongManifoldKind(
             "prism triangulation is defined only for the trivial mapping torus"
         )
     surface = d.boundary
     tail_end = _orient_cells(surface)
-
-    order = []  # per triangle: rank -> corner position
-    for tri in surface.triangles:
-        ranked = _corner_order(tri, tail_end)
-        if ranked is None:
-            raise MalformedMap("no diagonal orientation triangulates all prisms")
-        order.append(ranked)
-
+    inside, across, sides = _gluing_rules(_TET_LABELS)
     n_tets = 3 * surface.triangle_count
-    table = [[None] * 4 for _ in range(n_tets)]
-
-    def tets_of(t):
-        return (3 * t, 3 * t + 1, 3 * t + 2)
-
-    # Within each prism: the two staircase cuts and the vertical S^1 gluing.
-    for t in range(surface.triangle_count):
-        s1, s2, s3 = tets_of(t)
-        _glue(table, s1, _S1, s2, _S2, {(0, 0): (0, 0), (1, 0): (1, 0), (2, 1): (2, 1)})
-        _glue(table, s2, _S2, s3, _S3, {(0, 0): (0, 0), (1, 1): (1, 1), (2, 1): (2, 1)})
-        _glue(table, s3, _S3, s1, _S1, {(0, 1): (0, 0), (1, 1): (1, 0), (2, 1): (2, 0)})
-
-    # Across each 1-cell: the shared side square, already split by its
-    # diagonal into a lower and an upper triangle on both sides.
-    incident: dict = {}
+    slots = [None] * (4 * n_tets)
+    first_side = [None] * len(surface.cells)  # cell -> (prism's first tet, side name)
     for t, tri in enumerate(surface.triangles):
-        for s, (cell, flipped) in enumerate(tri.sides):
-            incident.setdefault(cell, []).append((t, s, flipped))
-    for cell, occ in sorted(incident.items()):
-        (ta, sa, fa), (tb, sb, fb) = occ
+        base = 3 * t
+        for a, b, face_a, face_b, perm, inverse in inside:
+            slots[4 * (base + a) + face_a] = (base + b, face_b, perm)
+            slots[4 * (base + b) + face_b] = (base + a, face_a, inverse)
+        (cell0, flip0), (cell1, flip1), (cell2, flip2) = tri.sides
+        up = (flip0 == tail_end[cell0]) + 2 * (flip1 == tail_end[cell1]) + 4 * (flip2 == tail_end[cell2])
+        names = sides[up]
+        if names is None:
+            raise MalformedMap("no diagonal orientation triangulates all prisms")
+        for cell, side in zip((cell0, cell1, cell2), names):
+            if first_side[cell] is None:
+                first_side[cell] = (base, side)
+                continue
+            base_a, side_a = first_side[cell]
+            for a, b, face_a, face_b, perm, inverse in across[3 * side_a + side]:
+                i, j = 4 * (base_a + a) + face_a, 4 * (base + b) + face_b
+                if slots[i] is not None or slots[j] is not None:
+                    raise InternalInvariant(
+                        f"tetrahedron face glued twice: ({i >> 2}, {i & 3}) or ({j >> 2}, {j & 3})"
+                    )
+                slots[i] = (base + b, face_b, perm)
+                slots[j] = (base_a + a, face_a, inverse)
 
-        def square_faces(t, s, flipped):
-            c0, c1 = _side_end_corners(s, flipped)
-            tail = c0 if tail_end[cell] == 0 else c1
-            head = c1 if tail == c0 else c0
-            rank = {corner: r for r, corner in enumerate(order[t])}
-            lower = ((rank[tail], 0), (rank[head], 0), (rank[head], 1))
-            upper = ((rank[tail], 0), (rank[head], 1), (rank[tail], 1))
-            # Geometric points on the square: (cell end, level).
-            end_of = {rank[tail]: tail_end[cell], rank[head]: 1 - tail_end[cell]}
-            return lower, upper, end_of
-
-        lo_a, up_a, end_a = square_faces(ta, sa, fa)
-        lo_b, up_b, end_b = square_faces(tb, sb, fb)
-        rank_from_end_b = {end: rank for rank, end in end_b.items()}
-
-        def find_tet(t, face_labels):
-            for tet, labels in zip(tets_of(t), _TET_LABELS):
-                if set(face_labels) <= set(labels):
-                    return tet, labels
-            raise InternalInvariant("face not on any staircase tetrahedron")
-
-        for face_a, face_b in ((lo_a, lo_b), (up_a, up_b)):
-            tet_a, labels_a = find_tet(ta, face_a)
-            tet_b, labels_b = find_tet(tb, face_b)
-            label_map = {
-                (r, lv): (rank_from_end_b[end_a[r]], lv) for (r, lv) in face_a
-            }
-            _glue(table, tet_a, labels_a, tet_b, labels_b, label_map)
-
-    if any(entry is None for faces in table for entry in faces):
+    if None in slots:
         raise InternalInvariant("a tetrahedron face is left unglued")
-    for tet, faces in enumerate(table):
-        for face, (nbr, nf, perm) in enumerate(faces):
-            back = table[nbr][nf]
-            if (back[0], back[1]) != (tet, face) or tuple(back[2][p] for p in perm) != (0, 1, 2, 3):
-                raise InternalInvariant(
-                    f"gluing of tetrahedron {tet} face {face} is not an involution"
-                )
+    inverse_of = _perm_tables()[0]
+    for i, (nbr, nf, perm) in enumerate(slots):
+        back = slots[4 * nbr + nf]
+        if back[0] != i >> 2 or back[1] != i & 3 or back[2] != inverse_of.get(perm):
+            raise InternalInvariant(
+                f"gluing of tetrahedron {i >> 2} face {i & 3} is not an involution"
+            )
 
-    out = PrismTriangulation(n_tets, tuple(tuple(faces) for faces in table))
+    it = iter(slots)
+    out = PrismTriangulation(n_tets, tuple(zip(it, it, it, it)))
     if out.tetrahedron_count != 6 * (3 * d.c + 2 * d.genus - 2):
         raise InternalInvariant(
             f"{out.tetrahedron_count} tetrahedra, expected 6(3c + 2g - 2) = "

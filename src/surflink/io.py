@@ -81,9 +81,12 @@ def diagram_from_json_dict(data: dict) -> FalDiagram:
                 twist = False if twist is None else _json_bool(twist, "half_twist")
                 sign = data["half_twist_sign"][i]
                 sign = 1 if sign is None else _json_int(sign, "half_twist_sign", (1, -1))
+                _json_null(data["over_pair"][i], "over_pair", name)
                 kinds.append(CrossingCircle(half_twist=twist, half_twist_sign=sign))
             elif name == "crossing":
                 over_pair = _json_int(data["over_pair"][i], "over_pair", (0, 1))
+                _json_null(data["half_twist"][i], "half_twist", name)
+                _json_null(data["half_twist_sign"][i], "half_twist_sign", name)
                 kinds.append(Crossing(over_pair=over_pair))
             else:
                 raise ParseError(f"vertex {i}: unknown kind {name!r}")
@@ -152,6 +155,11 @@ def _json_bool(value, field: str) -> bool:
     if not isinstance(value, bool):
         raise ParseError(f"field {field!r}: {value!r} is not true or false")
     return value
+
+
+def _json_null(value, field: str, kind: str) -> None:
+    if value is not None:
+        raise ParseError(f"field {field!r}: {value!r} on a {kind} vertex is not null")
 
 
 def _json_list(value, field: str) -> list:

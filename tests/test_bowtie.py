@@ -1,6 +1,8 @@
+import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from surflink import bowtie, cli
 from surflink.bowtie import (
@@ -17,6 +19,7 @@ from surflink.bowtie import (
 from surflink.errors import (
     DegenerateFace,
     GenusTooSmall,
+    InternalInvariant,
     MalformedMap,
     NotCellular,
     WrongManifoldKind,
@@ -200,10 +203,307 @@ def test_square_face_off_every_tetrahedron_exits_three(monkeypatch, tmp_path, ca
 
 
 def test_equal_site_gluing_table_digest():
-    import hashlib
-
     table = prism_triangulation(decompose(generate_fal(2, 4, seed=1))).export_gluing_table()
     assert hashlib.sha256(table.encode()).hexdigest() == GOLDEN_G2C4S1_TABLE
 
 
 GOLDEN_G2C4S1_TABLE = "54ea3fe5790cea230cf274b6f04dfedddd7bf5cd6f5e025d7c6142c25d80b784"
+
+
+# -- table-driven prisms against the per-face routine they replaced ---------
+
+
+def reference_prism_triangulation(d):
+    """The per-face routine that prism_triangulation replaced: every gluing
+    found by matching (corner rank, level) labels.  Returns (gluings, text)."""
+    s1 = ((0, 0), (1, 0), (2, 0), (2, 1))
+    s2 = ((0, 0), (1, 0), (1, 1), (2, 1))
+    s3 = ((0, 0), (0, 1), (1, 1), (2, 1))
+
+    def side_end_corners(side_idx, flipped):
+        a, b = side_idx, (side_idx + 1) % 3
+        return (b, a) if flipped else (a, b)
+
+    def corner_order(tri, tail_end):
+        wins = [0, 0, 0]
+        for s, (cell, flipped) in enumerate(tri.sides):
+            c0, c1 = side_end_corners(s, flipped)
+            tail_corner = c0 if tail_end[cell] == 0 else c1
+            head_corner = c1 if tail_corner == c0 else c0
+            wins[head_corner] += 1
+        if sorted(wins) != [0, 1, 2]:
+            return None
+        return tuple(sorted(range(3), key=lambda i: wins[i]))
+
+    def glue(table, tet_a, labels_a, tet_b, labels_b, label_map):
+        slot_b = {lab: i for i, lab in enumerate(labels_b)}
+        perm = [None] * 4
+        matched_a = set()
+        for i, lab in enumerate(labels_a):
+            if lab in label_map:
+                perm[i] = slot_b[label_map[lab]]
+                matched_a.add(i)
+        (face_a,) = set(range(4)) - matched_a
+        (face_b,) = set(range(4)) - set(perm[i] for i in matched_a)
+        perm[face_a] = face_b
+        inverse = [None] * 4
+        for i, j in enumerate(perm):
+            inverse[j] = i
+        assert table[tet_a][face_a] is None and table[tet_b][face_b] is None
+        table[tet_a][face_a] = (tet_b, face_b, tuple(perm))
+        table[tet_b][face_b] = (tet_a, face_a, tuple(inverse))
+
+    surface = triangulate_white_faces(d)
+    tail_end = {cid: 0 if a <= b else 1 for cid, (a, b) in enumerate(surface.cells)}
+    order = [corner_order(tri, tail_end) for tri in surface.triangles]
+    assert None not in order
+    table = [[None] * 4 for _ in range(3 * surface.triangle_count)]
+    for t in range(surface.triangle_count):
+        glue(table, 3 * t, s1, 3 * t + 1, s2, {(0, 0): (0, 0), (1, 0): (1, 0), (2, 1): (2, 1)})
+        glue(table, 3 * t + 1, s2, 3 * t + 2, s3, {(0, 0): (0, 0), (1, 1): (1, 1), (2, 1): (2, 1)})
+        glue(table, 3 * t + 2, s3, 3 * t, s1, {(0, 1): (0, 0), (1, 1): (1, 0), (2, 1): (2, 0)})
+    incident = {}
+    for t, tri in enumerate(surface.triangles):
+        for s, (cell, flipped) in enumerate(tri.sides):
+            incident.setdefault(cell, []).append((t, s, flipped))
+    for cell, occ in sorted(incident.items()):
+        (ta, sa, fa), (tb, sb, fb) = occ
+
+        def square_faces(t, s, flipped):
+            c0, c1 = side_end_corners(s, flipped)
+            tail = c0 if tail_end[cell] == 0 else c1
+            head = c1 if tail == c0 else c0
+            rank = {corner: r for r, corner in enumerate(order[t])}
+            lower = ((rank[tail], 0), (rank[head], 0), (rank[head], 1))
+            upper = ((rank[tail], 0), (rank[head], 1), (rank[tail], 1))
+            end_of = {rank[tail]: tail_end[cell], rank[head]: 1 - tail_end[cell]}
+            return lower, upper, end_of
+
+        def find_tet(t, face_labels):
+            for tet, labels in zip((3 * t, 3 * t + 1, 3 * t + 2), (s1, s2, s3)):
+                if set(face_labels) <= set(labels):
+                    return tet, labels
+            raise AssertionError("face not on any staircase tetrahedron")
+
+        lo_a, up_a, end_a = square_faces(ta, sa, fa)
+        lo_b, up_b, end_b = square_faces(tb, sb, fb)
+        rank_from_end_b = {end: rank for rank, end in end_b.items()}
+        for face_a, face_b in ((lo_a, lo_b), (up_a, up_b)):
+            tet_a, labels_a = find_tet(ta, face_a)
+            tet_b, labels_b = find_tet(tb, face_b)
+            label_map = {(r, lv): (rank_from_end_b[end_a[r]], lv) for (r, lv) in face_a}
+            glue(table, tet_a, labels_a, tet_b, labels_b, label_map)
+    gluings = tuple(tuple(faces) for faces in table)
+    lines = []
+    for tet, faces in enumerate(gluings):
+        parts = [f"({nbr},{face},{''.join(map(str, perm))})" for nbr, face, perm in faces]
+        lines.append(f"{tet} : " + " ".join(parts))
+    return gluings, "\n".join(lines) + "\n"
+
+
+def _assert_matches_reference(d):
+    pt = prism_triangulation(d)
+    gluings, text = reference_prism_triangulation(d)
+    assert pt.gluings == gluings
+    assert pt.export_gluing_table() == text
+
+
+@given(g=st.sampled_from((2, 3, 4)), seed=st.integers(0, 2**16), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_table_driven_prisms_match_reference(g, seed, data):
+    c = data.draw(st.integers(2 * g - 1, 60), label="c")
+    _assert_matches_reference(decompose(generate_fal(g, c, seed=seed, half_twist_probability=0.5)))
+
+
+@pytest.mark.parametrize("g,c,seed", EQUAL_SITE_CASES)
+def test_equal_site_prisms_match_reference(g, c, seed):
+    _assert_matches_reference(decompose(generate_fal(g, c, seed=seed)))
+
+
+# sha256 of export_gluing_table() for generate_fal(g, c, seed=seed), taken
+# from the per-face routine above.
+GOLDEN_TABLE_DIGESTS = {
+    (3, 12, 5): "9bf95a5308d91ab7fd67553eb14b4325850b154f1ebb399230e38b9c809b2557",
+    (2, 25, 1): "875c7ec08c0fe089d76c3861795dc9d415e3e5357fb17f9f3f6d1f8c7628920b",
+    (3, 50, 2): "4a7fae77c6ba44154baa5f02df80d88bc4c0a0a8786d5e39e3df60c37edfef7a",
+}
+
+
+@pytest.mark.parametrize("g,c,seed", sorted(GOLDEN_TABLE_DIGESTS))
+def test_gluing_table_digest(g, c, seed):
+    table = prism_triangulation(decompose(generate_fal(g, c, seed=seed))).export_gluing_table()
+    assert hashlib.sha256(table.encode()).hexdigest() == GOLDEN_TABLE_DIGESTS[g, c, seed]
+
+
+# -- table-only verification: topology read from the gluings alone -----------
+
+
+def _rank_mod_p(rows, p):
+    """Rank over GF(p) of sparse rows given as {column: coefficient}."""
+    pivots = {}
+    for row in rows:
+        row = {k: v % p for k, v in row.items() if v % p}
+        while row:
+            col = min(row)
+            if col not in pivots:
+                inv = pow(row[col], -1, p)
+                pivots[col] = {k: v * inv % p for k, v in row.items()}
+                break
+            factor = row[col]
+            for k, v in pivots[col].items():
+                row[k] = (row.get(k, 0) - factor * v) % p
+                if not row[k]:
+                    del row[k]
+    return len(pivots)
+
+
+def table_topology(gluings, p=10007):
+    """Vertex and edge class counts, edges glued to themselves reversed,
+    the set of vertex-link Euler characteristics and b1 over GF(p) of the
+    closed triangulation that `gluings` describes."""
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    # Corners (tet, v) and oriented edges (tet, v, w) are identified across
+    # every glued face that holds them.
+    for tet, faces in enumerate(gluings):
+        for f, (nbr, nf, perm) in enumerate(faces):
+            for v in range(4):
+                if v == f:
+                    continue
+                parent[find((tet, v))] = find((nbr, perm[v]))
+                for w in range(4):
+                    if w not in (v, f):
+                        parent[find((tet, v, w))] = find((nbr, perm[v], perm[w]))
+    corners = [(tet, v) for tet in range(len(gluings)) for v in range(4)]
+    oriented = [(tet, v, w) for tet, v in corners for w in range(4) if w != v]
+    vertex = {}
+    for corner in corners:
+        vertex.setdefault(find(corner), len(vertex))
+    edge = {}  # oriented edge class -> (edge index, sign)
+    d1 = []  # per edge: its head vertex minus its tail vertex
+    folded = 0
+    for tet, v, w in oriented:
+        fwd, back = find((tet, v, w)), find((tet, w, v))
+        if fwd not in edge:
+            folded += fwd == back
+            edge[back], edge[fwd] = (len(d1), -1), (len(d1), 1)
+            row = {}
+            for corner, coeff in (((tet, w), 1), ((tet, v), -1)):
+                x = vertex[find(corner)]
+                row[x] = row.get(x, 0) + coeff
+            d1.append(row)
+    # A vertex's link has a triangle per corner and a vertex per edge end.
+    link_triangles, link_vertices = {}, {}
+    for tet, v in corners:
+        x = vertex[find((tet, v))]
+        link_triangles[x] = link_triangles.get(x, 0) + 1
+        link_vertices.setdefault(x, set()).update(find((tet, v, w)) for w in range(4) if w != v)
+    link_chi = {len(link_vertices[x]) - link_triangles[x] // 2 for x in link_triangles}
+    d2 = []  # per glued face pair: its oriented boundary
+    for tet, faces in enumerate(gluings):
+        for f, (nbr, nf, _) in enumerate(faces):
+            if (tet, f) < (nbr, nf):
+                a, b, c = (v for v in range(4) if v != f)
+                row = {}
+                for (x, y), coeff in (((b, c), 1), ((a, c), -1), ((a, b), 1)):
+                    index, sign = edge[find((tet, x, y))]
+                    row[index] = row.get(index, 0) + coeff * sign
+                d2.append(row)
+    b1 = len(d1) - _rank_mod_p(d1, p) - _rank_mod_p(d2, p)
+    return {"vertices": len(vertex), "edges": len(d1), "folded_edges": folded, "link_chi": link_chi, "b1": b1}
+
+
+def sigma_times_circle(g, c):
+    """table_topology of the prism triangulation of Sigma_g x S^1 over a
+    c-circle diagram: V = 3c material vertices with sphere links, E = V + T
+    (Euler characteristic 0) and b1 = 2g + 1."""
+    n_tets = 6 * (3 * c + 2 * g - 2)
+    return {"vertices": 3 * c, "edges": 3 * c + n_tets, "folded_edges": 0, "link_chi": {2}, "b1": 2 * g + 1}
+
+
+@pytest.mark.parametrize("g,c,seed", CASES)
+def test_gluing_table_alone_is_sigma_times_circle(g, c, seed):
+    pt = prism_triangulation(decompose(generate_fal(g, c, seed=seed)))
+    assert table_topology(pt.gluings) == sigma_times_circle(g, c)
+
+
+def test_table_topology_sees_a_twisted_face_pairing():
+    """The verifier is not vacuous: re-gluing one face pair through a
+    transposition of its face keeps an involution but breaks the topology."""
+    g, c = 2, 4
+    gluings = [list(faces) for faces in prism_triangulation(decompose(generate_fal(g, c, seed=1))).gluings]
+    nbr, nf, perm = gluings[0][0]
+    twisted = list(perm)
+    twisted[1], twisted[2] = perm[2], perm[1]
+    gluings[0][0] = (nbr, nf, tuple(twisted))
+    gluings[nbr][nf] = (0, 0, tuple(twisted.index(j) for j in range(4)))
+    assert table_topology(gluings) != sigma_times_circle(g, c)
+
+
+# -- corrupted gluing rules ----------------------------------------------------
+
+# Across-rule indices 3 * (name in the first prism) + (name in the second)
+# that generate_fal(2, 25, seed=1) reads; no diagram tried reads rule 6.
+READ_RULES = (0, 1, 2, 3, 4, 5, 7, 8)
+
+
+def _corrupt_rules(monkeypatch, inside=None, rule=None, index=None):
+    real_inside, across, sides = bowtie._gluing_rules(bowtie._TET_LABELS)
+    across = list(across)
+    if index is not None:
+        across[index] = rule(across[index])
+    corrupted = (real_inside if inside is None else inside(real_inside), tuple(across), sides)
+    monkeypatch.setattr(bowtie, "_gluing_rules", lambda labels: corrupted)
+    return decompose(generate_fal(2, 25, seed=1))
+
+
+@pytest.mark.parametrize("index", READ_RULES)
+def test_rule_gluing_a_face_twice_is_an_internal_error(monkeypatch, index):
+    # The upper square glued from the lower square's face of the first prism.
+    d = _corrupt_rules(monkeypatch, rule=lambda r: (r[0], (r[0][0], r[1][1], r[0][2], *r[1][3:])), index=index)
+    with pytest.raises(InternalInvariant, match="glued twice"):
+        prism_triangulation(d)
+
+
+@pytest.mark.parametrize("index", READ_RULES)
+def test_rule_leaving_a_face_unglued_is_an_internal_error(monkeypatch, index):
+    d = _corrupt_rules(monkeypatch, rule=lambda r: r[:1], index=index)
+    with pytest.raises(InternalInvariant, match="left unglued"):
+        prism_triangulation(d)
+
+
+def test_inside_rule_left_out_is_an_internal_error(monkeypatch):
+    d = _corrupt_rules(monkeypatch, inside=lambda r: r[:2])
+    with pytest.raises(InternalInvariant, match="left unglued"):
+        prism_triangulation(d)
+
+
+def test_inside_rule_with_a_wrong_inverse_is_an_internal_error(monkeypatch):
+    # The vertical gluing's perm (3, 0, 1, 2) written back in place of its inverse.
+    d = _corrupt_rules(monkeypatch, inside=lambda r: r[:2] + ((*r[2][:5], r[2][4]),))
+    with pytest.raises(InternalInvariant, match="not an involution"):
+        prism_triangulation(d)
+
+
+def test_cyclic_corner_order_is_rejected(monkeypatch):
+    """_orient_cells never makes a triangle's sides cyclic; if it did, the
+    prism could not be cut into a staircase."""
+    d = decompose(generate_fal(2, 4, seed=1))
+    orient = bowtie._orient_cells
+
+    def cyclic_first_triangle(surface):
+        tail_end = orient(surface)
+        for cell, flipped in surface.triangles[0].sides:
+            tail_end[cell] = int(flipped)  # every side runs up from corner s
+        return tail_end
+
+    monkeypatch.setattr(bowtie, "_orient_cells", cyclic_first_triangle)
+    with pytest.raises(MalformedMap, match="no diagonal orientation"):
+        prism_triangulation(d)

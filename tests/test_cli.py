@@ -93,13 +93,20 @@ class TestValidateCommand:
             ("genus", None, None),
             ("vertices", 0, 0.0),
             ("opposite", 0, 0.0),
+            ("half_twist", 3, 7),
+            ("half_twist", 4, False),
+            ("half_twist_sign", 3, "x"),
+            ("half_twist_sign", 4, 1),
+            ("over_pair", 0, 2.5),
+            ("over_pair", 2, 0),
         ],
         ids=str,
     )
     def test_non_json_integer_or_boolean_exit_two(self, field, index, value, tmp_path, capsys):
         """Diagram fields take JSON integers and booleans only: a float, a
         bool for an integer or an integer for a bool is rejected, never
-        truncated or coerced.  Vertices 0-2 are circles, 3-4 crossings."""
+        truncated or coerced.  A field that does not apply to a vertex's
+        kind takes only null.  Vertices 0-2 are circles, 3-4 crossings."""
         d = fill_all(generate_fal(2, 4, seed=1), {3: 1})
         data = diagram_to_json_dict(d)
         if field == "genus":
