@@ -49,32 +49,18 @@ __all__ = [
 V_TET = 1.0149416064096536
 
 
-# SideRef: (circle, half, side index, (corner walked from, corner walked to))
-# Shaded triangle corners are numbered (0: beta, 1: u, 2: w); side i runs
-# between corners i and i+1 mod 3.
-
-
-@dataclass(frozen=True)
-class ShadedTriangle:
-    circle: int
-    half: int  # 0: built on rotation slots 0,1; 1: on slots 2,3
-    corners: tuple  # (("beta", k), ("arc", u), ("arc", w))
-
-
-@dataclass(frozen=True)
-class WhitePolygon:
-    """Boundary walk: entry i holds an ideal vertex and the shaded-triangle
-    side leading from it to the next entry's vertex."""
-
-    entries: tuple
-
-
 @dataclass(frozen=True)
 class BowtieDecomposition:
+    """Shaded triangle t = 2k + half of circle k has corners ("beta", k)
+    and the arcs of slots 2 * half and 2 * half + 1 of circle k, in that
+    order; its side s runs from corner s to corner s + 1 mod 3 and is
+    named by the integer 3t + s.  Each white polygon is its boundary walk,
+    a tuple of (site, side): the site and the shaded side leading from it
+    to the next entry's site."""
+
     genus: int
     c: int
-    white: tuple[WhitePolygon, ...]
-    shaded: tuple[ShadedTriangle, ...]
+    white: tuple[tuple, ...]
     circle_slots: tuple[tuple, ...]  # per circle, the four arc ids in slot order
     half_twists: tuple[tuple[bool, int], ...]  # recorded and stripped flags
 
@@ -84,7 +70,7 @@ class BowtieDecomposition:
 
     @property
     def shaded_count(self) -> int:
-        return len(self.shaded)
+        return 2 * self.c
 
     @cached_property
     def boundary(self) -> "SurfaceTriangulation":
@@ -96,14 +82,6 @@ class BowtieDecomposition:
         return tuple(sorted(("arc", e) for e in sites)) + tuple(
             ("beta", k) for k in range(self.c)
         )
-
-    def ideal_vertex_incidences(self) -> dict:
-        """Site -> list of (polygon index, position) where it appears."""
-        incidences: dict = {}
-        for p, poly in enumerate(self.white):
-            for i, (site, _) in enumerate(poly.entries):
-                incidences.setdefault(site, []).append((p, i))
-        return incidences
 
 
 def require_cellular(fal: FalDiagram) -> None:
@@ -134,46 +112,30 @@ def decompose(fal: FalDiagram) -> BowtieDecomposition:
     c = m.vertex_count
     arc = m.edge_of  # collapsed strand arcs, one per map edge
 
-    shaded = []
-    for k in range(c):
-        rot = m.rotation[k]
-        shaded.append(
-            ShadedTriangle(k, 0, (("beta", k), ("arc", arc(rot[0])), ("arc", arc(rot[1]))))
-        )
-        shaded.append(
-            ShadedTriangle(k, 1, (("beta", k), ("arc", arc(rot[2])), ("arc", arc(rot[3]))))
-        )
-
     white = []
     for cycle in trace_faces(m).faces:
-        entries = []
+        poly = []
         for d in cycle:
             x = m.opposite[d]
             k = m.vertex_of(x)
             q = m.position_of(x)
-            rot = m.rotation[k]
-            if q == 0:
-                entries.append((("arc", arc(rot[0])), (k, 0, 1, (1, 2))))
-            elif q == 1:
-                entries.append((("arc", arc(rot[1])), (k, 0, 2, (2, 0))))
-                entries.append((("beta", k), (k, 1, 0, (0, 1))))
-            elif q == 2:
-                entries.append((("arc", arc(rot[2])), (k, 1, 1, (1, 2))))
-            else:
-                entries.append((("arc", arc(rot[3])), (k, 1, 2, (2, 0))))
-                entries.append((("beta", k), (k, 0, 0, (0, 1))))
-        white.append(WhitePolygon(tuple(entries)))
+            # Slot q is corner 1 + q % 2 of triangle t, which the polygon
+            # leaves along side 1 + q % 2.  Side 2 ends at the beta corner,
+            # left along side 0 of the circle's other triangle.
+            t = 2 * k + (q >> 1)
+            poly.append((("arc", arc(m.rotation[k][q])), 3 * t + 1 + (q & 1)))
+            if q & 1:
+                poly.append((("beta", k), 3 * (t ^ 1)))
+        white.append(tuple(poly))
 
     # Every shaded side must border exactly one white polygon.
-    used = [ref[:3] for poly in white for _, ref in poly.entries]
-    if len(used) != 6 * c or len(set(used)) != 6 * c:
+    if sorted(side for poly in white for _, side in poly) != list(range(6 * c)):
         raise InternalInvariant("a shaded side does not border exactly one white polygon")
 
     decomposition = BowtieDecomposition(
         genus=fal.genus,
         c=c,
         white=tuple(white),
-        shaded=tuple(shaded),
         circle_slots=tuple(tuple(arc(d) for d in m.rotation[k]) for k in range(c)),
         half_twists=tuple(
             (kind.half_twist, kind.half_twist_sign) for kind in fal.vertex_kind
@@ -230,21 +192,19 @@ class Nerve:
 def build_nerve(d: BowtieDecomposition) -> Nerve:
     """One node per white polygon, one edge per ideal vertex site, one
     triangular face per shaded triangle."""
-    side_owner = {}
+    side_owner = [None] * (6 * d.c)
+    incidences: dict = {}  # site -> the polygons it is a corner of
     for p, poly in enumerate(d.white):
-        for _, ref in poly.entries:
-            side_owner[ref[:3]] = p
-    incidences = d.ideal_vertex_incidences()
+        for site, side in poly:
+            side_owner[side] = p
+            incidences.setdefault(site, []).append(p)
     edges = []
     for site in sorted(incidences):
         occ = incidences[site]
         if len(occ) != 2:
             raise InternalInvariant(f"ideal vertex {site} has {len(occ)} polygon corners, not 2")
-        edges.append((site, (occ[0][0], occ[1][0])))
-    faces = []
-    for tri in d.shaded:
-        nodes = tuple(side_owner[(tri.circle, tri.half, s)] for s in range(3))
-        faces.append(((tri.circle, tri.half), nodes))
+        edges.append((site, tuple(occ)))
+    faces = [((t >> 1, t & 1), tuple(side_owner[3 * t : 3 * t + 3])) for t in range(2 * d.c)]
     nerve = Nerve(d.white_count, tuple(edges), tuple(faces))
     if nerve.edge_count != 3 * d.c or nerve.face_count != 2 * d.c:
         raise InternalInvariant(
@@ -258,16 +218,14 @@ def build_nerve(d: BowtieDecomposition) -> Nerve:
 
 
 @dataclass(frozen=True)
-class Triangle:
-    corners: tuple  # three ideal vertex sites
-    kind: str  # "shaded" or "fan"
-    source: tuple  # (circle, half) or (polygon index, fan index)
-    sides: tuple  # per side i (between corners i, i+1): (cell id, flipped)
-
-
-@dataclass(frozen=True)
 class SurfaceTriangulation:
-    triangles: tuple[Triangle, ...]
+    """triangles[t] is the triple of sides of triangle t, side i running
+    from corner i to corner i + 1, each as (cell id, flipped): flipped when
+    the side walks its cell from end 1 to end 0.  The fans of the white
+    polygons come first, in polygon order, then shaded triangle t of the
+    decomposition."""
+
+    triangles: tuple
     cells: tuple  # cell id -> (end0 site, end1 site)
 
     @property
@@ -275,67 +233,47 @@ class SurfaceTriangulation:
         return len(self.triangles)
 
 
-def _rotate_to_canonical(entries):
-    n = len(entries)
-    best = None
-    best_i = 0
-    for i in range(n):
-        key = tuple(entries[(i + j) % n][0] for j in range(n))
-        if best is None or key < best:
-            best = key
-            best_i = i
-    return tuple(entries[(best_i + j) % n] for j in range(n))
-
-
 def triangulate_white_faces(d: BowtieDecomposition) -> SurfaceTriangulation:
     """Fan every white n-gon into n-2 ideal triangles and assemble the
     closed boundary surface (fans plus the 2c shaded triangles) with its
-    1-cells identified."""
+    1-cells identified.
+
+    Each fan starts at the least rotation of the polygon's site sequence.
+    That rotation starts at an occurrence of the least site, and the first
+    such occurrence wins a tie."""
     cells: list = []
-
-    def new_cell(end0, end1) -> int:
-        cells.append((end0, end1))
-        return len(cells) - 1
-
-    shaded_sides: dict = {}  # (circle, half, side) -> (cell, flipped)
-    triangles: list[Triangle] = []
+    shaded_sides = [None] * (6 * d.c)  # side 3t + s -> (cell, flipped)
+    triangles = []
 
     for p, poly in enumerate(d.white):
-        entries = _rotate_to_canonical(poly.entries)
-        n = len(entries)
+        n = len(poly)
         if n < 3:
             raise DegenerateFace(f"white face {p} has only {n} sides")
-        verts = [site for site, _ in entries]
-        boundary = []
-        for j in range(n):
-            cell = new_cell(verts[j], verts[(j + 1) % n])
-            boundary.append(cell)
-            # Shaded sides always walk end0 -> end1 in corner order.
-            shaded_sides[entries[j][1][:3]] = (cell, False)
-        diagonal = {i: new_cell(verts[0], verts[i]) for i in range(2, n - 1)}
-        for i in range(1, n - 1):
-            side0 = (boundary[0], False) if i == 1 else (diagonal[i], False)
-            side1 = (boundary[i], False)
-            side2 = (boundary[n - 1], False) if i == n - 2 else (diagonal[i + 1], True)
-            triangles.append(
-                Triangle(
-                    corners=(verts[0], verts[i], verts[i + 1]),
-                    kind="fan",
-                    source=(p, i),
-                    sides=(side0, side1, side2),
-                )
-            )
-
-    for tri in d.shaded:
-        triangles.append(
-            Triangle(
-                corners=tri.corners,
-                kind="shaded",
-                source=(tri.circle, tri.half),
-                sides=tuple(shaded_sides[(tri.circle, tri.half, s)] for s in range(3)),
-            )
+        verts = [site for site, _ in poly]
+        least = min(verts)
+        start = min(
+            (i for i, site in enumerate(verts) if site == least),
+            key=lambda i: verts[i:] + verts[:i],
         )
+        verts = verts[start:] + verts[:start]
+        first = len(cells)
+        for j, (_, side) in enumerate(poly[start:] + poly[:start]):
+            # Shaded sides always walk end0 -> end1 in corner order.
+            shaded_sides[side] = (first + j, False)
+        cells.extend(zip(verts, verts[1:] + verts[:1]))
+        cells.extend((verts[0], verts[i]) for i in range(2, n - 1))
+        diagonal = first + n - 2  # diagonal to corner i is cell diagonal + i
+        for i in range(1, n - 1):
+            triangles.append((
+                (first if i == 1 else diagonal + i, False),
+                (first + i, False),
+                (first + n - 1, False) if i == n - 2 else (diagonal + i + 1, True),
+            ))
 
+    if None in shaded_sides:
+        raise InternalInvariant("a shaded side borders no white polygon")
+    it = iter(shaded_sides)
+    triangles.extend(zip(it, it, it))
     out = SurfaceTriangulation(tuple(triangles), tuple(cells))
     if out.triangle_count != 6 * d.c + 4 * d.genus - 4:
         raise InternalInvariant(
@@ -347,11 +285,11 @@ def triangulate_white_faces(d: BowtieDecomposition) -> SurfaceTriangulation:
             f"{len(cells)} boundary edges, expected 9c + 6g - 6 = {9 * d.c + 6 * d.genus - 6}"
         )
     # Closed surface: every cell used by exactly two triangle sides.
-    use = {}
-    for t in triangles:
-        for cell, _ in t.sides:
-            use[cell] = use.get(cell, 0) + 1
-    if any(v != 2 for v in use.values()):
+    use = [0] * len(cells)
+    for tri in triangles:
+        for cell, _ in tri:
+            use[cell] += 1
+    if use.count(2) != len(use):
         raise InternalInvariant("a boundary edge is not shared by exactly two triangles")
     return out
 
@@ -491,12 +429,11 @@ def prism_triangulation(
     n_tets = 3 * surface.triangle_count
     slots = [None] * (4 * n_tets)
     first_side = [None] * len(surface.cells)  # cell -> (prism's first tet, side name)
-    for t, tri in enumerate(surface.triangles):
+    for t, ((cell0, flip0), (cell1, flip1), (cell2, flip2)) in enumerate(surface.triangles):
         base = 3 * t
         for a, b, face_a, face_b, perm, inverse in inside:
             slots[4 * (base + a) + face_a] = (base + b, face_b, perm)
             slots[4 * (base + b) + face_b] = (base + a, face_a, inverse)
-        (cell0, flip0), (cell1, flip1), (cell2, flip2) = tri.sides
         up = (flip0 == tail_end[cell0]) + 2 * (flip1 == tail_end[cell1]) + 4 * (flip2 == tail_end[cell2])
         names = sides[up]
         if names is None:

@@ -145,8 +145,7 @@ def cmd_decompose(args) -> int:
     }
     if args.export_gluing:
         pt = prism_triangulation(d)
-        with open(args.export_gluing, "w") as fh:
-            fh.write(pt.export_gluing_table())
+        sio.write_text(args.export_gluing, pt.export_gluing_table())
         out["counts"]["tetrahedra"] = pt.tetrahedron_count
         out["gluing_table"] = args.export_gluing
     _emit(out, args.json)

@@ -33,6 +33,7 @@ __all__ = [
     "diagram_to_json_dict",
     "diagram_from_json_dict",
     "dump_diagram",
+    "write_text",
     "load_diagram",
     "dumps_json",
     "file_digest",
@@ -99,9 +100,17 @@ def dumps_json(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
+def write_text(path: str, text: str) -> None:
+    """Write `text` to `path`; a path that cannot be written is bad input."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
 def dump_diagram(diagram: FalDiagram, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_json(diagram_to_json_dict(diagram)))
+    write_text(path, dumps_json(diagram_to_json_dict(diagram)))
 
 
 def _load_json(path: str) -> dict:

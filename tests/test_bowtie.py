@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,6 @@ from surflink import bowtie, cli
 from surflink.bowtie import (
     V_TET,
     BowtieDecomposition,
-    WhitePolygon,
     build_nerve,
     decompose,
     prism_triangulation,
@@ -53,11 +54,10 @@ def test_nerve_counts(g, c, seed):
 def test_triangle_count_law(g, c, seed):
     surf = triangulate_white_faces(decompose(generate_fal(g, c, seed=seed)))
     assert surf.triangle_count == 6 * c + 4 * g - 4
-    assert sum(1 for t in surf.triangles if t.kind == "shaded") == 2 * c
     # Closed surface: every 1-cell is shared by exactly two triangle sides.
     use = {}
     for t in surf.triangles:
-        for cell, _ in t.sides:
+        for cell, _ in t:
             use[cell] = use.get(cell, 0) + 1
     assert set(use.values()) == {2}
     assert len(use) == 9 * c + 6 * g - 6
@@ -106,13 +106,21 @@ def test_degenerate_white_face_rejected():
     bad = BowtieDecomposition(
         genus=good.genus,
         c=good.c,
-        white=(WhitePolygon(good.white[0].entries[:2]),) + good.white[1:],
-        shaded=good.shaded,
+        white=(good.white[0][:2],) + good.white[1:],
         circle_slots=good.circle_slots,
         half_twists=good.half_twists,
     )
     with pytest.raises(DegenerateFace):
         triangulate_white_faces(bad)
+
+
+def test_white_polygon_missing_a_side_is_an_internal_error():
+    good = decompose(generate_fal(2, 4, seed=0))
+    white = list(good.white)
+    longest = max(range(len(white)), key=lambda p: len(white[p]))
+    white[longest] = white[longest][1:]
+    with pytest.raises(InternalInvariant, match="borders no white polygon"):
+        triangulate_white_faces(dataclasses.replace(good, white=tuple(white)))
 
 
 def test_reglue_round_trip():
@@ -137,7 +145,7 @@ def test_decompose_relabel_invariant():
     fal2 = FalDiagram(m2, fal.genus, fal.vertex_kind)
     a, b = decompose(fal), decompose(fal2)
     assert a.white_count == b.white_count
-    assert sorted(len(p.entries) for p in a.white) == sorted(len(p.entries) for p in b.white)
+    assert sorted(len(p) for p in a.white) == sorted(len(p) for p in b.white)
     assert diagrams_isomorphic(reglue(a), reglue(b))
 
 
@@ -183,7 +191,7 @@ def test_equal_site_cells_orient_by_default(g, c, seed):
     assert any(a == b for a, b in triangulate_white_faces(d).cells)
     # Each site is a corner exactly twice, so no fan triangle has three
     # equal corners and the site order ranks every prism's corners.
-    corners = [site for poly in d.white for site, _ in poly.entries]
+    corners = [site for poly in d.white for site, _ in poly]
     assert sorted(corners) == sorted(d.ideal_vertices() * 2)
     assert prism_triangulation(d).tetrahedron_count == 6 * (3 * c + 2 * g - 2)
 
@@ -226,7 +234,7 @@ def reference_prism_triangulation(d):
 
     def corner_order(tri, tail_end):
         wins = [0, 0, 0]
-        for s, (cell, flipped) in enumerate(tri.sides):
+        for s, (cell, flipped) in enumerate(tri):
             c0, c1 = side_end_corners(s, flipped)
             tail_corner = c0 if tail_end[cell] == 0 else c1
             head_corner = c1 if tail_corner == c0 else c0
@@ -264,7 +272,7 @@ def reference_prism_triangulation(d):
         glue(table, 3 * t + 2, s3, 3 * t, s1, {(0, 1): (0, 0), (1, 1): (1, 0), (2, 1): (2, 0)})
     incident = {}
     for t, tri in enumerate(surface.triangles):
-        for s, (cell, flipped) in enumerate(tri.sides):
+        for s, (cell, flipped) in enumerate(tri):
             incident.setdefault(cell, []).append((t, s, flipped))
     for cell, occ in sorted(incident.items()):
         (ta, sa, fa), (tb, sb, fb) = occ
@@ -333,6 +341,161 @@ GOLDEN_TABLE_DIGESTS = {
 def test_gluing_table_digest(g, c, seed):
     table = prism_triangulation(decompose(generate_fal(g, c, seed=seed))).export_gluing_table()
     assert hashlib.sha256(table.encode()).hexdigest() == GOLDEN_TABLE_DIGESTS[g, c, seed]
+
+
+# -- flat side indices against the record-based bowtie layer -----------------
+
+
+def reference_decompose(fal):
+    """The record-based decomposition that decompose replaced.  Returns
+    (white, shaded): white polygons as lists of (site, (circle, half, side,
+    (corner walked from, corner walked to))), shaded triangles as
+    ((circle, half), corners)."""
+    m = fal.map
+    arc = m.edge_of
+    shaded = []
+    for k in range(m.vertex_count):
+        rot = m.rotation[k]
+        shaded.append(((k, 0), (("beta", k), ("arc", arc(rot[0])), ("arc", arc(rot[1])))))
+        shaded.append(((k, 1), (("beta", k), ("arc", arc(rot[2])), ("arc", arc(rot[3])))))
+    white = []
+    for cycle in m.faces.faces:
+        entries = []
+        for d in cycle:
+            x = m.opposite[d]
+            k = m.vertex_of(x)
+            q = m.position_of(x)
+            rot = m.rotation[k]
+            if q == 0:
+                entries.append((("arc", arc(rot[0])), (k, 0, 1, (1, 2))))
+            elif q == 1:
+                entries.append((("arc", arc(rot[1])), (k, 0, 2, (2, 0))))
+                entries.append((("beta", k), (k, 1, 0, (0, 1))))
+            elif q == 2:
+                entries.append((("arc", arc(rot[2])), (k, 1, 1, (1, 2))))
+            else:
+                entries.append((("arc", arc(rot[3])), (k, 1, 2, (2, 0))))
+                entries.append((("beta", k), (k, 0, 0, (0, 1))))
+        white.append(entries)
+    used = [ref[:3] for poly in white for _, ref in poly]
+    assert len(used) == len(set(used)) == 6 * m.vertex_count
+    return white, shaded
+
+
+def reference_build_nerve(white, shaded):
+    """(edges, faces) of the nerve, from per-side dict keys."""
+    side_owner = {}
+    incidences = {}
+    for p, poly in enumerate(white):
+        for i, (site, ref) in enumerate(poly):
+            side_owner[ref[:3]] = p
+            incidences.setdefault(site, []).append((p, i))
+    edges = tuple((site, (occ[0][0], occ[1][0])) for site, occ in sorted(incidences.items()))
+    faces = tuple((key, tuple(side_owner[(*key, s)] for s in range(3))) for key, _ in shaded)
+    return edges, faces
+
+
+def reference_triangulate_white_faces(white, shaded):
+    """(per-triangle sides, cells) of the boundary, each fan started at
+    the least rotation found by comparing all n rotations."""
+
+    def rotate_to_canonical(entries):
+        n = len(entries)
+        best, best_i = None, 0
+        for i in range(n):
+            key = tuple(entries[(i + j) % n][0] for j in range(n))
+            if best is None or key < best:
+                best, best_i = key, i
+        return tuple(entries[(best_i + j) % n] for j in range(n))
+
+    cells = []
+
+    def new_cell(end0, end1):
+        cells.append((end0, end1))
+        return len(cells) - 1
+
+    shaded_sides = {}
+    triangles = []
+    for poly in white:
+        entries = rotate_to_canonical(poly)
+        n = len(entries)
+        verts = [site for site, _ in entries]
+        boundary = []
+        for j in range(n):
+            cell = new_cell(verts[j], verts[(j + 1) % n])
+            boundary.append(cell)
+            shaded_sides[entries[j][1][:3]] = (cell, False)
+        diagonal = {i: new_cell(verts[0], verts[i]) for i in range(2, n - 1)}
+        for i in range(1, n - 1):
+            side0 = (boundary[0], False) if i == 1 else (diagonal[i], False)
+            side1 = (boundary[i], False)
+            side2 = (boundary[n - 1], False) if i == n - 2 else (diagonal[i + 1], True)
+            triangles.append((side0, side1, side2))
+    for key, _ in shaded:
+        triangles.append(tuple(shaded_sides[(*key, s)] for s in range(3)))
+    return tuple(triangles), tuple(cells)
+
+
+def _assert_bowtie_matches_reference(fal):
+    d = decompose(fal)
+    white, shaded = reference_decompose(fal)
+    assert d.white == tuple(
+        tuple((site, 3 * (2 * k + half) + s) for site, (k, half, s, _) in poly) for poly in white
+    )
+    assert d.shaded_count == len(shaded)
+    assert d.ideal_vertices() == tuple(sorted({site for _, corners in shaded for site in corners}))
+    nerve = build_nerve(d)
+    assert (nerve.edges, nerve.faces) == reference_build_nerve(white, shaded)
+    surface = triangulate_white_faces(d)
+    assert (surface.triangles, surface.cells) == reference_triangulate_white_faces(white, shaded)
+
+
+@given(g=st.sampled_from((2, 3, 4)), seed=st.integers(0, 2**16), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_flat_bowtie_layer_matches_reference(g, seed, data):
+    c = data.draw(st.integers(2 * g - 1, 60), label="c")
+    _assert_bowtie_matches_reference(generate_fal(g, c, seed=seed, half_twist_probability=0.5))
+
+
+# One-face diagrams put every site twice in one polygon, so the fan start
+# picks between two occurrences of the least site: the later one starts the
+# least rotation in the one-face EQUAL_SITE_CASES, the earlier one here.
+EARLIER_START_CASES = [(2, 3, 23), (3, 5, 20)]
+
+
+@pytest.mark.parametrize("g,c,seed", EQUAL_SITE_CASES + EARLIER_START_CASES)
+def test_equal_site_bowtie_layer_matches_reference(g, c, seed):
+    _assert_bowtie_matches_reference(generate_fal(g, c, seed=seed))
+
+
+# sha256 of repr((cells, triangles, nerve edges, nerve faces, ideal
+# vertices)) for generate_fal(g, c, seed=seed, half_twist_probability=0.5),
+# taken from the record-based bowtie layer above.
+GOLDEN_BOUNDARY_DIGESTS = {
+    (2, 3, 0): "5a340c970101f093128f9a3dea039d496f96dd3ebdf1f312060abd6f74e8f5f6",
+    (3, 12, 5): "c631c8c2621695d322ba6df1388e7479b54cfe2b9e845187a35b3085659322c6",
+    (2, 25, 1): "b722fda3ed41728a6c7df6bb805a34d2f74d4d2adad854f451b680611e7bb2bd",
+    (3, 50, 2): "b010e2179c7367791edba159ce479f5aec4c95b58a78bea7425022a5d7c8f667",
+}
+
+
+@pytest.mark.parametrize("g,c,seed", sorted(GOLDEN_BOUNDARY_DIGESTS))
+def test_boundary_digest(g, c, seed):
+    d = decompose(generate_fal(g, c, seed=seed, half_twist_probability=0.5))
+    nerve = build_nerve(d)
+    key = repr((d.boundary.cells, d.boundary.triangles, nerve.edges, nerve.faces, d.ideal_vertices()))
+    assert hashlib.sha256(key.encode()).hexdigest() == GOLDEN_BOUNDARY_DIGESTS[g, c, seed]
+
+
+@pytest.mark.parametrize("corrupt", ["repeated", "replaced"])
+def test_face_trace_listing_a_dart_twice_is_an_internal_error(monkeypatch, corrupt):
+    fal = generate_fal(2, 9, seed=3)
+    faces = list(fal.map.faces.faces)
+    cycle = faces[0]
+    faces[0] = cycle + cycle[:1] if corrupt == "repeated" else cycle[1:2] + cycle[1:]
+    monkeypatch.setattr(bowtie, "trace_faces", lambda m: SimpleNamespace(faces=tuple(faces)))
+    with pytest.raises(InternalInvariant, match="shaded side does not border exactly one"):
+        decompose(fal)
 
 
 # -- table-only verification: topology read from the gluings alone -----------
@@ -500,7 +663,7 @@ def test_cyclic_corner_order_is_rejected(monkeypatch):
 
     def cyclic_first_triangle(surface):
         tail_end = orient(surface)
-        for cell, flipped in surface.triangles[0].sides:
+        for cell, flipped in surface.triangles[0]:
             tail_end[cell] = int(flipped)  # every side runs up from corner s
         return tail_end
 

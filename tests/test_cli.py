@@ -518,6 +518,29 @@ class TestFamilyCommand:
             assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--genus", "2", "--circles", "4", "-o"],
+        ["augment", "DIAGRAM", "-o"],
+        ["fill", "DIAGRAM", "--t", "2,-1,3,1", "-o"],
+        ["decompose", "DIAGRAM", "--json", "--export-gluing"],
+    ],
+    ids=["generate", "augment", "fill", "decompose"],
+)
+def test_unwritable_output_exits_two(argv, target, diagram_file, tmp_path, capsys):
+    """An output path in a missing directory, or naming a directory, is bad
+    input: one error line, nothing on stdout."""
+    _, path = diagram_file
+    out = str(tmp_path / "nodir" / "out.txt") if target == "missing_dir" else str(tmp_path)
+    assert cli.main([path if a == "DIAGRAM" else a for a in argv] + [out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {out}: ")
+    assert captured.err.count("\n") == 1
+
+
 class TestInternalError:
     # Breaks the boundary-triangle law T = 6c + 4g - 4 that
     # triangulate_white_faces checks.
