@@ -29,7 +29,6 @@ from .curves_mcg import (
 )
 from .errors import (
     CoefficientCountMismatch,
-    CurveMeetsCrossingCircle,
     GenusMismatch,
     MonodromyActsTrivially,
     NoIntersectionCertificate,
@@ -114,7 +113,6 @@ class LayeredFamily:
     m: int
     layers: tuple  # of LayerCurve
     certificate: IntersectionCertificate
-    curves_disjoint_from_circles: bool
     base2: Optional[FalDiagram] = None
 
     @property
@@ -157,16 +155,11 @@ def build_layered(
     gamma_even: CurveInput,
     m: int,
     assert_intersection: bool = False,
-    disjoint_from_circles: bool = True,
 ) -> LayeredFamily:
     """Stack m pairs of unknotted, unlinked curves above the base diagram,
     alternating between the two given classes by layer parity."""
     if m < 0:
         raise ValueError("layer pair count must be nonnegative")
-    if not disjoint_from_circles:
-        raise CurveMeetsCrossingCircle(
-            "layered curves must be isotoped off the crossing circles"
-        )
     g = base.genus
     odd_class = curve_class(gamma_odd, g)
     even_class = curve_class(gamma_even, g)
@@ -200,7 +193,6 @@ def build_layered(
         m=m,
         layers=tuple(layers),
         certificate=certificate,
-        curves_disjoint_from_circles=True,
     )
 
 
@@ -215,7 +207,6 @@ def build_doubled(
     base: FalDiagram,
     base2: FalDiagram,
     family: LayeredFamily,
-    hyperbolic_assumed: bool = True,
 ) -> ManifoldLink:
     """Glue two thickened-surface pieces along their inner boundaries."""
     if base.genus != base2.genus:
@@ -227,7 +218,6 @@ def build_doubled(
         kind="DoubledThickenedSurface",
         family=family,
         cusp_count=_base_cusps(family) + 2 * family.m,
-        hyperbolic_assumed=hyperbolic_assumed,
     )
 
 
@@ -236,7 +226,6 @@ def build_mapping_torus(
     phi: MappingClassWord,
     family: LayeredFamily,
     gamma_even_justification: Optional[str] = None,
-    hyperbolic_assumed: bool = True,
 ) -> ManifoldLink:
     """Close the thickened surface up by a monodromy that moves both
     family curves.  A homology-inconclusive gamma_even is allowed only
@@ -263,7 +252,6 @@ def build_mapping_torus(
         family=family,
         cusp_count=_base_cusps(family) + 2 * family.m,
         monodromy=phi,
-        hyperbolic_assumed=hyperbolic_assumed,
         certificates=tuple(certs),
     )
 
@@ -316,9 +304,7 @@ def annular_fill(link: ManifoldLink, t: Sequence[int]) -> ManifoldLink:
     )
 
 
-def fill_to_wga(
-    link: ManifoldLink, s: Sequence[int], surface_incompressible: bool = True
-) -> ManifoldLink:
+def fill_to_wga(link: ManifoldLink, s: Sequence[int]) -> ManifoldLink:
     """Fill every crossing circle of the base with magnitude |s_k| and the
     alternation-preserving sign choice, attaching a WGA report.  s_k goes to
     the k-th crossing circle in vertex order; plain crossings are skipped."""
@@ -333,14 +319,12 @@ def fill_to_wga(
     signs = choose_alternating_signs(base)
     coefficients = {k: sign * abs(sk) for k, sign, sk in zip(base.circles, signs, s)}
     filled = fill_all(base, coefficients)
-    regions = detect_twist_regions(filled)
-    report = check_wga(filled, surface_incompressible=surface_incompressible)
     return replace(
         link,
         circle_coefficients=s,
         filled_diagram=filled,
-        wga_report=report,
-        twist_region_count=len(regions),
+        twist_region_count=len(detect_twist_regions(filled)),
+        wga_report=check_wga(filled, surface_incompressible=True),
     )
 
 

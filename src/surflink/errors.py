@@ -82,10 +82,6 @@ class NoIntersectionCertificate(SurflinkError):
     """No certificate that the two layer curves intersect essentially."""
 
 
-class CurveMeetsCrossingCircle(SurflinkError):
-    """Layer curve could not be recorded as disjoint from crossing circles."""
-
-
 class GenusMismatch(SurflinkError):
     """The two base diagrams live on surfaces of different genus."""
 

@@ -10,6 +10,7 @@ to the same strand arc.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 from .errors import (
@@ -110,10 +111,11 @@ class FalDiagram:
     @property
     def l(self) -> int:
         """Number of projection (strand) components."""
-        return len(self.strand_components())
+        return len(self.strands)
 
-    def strand_components(self) -> list[frozenset[int]]:
-        """Partition of darts into closed strand cycles.
+    @cached_property
+    def strands(self) -> tuple[frozenset[int], ...]:
+        """Partition of darts into closed strand cycles, by least dart.
 
         Darts of one edge share a strand, as do darts at opposite rotation
         positions of any vertex (strands pass straight through).
@@ -123,16 +125,78 @@ class FalDiagram:
         for cycle in m.rotation:
             half = len(cycle) // 2
             pairs.extend(zip(cycle[:half], cycle[half:]))
-        return sorted((frozenset(g) for g in components_of(m.darts, pairs)), key=min)
+        return tuple(sorted((frozenset(g) for g in components_of(m.darts, pairs)), key=min))
 
-    def is_over_end(self, dart: int) -> bool:
-        """True when the strand through `dart` is the overstrand at its
-        crossing vertex.  Only meaningful at Crossing vertices."""
-        v = self.map.vertex_of(dart)
-        kind = self.vertex_kind[v]
-        if not isinstance(kind, Crossing):
-            raise UnfilledCircle(f"vertex {v} is not a crossing")
-        return self.map.position_of(dart) % 2 == kind.over_pair
+    @cached_property
+    def over_ends(self) -> frozenset[int]:
+        """The darts on the overstrand at their crossing: the slots whose
+        parity is the crossing's over_pair."""
+        rotation = self.map.rotation
+        return frozenset(
+            d
+            for v, kind in enumerate(self.vertex_kind)
+            if isinstance(kind, Crossing)
+            for d in rotation[v][kind.over_pair :: 2]
+        )
+
+    @cached_property
+    def twist_regions(self) -> tuple["TwistRegion", ...]:
+        """Maximal end-to-end bigon chains of crossings, plus lone crossings,
+        in order of each region's least crossing.
+
+        A bigon face joining two distinct crossings links them.  A crossing
+        in more than two bigons is rejected before the walk leaves it, so
+        every chain is a path, read from its smaller end, or a closed cycle,
+        which is rejected.  Each bigon of a chain is checked once for
+        alternation.
+        """
+        m = self.map
+        over = self.over_ends
+        crossings = set(self.crossings)
+        # links[v]: (u, p, q) per bigon (p, q) with p at v and q at u.
+        links: dict[int, list[tuple[int, int, int]]] = {v: [] for v in crossings}
+        for cycle in trace_faces(m).faces:
+            if len(cycle) != 2:
+                continue
+            p, q = cycle
+            vp, vq = m.vertex_of(p), m.vertex_of(q)
+            if vp == vq or vp not in crossings or vq not in crossings:
+                continue
+            links[vp].append((vq, p, q))
+            links[vq].append((vp, q, p))
+        internal = {d for steps in links.values() for _, p, _ in steps for d in (p, m.opposite[p])}
+
+        regions: list[TwistRegion] = []
+        seen: set[int] = set()
+        for start in sorted(crossings):
+            if start in seen:
+                continue
+            if not links[start]:
+                seen.add(start)
+                ports = m.rotation[start]
+                regions.append(TwistRegion((start,), ports, 1 if ports[0] in over else -1))
+                continue
+            # start is its chain's least crossing: the first end unless
+            # the chain runs on both sides of it.
+            _require_two_bigons(links, start)
+            first = start
+            if len(links[start]) == 2:
+                first = min(_walk_bigons(links, start, step)[-1][0] for step in links[start])
+            steps = _walk_bigons(links, first, links[first][0])
+            chain = (first,) + tuple(u for u, _, _ in steps)
+            seen.update(chain)
+            for _, p, q in steps:
+                # Each bigon side must pass over at one crossing and under at
+                # the other, otherwise a Reidemeister II move would shorten it.
+                for d in (p, q):
+                    if (d in over) == (m.opposite[d] in over):
+                        raise NonAlternatingTwistRegion(
+                            f"bigon edge at dart {d} has two over-ends or two under-ends"
+                        )
+            x, y = _end_ports(m, first, internal)
+            z, w = _end_ports(m, chain[-1], internal)
+            regions.append(TwistRegion(chain, (x, y, z, w), 1 if x in over else -1))
+        return tuple(regions)
 
 
 @dataclass(frozen=True)
@@ -207,7 +271,7 @@ def validate_fal(diagram: FalDiagram) -> ValidationReport:
     anchors = circles or crossings
     meet = all(
         any(m.vertex_of(d) in anchors for d in comp)
-        for comp in diagram.strand_components()
+        for comp in diagram.strands
     )
     cellular = four_valent and map_genus(m) == diagram.genus
     return ValidationReport(four_valent, crossing_discs, anchored, meet, cellular)
@@ -216,81 +280,29 @@ def validate_fal(diagram: FalDiagram) -> ValidationReport:
 # -- twist regions ----------------------------------------------------------
 
 
-def detect_twist_regions(diagram: FalDiagram) -> list[TwistRegion]:
-    """Maximal end-to-end bigon chains of crossings, plus lone crossings."""
-    m = diagram.map
-    fs = trace_faces(m)
-    crossings = set(diagram.crossings)
-    # Bigon faces joining two distinct crossings link the chain.
-    links: dict[int, list[tuple[int, tuple[int, int]]]] = {v: [] for v in crossings}
-    for cycle in fs.faces:
-        if len(cycle) != 2:
-            continue
-        p, q = cycle
-        vp, vq = m.vertex_of(p), m.vertex_of(q)
-        if vp == vq or vp not in crossings or vq not in crossings:
-            continue
-        links[vp].append((vq, (p, q)))
-        links[vq].append((vp, (q, p)))
-
-    internal: set[int] = set()
-    for v in crossings:
-        for _, (p, q) in links[v]:
-            internal.update((p, m.opposite[p], q, m.opposite[q]))
-
-    regions: list[TwistRegion] = []
-    seen: set[int] = set()
-    for start in sorted(crossings):
-        if start in seen:
-            continue
-        if not links[start]:
-            seen.add(start)
-            ports = tuple(m.rotation[start])
-            sign = 1 if diagram.is_over_end(ports[0]) else -1
-            regions.append(TwistRegion((start,), ports, sign))
-            continue
-        # Walk to an end of the chain, then back across it.
-        comp = _chain_component(links, start)
-        ends = [v for v in comp if len(links[v]) == 1]
-        if not ends:
-            raise MalformedMap("closed cycle of bigons has no twist-region ends")
-        first = min(ends)
-        chain = _walk_chain(links, first)
-        seen.update(chain)
-        for v in chain:
-            if len(links[v]) > 2:
-                raise MalformedMap(f"crossing {v} sits in more than two bigons")
-        _check_region_alternates(diagram, chain, links)
-        x, y = _end_ports(m, chain[0], internal)
-        z, w = _end_ports(m, chain[-1], internal)
-        sign = 1 if diagram.is_over_end(x) else -1
-        regions.append(TwistRegion(tuple(chain), (x, y, z, w), sign))
-    return regions
+def detect_twist_regions(diagram: FalDiagram) -> tuple[TwistRegion, ...]:
+    """The diagram's twist regions, found once per diagram and then shared."""
+    return diagram.twist_regions
 
 
-def _chain_component(links, start):
-    comp = {start}
-    todo = [start]
-    while todo:
-        v = todo.pop()
-        for u, _ in links[v]:
-            if u not in comp:
-                comp.add(u)
-                todo.append(u)
-    return comp
+def _require_two_bigons(links, v: int) -> None:
+    if len(links[v]) > 2:
+        raise MalformedMap(f"crossing {v} sits in more than two bigons")
 
 
-def _walk_chain(links, first):
-    chain = [first]
-    prev = None
-    cur = first
+def _walk_bigons(links, start: int, step):
+    """The bigons crossed from `start` through `step` to the chain's end;
+    each crossing is left by its other bigon."""
+    steps = [step]
     while True:
-        nxt = [u for u, _ in links[cur] if u != prev]
-        if not nxt:
-            break
-        prev, cur = cur, nxt[0]
-        chain.append(cur)
-    return chain
+        u, _, q = steps[-1]
+        if u == start:
+            raise MalformedMap("closed cycle of bigons has no twist-region ends")
+        _require_two_bigons(links, u)
+        if len(links[u]) == 1:
+            return steps
+        a, b = links[u]
+        steps.append(b if a[1] == q else a)
 
 
 def _end_ports(m: CombinatorialMap, v: int, internal: set[int]) -> tuple[int, int]:
@@ -304,18 +316,6 @@ def _end_ports(m: CombinatorialMap, v: int, internal: set[int]) -> tuple[int, in
     if m.rotation_successor(b) == a:
         return b, a
     raise MalformedMap(f"boundary darts at {v} are not adjacent in the rotation")
-
-
-def _check_region_alternates(diagram: FalDiagram, chain, links) -> None:
-    for v in chain:
-        for _, (p, q) in links[v]:
-            # Each bigon side must pass over at one crossing and under at
-            # the other, otherwise a Reidemeister II move would shorten it.
-            for d in (p, q):
-                if diagram.is_over_end(d) == diagram.is_over_end(diagram.map.opposite[d]):
-                    raise NonAlternatingTwistRegion(
-                        f"bigon edge at dart {d} has two over-ends or two under-ends"
-                    )
 
 
 # -- augmentation and filling -----------------------------------------------
@@ -468,9 +468,8 @@ def check_alternating(diagram: FalDiagram) -> bool:
     for v, kind in enumerate(diagram.vertex_kind):
         if isinstance(kind, CrossingCircle):
             raise UnfilledCircle(f"vertex {v} is still a crossing circle")
-    return all(
-        diagram.is_over_end(d) != diagram.is_over_end(m.opposite[d]) for d in m.edges()
-    )
+    over = diagram.over_ends
+    return all((d in over) != (m.opposite[d] in over) for d in m.edges())
 
 
 def choose_alternating_signs(diagram: FalDiagram) -> tuple[int, ...]:
@@ -540,7 +539,7 @@ def check_wga(diagram: FalDiagram, surface_incompressible: bool) -> WgaReport:
     weakly_prime, _ = check_weakly_prime(diagram)
     per_component = all(
         any(m.vertex_of(d) in crossings for d in comp)
-        for comp in diagram.strand_components()
+        for comp in diagram.strands
     )
     return WgaReport(
         weakly_prime=weakly_prime,
@@ -556,11 +555,13 @@ def check_wga(diagram: FalDiagram, surface_incompressible: bool) -> WgaReport:
 
 
 def _dart_label(diagram: FalDiagram):
+    vertex_of, kinds, over = diagram.map.vertex_of, diagram.vertex_kind, diagram.over_ends
+
     def label(d: int):
-        kind = diagram.vertex_kind[diagram.map.vertex_of(d)]
+        kind = kinds[vertex_of(d)]
         if isinstance(kind, CrossingCircle):
             return ("O", kind.half_twist)
-        return ("X", diagram.is_over_end(d))
+        return ("X", d in over)
 
     return label
 

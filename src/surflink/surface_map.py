@@ -42,6 +42,7 @@ class CombinatorialMap:
     opposite: Mapping[int, int]
     _vertex_of: dict[int, int] = field(repr=False, compare=False, default_factory=dict)
     _pos_of: dict[int, int] = field(repr=False, compare=False, default_factory=dict)
+    _succ: dict[int, int] = field(repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rotation", tuple(tuple(cycle) for cycle in self.rotation))
@@ -53,6 +54,7 @@ class CombinatorialMap:
     def _validate(self) -> None:
         seen: dict[int, int] = {}
         pos: dict[int, int] = {}
+        succ: dict[int, int] = {}
         for v, cycle in enumerate(self.rotation):
             if not cycle:
                 raise MalformedMap(f"vertex {v} has no incident darts")
@@ -61,6 +63,7 @@ class CombinatorialMap:
                     raise MalformedMap(f"dart {d} appears at more than one vertex slot")
                 seen[d] = v
                 pos[d] = i
+            succ.update(zip(cycle, cycle[1:] + cycle[:1]))
         darts = set(seen)
         if set(self.opposite) != darts:
             raise MalformedMap("opposite involution is not defined on exactly the darts")
@@ -71,6 +74,7 @@ class CombinatorialMap:
                 raise MalformedMap(f"opposite is not an involution at dart {d}")
         object.__setattr__(self, "_vertex_of", seen)
         object.__setattr__(self, "_pos_of", pos)
+        object.__setattr__(self, "_succ", succ)
         if not self._connected():
             raise MalformedMap("map is disconnected")
 
@@ -78,11 +82,12 @@ class CombinatorialMap:
         darts = list(self._vertex_of)
         if not darts:
             return True
+        succ = self._succ
         todo = [darts[0]]
         seen = {darts[0]}
         while todo:
             d = todo.pop()
-            for e in (self.opposite[d], self.rotation_successor(d)):
+            for e in (self.opposite[d], succ[d]):
                 if e not in seen:
                     seen.add(e)
                     todo.append(e)
@@ -112,8 +117,7 @@ class CombinatorialMap:
         return len(self.rotation[vertex])
 
     def rotation_successor(self, dart: int) -> int:
-        cycle = self.rotation[self._vertex_of[dart]]
-        return cycle[(self._pos_of[dart] + 1) % len(cycle)]
+        return self._succ[dart]
 
     def edge_of(self, dart: int) -> int:
         """Canonical edge id: the smaller dart of the pair."""
@@ -121,16 +125,6 @@ class CombinatorialMap:
 
     def edges(self) -> list[int]:
         return sorted(d for d in self._vertex_of if d < self.opposite[d])
-
-    def rotation_successors(self) -> dict[int, int]:
-        """Every dart's rotation successor, built in one pass."""
-        nxt: dict[int, int] = {}
-        for cycle in self.rotation:
-            prev = cycle[-1]
-            for d in cycle:
-                nxt[prev] = d
-                prev = d
-        return nxt
 
     @cached_property
     def faces(self) -> "FaceSet":
@@ -140,7 +134,7 @@ class CombinatorialMap:
         equality and repr still see only the rotation and the involution.
         Callers must treat the returned FaceSet as read-only.
         """
-        nxt = self.rotation_successors()
+        nxt = self._succ
         opp = self.opposite
         faces: list[tuple[int, ...]] = []
         face_of: dict[int, int] = {}
@@ -391,8 +385,7 @@ def canonical_form(m: CombinatorialMap, dart_label=None) -> tuple:
     if not darts:
         return ()
     index = {d: i for i, d in enumerate(darts)}
-    nxt = m.rotation_successors()
-    succ = [index[nxt[d]] for d in darts]
+    succ = [index[m._succ[d]] for d in darts]
     opp = [index[m.opposite[d]] for d in darts]
     extra = [(dart_label(d),) for d in darts] if dart_label is not None else [()] * len(darts)
     fs = trace_faces(m)

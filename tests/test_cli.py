@@ -17,6 +17,7 @@ from surflink.io import (
     dumps_json,
     load_diagram,
 )
+from test_fal_diagram import THREE_BIGON_CROSSING
 
 
 @pytest.fixture
@@ -256,6 +257,57 @@ class TestFillAndAugmentCommands:
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == GOLDEN_FILL_STDOUT[g, c, seed]
 
+
+# (g, c, seed) -> sha256 of `surflink augment` stdout on the `fill` output
+# that GOLDEN_FILL_STDOUT pins; region order and boundary darts fix the
+# vertex order and dart numbering, so these pin more than isomorphism.
+GOLDEN_AUGMENT_STDOUT = {
+    (2, 4, 1): "050ea53aaf14358e6723da41fff92ee5af33d28f5204d72e743b698a9eea4acc",
+    (2, 4, 2): "bacbb717d17f384d5049401d4f2149779a8055af257f9a8ebaf779275c3dde69",
+    (2, 4, 3): "daed60953d9deb533088946d6f27fc656e83ebaadec06d1be611d3fc1e7a28cf",
+    (2, 9, 1): "2748a20ea9b425fd35e88189b544c60bc61041aa2438dfee1cf4021a83541046",
+    (2, 9, 2): "bacfc9562cc599909b1b77cff96c283cbdf920c32de0359d799021659b6a63f0",
+    (2, 9, 3): "4b8d6f0f2765d39bd3b3f7852c4ca12547d65882bc1b174a1cd2513efaf47071",
+    (3, 8, 1): "82a35884e621138fdedcd30ba029d3d5f790be96eedf62147d0ff9adcb2eb189",
+    (3, 8, 2): "1e1bc4e668c1f97f58d794658ae33f5d54b035825e34c68c542e469e19e970ba",
+    (3, 8, 3): "ec6ee875dc76d77eee21725c5b149b9a180cde68c0354d64a7ae6a5f98c07b05",
+}
+
+
+@pytest.mark.parametrize("g,c,seed", sorted(GOLDEN_AUGMENT_STDOUT), ids=str)
+def test_augment_stdout_golden_digest(g, c, seed, tmp_path, capsys):
+    import hashlib
+
+    args = ["generate", "--genus", str(g), "--circles", str(c), "--seed", str(seed)]
+    assert cli.main(args + ["--half-twist-probability", "0.3"]) == 0
+    path = tmp_path / "d.json"
+    path.write_text(capsys.readouterr().out)
+    t = ",".join(map(str, FILL_T[:c]))
+    assert cli.main(["fill", str(path), f"--t={t}"]) == 0
+    filled = capsys.readouterr().out
+    assert hashlib.sha256(filled.encode()).hexdigest() == GOLDEN_FILL_STDOUT[g, c, seed]
+    path.write_text(filled)
+    assert cli.main(["augment", str(path)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == GOLDEN_AUGMENT_STDOUT[g, c, seed]
+
+
+def test_augment_crossing_in_three_bigons_exits_two(tmp_path):
+    """The former twist-region walk never ended on this diagram."""
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(THREE_BIGON_CROSSING))
+    src = os.path.dirname(os.path.dirname(surflink.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "surflink.cli", "augment", str(path)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: MalformedMap:")
 
 def _one_circle(genus, vertex, pairs):
     return {

@@ -17,7 +17,6 @@ from surflink.constructions import (
 from surflink.curves_mcg import MappingClassWord, basis_class, twist_action
 from surflink.errors import (
     CoefficientCountMismatch,
-    CurveMeetsCrossingCircle,
     GenusMismatch,
     MonodromyActsTrivially,
     NoIntersectionCertificate,
@@ -90,10 +89,6 @@ class TestBuildLayered:
     def test_word_inputs_get_certificates(self):
         fam = build_layered(base_diagram(), "a1", "b1", 1)
         assert fam.certificate == IntersectionCertificate("homology", 1)
-
-    def test_disjointness_flag_required(self):
-        with pytest.raises(CurveMeetsCrossingCircle):
-            build_layered(base_diagram(), A1, B1, 1, disjoint_from_circles=False)
 
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):

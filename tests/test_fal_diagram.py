@@ -1,9 +1,14 @@
+import random
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from surflink import fal_diagram
+from surflink.constructions import build_layered, build_trivial_torus, fill_to_wga
 from surflink.errors import (
     InternalInvariant,
+    MalformedMap,
+    NonAlternatingTwistRegion,
     NotACrossingCircle,
     NotCheckerboard,
     SurflinkError,
@@ -14,6 +19,7 @@ from surflink.fal_diagram import (
     Crossing,
     CrossingCircle,
     FalDiagram,
+    TwistRegion,
     augment,
     check_alternating,
     check_weakly_prime,
@@ -26,7 +32,14 @@ from surflink.fal_diagram import (
     validate_fal,
 )
 from surflink.generator import generate_fal
-from surflink.surface_map import CombinatorialMap, checkerboard_coloring, genus
+from surflink.io import diagram_from_json_dict
+from surflink.surface_map import (
+    CombinatorialMap,
+    checkerboard_coloring,
+    components_of,
+    genus,
+    trace_faces,
+)
 
 
 def ladder_data(n, shift=0):
@@ -491,3 +504,267 @@ def test_fill_all_checks_genus(monkeypatch):
     monkeypatch.setattr(fal_diagram, "map_genus", lambda m: d.genus + 1)
     with pytest.raises(InternalInvariant, match="surgery changed the surface genus"):
         fill_all(d, {0: 1, 2: -2})
+
+
+# -- twist regions, over-ends and strands against the former per-call code ---
+
+
+class WalkLoops(Exception):
+    """The former chain walk would repeat a step and never end."""
+
+
+def reference_is_over_end(diagram, dart):
+    v = diagram.map.vertex_of(dart)
+    kind = diagram.vertex_kind[v]
+    if not isinstance(kind, Crossing):
+        raise UnfilledCircle(f"vertex {v} is not a crossing")
+    return diagram.map.position_of(dart) % 2 == kind.over_pair
+
+
+def reference_strand_components(diagram):
+    m = diagram.map
+    pairs = list(m.opposite.items())
+    for cycle in m.rotation:
+        half = len(cycle) // 2
+        pairs.extend(zip(cycle[:half], cycle[half:]))
+    return sorted((frozenset(g) for g in components_of(m.darts, pairs)), key=min)
+
+
+def reference_check_alternating(diagram):
+    m = diagram.map
+    for v, kind in enumerate(diagram.vertex_kind):
+        if isinstance(kind, CrossingCircle):
+            raise UnfilledCircle(f"vertex {v} is still a crossing circle")
+    return all(
+        reference_is_over_end(diagram, d) != reference_is_over_end(diagram, m.opposite[d])
+        for d in m.edges()
+    )
+
+
+def reference_dart_label(diagram, d):
+    kind = diagram.vertex_kind[diagram.map.vertex_of(d)]
+    if isinstance(kind, CrossingCircle):
+        return ("O", kind.half_twist)
+    return ("X", reference_is_over_end(diagram, d))
+
+
+def reference_walk_chain(links, first):
+    """The former walk, which steps to the first neighbour that is not the
+    previous crossing; a repeated (previous, current) step means it loops."""
+    chain = [first]
+    prev, cur = None, first
+    steps = set()
+    while True:
+        if (prev, cur) in steps:
+            raise WalkLoops(f"walk from {first} repeats the step {prev} -> {cur}")
+        steps.add((prev, cur))
+        nxt = [u for u, _ in links[cur] if u != prev]
+        if not nxt:
+            return chain
+        prev, cur = cur, nxt[0]
+        chain.append(cur)
+
+
+def reference_detect_twist_regions(diagram):
+    """The former region finder: a component search, then a walk from the
+    least end, then the bigon-count and alternation checks."""
+    m = diagram.map
+    fs = trace_faces(m)
+    crossings = set(diagram.crossings)
+    links = {v: [] for v in crossings}
+    for cycle in fs.faces:
+        if len(cycle) != 2:
+            continue
+        p, q = cycle
+        vp, vq = m.vertex_of(p), m.vertex_of(q)
+        if vp == vq or vp not in crossings or vq not in crossings:
+            continue
+        links[vp].append((vq, (p, q)))
+        links[vq].append((vp, (q, p)))
+    internal = set()
+    for v in crossings:
+        for _, (p, q) in links[v]:
+            internal.update((p, m.opposite[p], q, m.opposite[q]))
+    regions = []
+    seen = set()
+    for start in sorted(crossings):
+        if start in seen:
+            continue
+        if not links[start]:
+            seen.add(start)
+            ports = tuple(m.rotation[start])
+            sign = 1 if reference_is_over_end(diagram, ports[0]) else -1
+            regions.append(TwistRegion((start,), ports, sign))
+            continue
+        comp = {start}
+        todo = [start]
+        while todo:
+            for u, _ in links[todo.pop()]:
+                if u not in comp:
+                    comp.add(u)
+                    todo.append(u)
+        ends = [v for v in comp if len(links[v]) == 1]
+        if not ends:
+            raise MalformedMap("closed cycle of bigons has no twist-region ends")
+        chain = reference_walk_chain(links, min(ends))
+        seen.update(chain)
+        for v in chain:
+            if len(links[v]) > 2:
+                raise MalformedMap(f"crossing {v} sits in more than two bigons")
+        for v in chain:
+            for _, (p, q) in links[v]:
+                for d in (p, q):
+                    if reference_is_over_end(diagram, d) == reference_is_over_end(diagram, m.opposite[d]):
+                        raise NonAlternatingTwistRegion(f"bigon edge at dart {d}")
+        x, y = fal_diagram._end_ports(m, chain[0], internal)
+        z, w = fal_diagram._end_ports(m, chain[-1], internal)
+        sign = 1 if reference_is_over_end(diagram, x) else -1
+        regions.append(TwistRegion(tuple(chain), (x, y, z, w), sign))
+    return regions
+
+
+# A crossing of degree 6 (vertex 1) in three bigons, with vertices 0 and 2:
+# the bigons close a cycle 0-1-2 and vertex 3 hangs off vertex 1.  The
+# former walk went round the cycle for ever.
+THREE_BIGON_CROSSING = {
+    "vertices": [[0, 1, 2, 3], [4, 5, 6, 7, 8, 9], [10, 11, 12, 13], [14, 15, 16, 17]],
+    "opposite": [[0, 7], [1, 6], [2, 13], [3, 12], [4, 15], [5, 14], [8, 11], [9, 10], [16, 17]],
+    "genus": 0,
+    "vertex_kind": ["crossing"] * 4,
+    "over_pair": [0] * 4,
+    "half_twist": [None] * 4,
+    "half_twist_sign": [None] * 4,
+}
+
+
+def test_crossing_in_three_bigons_rejected():
+    d = diagram_from_json_dict(THREE_BIGON_CROSSING)
+    with pytest.raises(WalkLoops):
+        reference_detect_twist_regions(d)
+    with pytest.raises(MalformedMap, match="crossing 1 sits in more than two bigons"):
+        detect_twist_regions(d)
+
+
+def random_decorated(rng):
+    """A connected diagram on 1-5 vertices of degree 4 or 6, or None.
+
+    Degree-4 vertices are sometimes crossing circles; crossings get a
+    random over_pair.  Most edges come in pairs x-succ(y), y-succ(x) for
+    consecutive free slots x, succ(x) and y, succ(y), which makes a bigon,
+    so chains, crossings in three bigons and closed bigon cycles all occur.
+    """
+    degrees = [rng.choice((4, 4, 6)) for _ in range(rng.randint(1, 5))]
+    kinds = [
+        CrossingCircle(rng.random() < 0.5) if k == 4 and rng.random() < 0.2 else Crossing(rng.randint(0, 1))
+        for k in degrees
+    ]
+    rotation, start = [], 0
+    for k in degrees:
+        rotation.append(tuple(range(start, start + k)))
+        start += k
+    succ = {cycle[i - 1]: d for cycle in rotation for i, d in enumerate(cycle)}
+    free = set(succ)
+    opposite = {}
+
+    def pair(a, b):
+        opposite[a], opposite[b] = b, a
+        free.difference_update((a, b))
+
+    while free:
+        slots = sorted(x for x in free if succ[x] in free)
+        if len(slots) >= 2 and rng.random() < 0.7:
+            x, y = rng.sample(slots, 2)
+            if len({x, succ[x], y, succ[y]}) == 4:
+                pair(x, succ[y])
+                pair(y, succ[x])
+                continue
+        pair(*rng.sample(sorted(free), 2))
+    try:
+        m = CombinatorialMap(tuple(rotation), opposite)
+    except MalformedMap:
+        return None
+    return FalDiagram(m, genus(m), tuple(kinds))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (SurflinkError, WalkLoops) as exc:
+        return type(exc)
+
+
+def compare_with_reference(d):
+    """Assert the cached facts equal the former per-call code on `d`; return
+    what the former region finder did."""
+    expected = _outcome(reference_detect_twist_regions, d)
+    got = _outcome(detect_twist_regions, d)
+    if expected is WalkLoops:
+        assert got is MalformedMap
+    elif isinstance(expected, type):
+        assert got is expected
+    else:
+        assert got == tuple(expected)
+    assert _outcome(check_alternating, d) == _outcome(reference_check_alternating, d)
+    assert d.strands == tuple(reference_strand_components(d))
+    label = fal_diagram._dart_label(d)
+    assert [label(x) for x in d.map.darts] == [reference_dart_label(d, x) for x in d.map.darts]
+    if isinstance(expected, type):
+        return expected.__name__
+    return "chain" if any(len(r.crossings) > 1 for r in expected) else "lone"
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_cached_facts_match_reference(rng):
+    """Wherever the former walk ends, the regions, alternation, strands and
+    dart labels are the same, or the same exception type is raised; where
+    it would loop, MalformedMap is raised."""
+    d = random_decorated(rng)
+    assume(d is not None)
+    compare_with_reference(d)
+
+
+def test_reference_comparison_reaches_every_outcome():
+    """A seeded sweep of the same maps meets lone crossings, chains, loops
+    of the former walk, non-alternating bigons and malformed chains."""
+    rng = random.Random(0)
+    seen = set()
+    for _ in range(2000):
+        d = random_decorated(rng)
+        if d is not None:
+            seen.add(compare_with_reference(d))
+    assert {"lone", "chain", "WalkLoops", "NonAlternatingTwistRegion", "MalformedMap"} <= seen
+
+
+def count_computations(monkeypatch, name):
+    """Record each diagram on which the cached FalDiagram value `name` is
+    computed."""
+    prop = FalDiagram.__dict__[name]
+    func = prop.func
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return func(self)
+
+    monkeypatch.setattr(prop, "func", counted)
+    return calls
+
+
+def test_fill_to_wga_and_augment_share_one_region_walk(monkeypatch):
+    base = generate_fal(2, 6, seed=4, require_checkerboard=True)
+    walks = count_computations(monkeypatch, "twist_regions")
+    link = fill_to_wga(build_trivial_torus(base, build_layered(base, "a1", "b1", 0)), (1, -2, 3, 1, 2, 1))
+    filled = link.filled_diagram
+    assert link.twist_region_count == 6
+    assert diagrams_isomorphic(augment(filled), base)
+    assert walks == [filled]
+
+
+def test_one_strand_partition_per_diagram(monkeypatch):
+    d = generate_fal(2, 6, seed=4, require_checkerboard=True)
+    partitions = count_computations(monkeypatch, "strands")
+    assert validate_fal(d).ok
+    assert d.l >= 1
+    check_wga(d, surface_incompressible=True)
+    assert partitions == [d]
