@@ -24,7 +24,6 @@ from .errors import (
     InternalInvariant,
     MalformedMap,
     NotCellular,
-    WrongManifoldKind,
 )
 from .fal_diagram import CrossingCircle, FalDiagram
 from .surface_map import CombinatorialMap, genus as map_genus, trace_faces
@@ -413,16 +412,10 @@ def _gluing_rules(labels: tuple) -> tuple:
     return inside, tuple(across), tuple(sides)
 
 
-def prism_triangulation(
-    d: BowtieDecomposition, kind: str = "TrivialMappingTorus"
-) -> PrismTriangulation:
+def prism_triangulation(d: BowtieDecomposition) -> PrismTriangulation:
     """Triangulate (surface) x S^1: one prism per boundary triangle, cut
     into three tetrahedra along the staircase of its side diagonals.  Face
     slot 4 * tet + face of the table holds (neighbour, its face, perm)."""
-    if kind != "TrivialMappingTorus":
-        raise WrongManifoldKind(
-            "prism triangulation is defined only for the trivial mapping torus"
-        )
     surface = d.boundary
     tail_end = _orient_cells(surface)
     inside, across, sides = _gluing_rules(_TET_LABELS)

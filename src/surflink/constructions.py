@@ -24,8 +24,7 @@ from .curves_mcg import (
     acts_nontrivially,
     algebraic_intersection,
     geometric_intersection_oracle,
-    parse_curve_word,
-    word_to_homology,
+    split_curve,
 )
 from .errors import (
     CoefficientCountMismatch,
@@ -64,23 +63,8 @@ CurveInput = Union[str, tuple]
 
 def curve_class(curve: CurveInput, g: int) -> HomologyClass:
     """Homology class of a curve given as a class vector, a word tuple, or
-    a word string.  Integer tuples of length 2g are read as class vectors;
-    anything else is abelianized."""
-    if isinstance(curve, str):
-        return word_to_homology(parse_curve_word(curve, g), g)
-    curve = tuple(curve)
-    if len(curve) == 2 * g:
-        return curve
-    return word_to_homology(curve, g)
-
-
-def _as_word(curve: CurveInput, g: int) -> Optional[tuple]:
-    if isinstance(curve, str):
-        return parse_curve_word(curve, g)
-    curve = tuple(curve)
-    if len(curve) != 2 * g:
-        return curve
-    return None
+    a word string (see ``split_curve`` for the rule that tells them apart)."""
+    return split_curve(curve, g)[1]
 
 
 @dataclass(frozen=True)
@@ -161,14 +145,12 @@ def build_layered(
     if m < 0:
         raise ValueError("layer pair count must be nonnegative")
     g = base.genus
-    odd_class = curve_class(gamma_odd, g)
-    even_class = curve_class(gamma_even, g)
+    odd_word, odd_class = split_curve(gamma_odd, g)
+    even_word, even_class = split_curve(gamma_even, g)
     pairing = algebraic_intersection(odd_class, even_class)
     if pairing != 0:
         certificate = IntersectionCertificate("homology", pairing)
     else:
-        odd_word = _as_word(gamma_odd, g)
-        even_word = _as_word(gamma_even, g)
         oracle = None
         if odd_word is not None and even_word is not None:
             oracle = geometric_intersection_oracle(odd_word, even_word, g)

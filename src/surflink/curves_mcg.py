@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     BadAlpha,
+    InternalInvariant,
     LengthBudgetExceeded,
     LengthMismatch,
     MalformedMap,
@@ -45,6 +46,7 @@ __all__ = [
     "geometric_intersection_oracle",
     "basis_class",
     "word_to_homology",
+    "split_curve",
     "parse_curve_word",
     "format_curve_word",
 ]
@@ -100,13 +102,6 @@ class MappingClassWord:
             if exp == 0:
                 raise MalformedMap("twist exponents must be nonzero")
 
-    def curve_class(self, curve) -> HomologyClass:
-        # Length 2g means a homology class, any other length a word; a word
-        # of exactly 2g letters is therefore misread (a known defect).
-        if len(curve) == 2 * self.g:
-            return tuple(curve)
-        return word_to_homology(curve, self.g)
-
     def inverse(self) -> "MappingClassWord":
         return MappingClassWord(
             tuple((curve, -exp) for curve, exp in reversed(self.letters)), self.g
@@ -127,12 +122,26 @@ def word_to_homology(w: CurveWord, g: int) -> HomologyClass:
     return tuple(coords)
 
 
+def split_curve(curve, g: int) -> tuple:
+    """(word or None, homology class) of a curve given as word text, a word
+    tuple or a class vector.  Text is a word; an integer sequence of length
+    2g is a class vector, any other length a word.  A word of exactly 2g
+    letters is therefore misread as a class (a known defect)."""
+    if isinstance(curve, str):
+        word = parse_curve_word(curve, g)
+    else:
+        word = tuple(curve)
+        if len(word) == 2 * g:
+            return None, word
+    return word, word_to_homology(word, g)
+
+
 def mcg_apply(phi: MappingClassWord, x: HomologyClass) -> HomologyClass:
     if len(x) != 2 * phi.g:
         raise LengthMismatch(f"class length {len(x)} does not match genus {phi.g}")
     out = tuple(x)
     for curve, exp in reversed(phi.letters):
-        out = twist_action(phi.curve_class(curve), out, exp)
+        out = twist_action(split_curve(curve, phi.g)[1], out, exp)
     return out
 
 
@@ -296,74 +305,39 @@ def _direction_order(g: int) -> dict:
     return {letter: pos for pos, letter in enumerate(surface_relator(g))}
 
 
-class _Ray:
-    """Eventually periodic reduced infinite word: finite prefix, then a
-    cyclic word repeated forever."""
+def _orient(x: CurveWord, y: CurveWord, z: CurveWord, pos: dict) -> int:
+    """Circular orientation (+1/-1) of the three distinct boundary rays
+    x^inf, y^inf, z^inf, with z the inverse of x.
 
-    __slots__ = ("prefix", "cycle", "offset")
-
-    def __init__(self, cycle, offset=0, prefix=()):
-        self.prefix = tuple(prefix)
-        self.cycle = tuple(cycle)
-        self.offset = offset
-
-    def first(self) -> int:
-        if self.prefix:
-            return self.prefix[0]
-        return self.cycle[self.offset % len(self.cycle)]
-
-    def shift(self) -> "_Ray":
-        if self.prefix:
-            return _Ray(self.cycle, self.offset, self.prefix[1:])
-        return _Ray(self.cycle, (self.offset + 1) % len(self.cycle))
-
-    def prepend(self, letter: int) -> "_Ray":
-        return _Ray(self.cycle, self.offset, (letter,) + self.prefix)
-
-    def letters(self, n: int):
-        out = []
-        r = self
-        for _ in range(n):
-            out.append(r.first())
-            r = r.shift()
-        return out
-
-
-def _same_ray(r1: _Ray, r2: _Ray) -> bool:
-    horizon = 2 * (len(r1.cycle) * len(r2.cycle) + len(r1.prefix) + len(r2.prefix)) + 4
-    return r1.letters(horizon) == r2.letters(horizon)
-
-
-def _orient(r1: _Ray, r2: _Ray, r3: _Ray, pos: dict, budget: int) -> int:
-    """Circular orientation (+1/-1) of three distinct boundary rays."""
+    x and z start with different letters, as every word here is cyclically
+    reduced, so at most one pair of rays runs together.  Walking the base
+    vertex along that pair's common prefix leaves the two rays' own letters
+    at their first difference and the inverse of the last common letter
+    for the third ray.  Two distinct periodic rays with periods |p| and |q|
+    differ within their first |p| + |q| letters (Fine and Wilf)."""
+    first = [x[0], y[0], z[0]]
+    if first[0] == first[1] or first[1] == first[2]:
+        i = 0 if first[0] == first[1] else 1  # rays i and i + 1 run together
+        p, q = (x, y, z)[i : i + 2]
+        lp, lq = len(p), len(q)
+        k = next((k for k in range(1, lp + lq) if p[k % lp] != q[k % lq]), None)
+        if k is None:
+            raise InternalInvariant("equal rays passed to the orientation test")
+        first[i], first[i + 1] = p[k % lp], q[k % lq]
+        first[(i + 2) % 3] = -p[(k - 1) % lp]
     n = len(pos)
-    for _ in range(budget):
-        f1, f2, f3 = r1.first(), r2.first(), r3.first()
-        if f1 != f2 and f2 != f3 and f1 != f3:
-            d2 = (pos[f2] - pos[f1]) % n
-            d3 = (pos[f3] - pos[f1]) % n
-            return 1 if d2 < d3 else -1
-        if f1 == f2 == f3:
-            r1, r2, r3 = r1.shift(), r2.shift(), r3.shift()
-        elif f1 == f2:
-            r1, r2, r3 = r1.shift(), r2.shift(), r3.prepend(-f1)
-        elif f1 == f3:
-            r1, r2, r3 = r1.shift(), r2.prepend(-f1), r3.shift()
-        else:
-            r1, r2, r3 = r1.prepend(-f2), r2.shift(), r3.shift()
-    raise LengthBudgetExceeded("ray comparison did not resolve within budget")
+    d2 = (pos[first[1]] - pos[first[0]]) % n
+    d3 = (pos[first[2]] - pos[first[0]]) % n
+    return 1 if d2 < d3 else -1
 
 
-def _axes_linked(u: CurveWord, v: CurveWord, pos: dict, budget: int) -> bool:
-    a1 = _Ray(u)
-    b1 = _Ray(_inverse_word(u))
-    a2 = _Ray(v)
-    b2 = _Ray(_inverse_word(v))
-    for p in (a2, b2):
-        if _same_ray(a1, p) or _same_ray(b1, p):
-            return False  # shared endpoint: same axis, no transverse crossing
-    steps = budget * 8 * (len(u) + len(v) + 4)
-    return _orient(a1, a2, b1, pos, steps) != _orient(a1, b2, b1, pos, steps)
+def _axes_linked(u: CurveWord, v: CurveWord, pos: dict) -> bool:
+    iu, iv = _inverse_word(u), _inverse_word(v)
+    for x in (u, iu):
+        for y in (v, iv):
+            if x * len(y) == y * len(x):
+                return False  # shared endpoint: same axis, no transverse crossing
+    return _orient(u, v, iu, pos) != _orient(u, iv, iu, pos)
 
 
 def geometric_intersection_oracle(
@@ -387,7 +361,7 @@ def geometric_intersection_oracle(
         ui = u[i:] + u[:i]
         for j in range(len(v)):
             vj = v[j:] + v[:j]
-            if _axes_linked(ui, vj, pos, budget):
+            if _axes_linked(ui, vj, pos):
                 linked.append((i, j))
     return _count_orbits(linked, u, v, g)
 

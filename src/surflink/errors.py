@@ -50,10 +50,6 @@ class DegenerateFace(SurflinkError):
     """A white face of degree < 3 appeared; upstream invariant broken."""
 
 
-class WrongManifoldKind(SurflinkError):
-    """Operation only defined for a different ambient-manifold kind."""
-
-
 class GenusTooSmall(SurflinkError):
     """Surface genus below 2; the constructions need hyperbolic ambient pieces."""
 

@@ -333,9 +333,13 @@ def augment(diagram: FalDiagram) -> FalDiagram:
 
     A region with k crossings becomes a circle with half_twist = (k odd);
     the half-twist sign records the region's common crossing sign.
+    A crossing that is not 4-valent raises MalformedMap.
     """
-    regions = detect_twist_regions(diagram)
     m = diagram.map
+    for v in diagram.crossings:
+        if m.degree(v) != 4:
+            raise MalformedMap(f"crossing {v} has degree {m.degree(v)}, not 4")
+    regions = detect_twist_regions(diagram)
     if not regions:
         return diagram
 

@@ -23,7 +23,6 @@ from surflink.errors import (
     InternalInvariant,
     MalformedMap,
     NotCellular,
-    WrongManifoldKind,
 )
 from surflink.fal_diagram import FalDiagram, diagrams_isomorphic, fill_crossing_circle
 from surflink.generator import generate_fal
@@ -172,12 +171,6 @@ class TestVolumeBounds:
         vb = volume_bounds(3, 2, 1, 50, "MappingTorus")
         assert vb.lower > 2 * 50 * V_TET - 1e-9
         assert 2 * 50 * V_TET > 100
-
-
-def test_kind_checked():
-    d = decompose(generate_fal(2, 3, seed=0))
-    with pytest.raises(WrongManifoldKind):
-        prism_triangulation(d, kind="MappingTorus")
 
 
 # Diagrams whose boundary triangulation has cells with both ends at the

@@ -292,10 +292,10 @@ def test_augment_stdout_golden_digest(g, c, seed, tmp_path, capsys):
     assert digest == GOLDEN_AUGMENT_STDOUT[g, c, seed]
 
 
-def test_augment_crossing_in_three_bigons_exits_two(tmp_path):
-    """The former twist-region walk never ended on this diagram."""
+def _augment_refused(tmp_path, data):
+    """Run `surflink augment` on data and check it exits 2 with one error line."""
     path = tmp_path / "d.json"
-    path.write_text(json.dumps(THREE_BIGON_CROSSING))
+    path.write_text(json.dumps(data))
     src = os.path.dirname(os.path.dirname(surflink.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "surflink.cli", "augment", str(path)],
@@ -308,6 +308,25 @@ def test_augment_crossing_in_three_bigons_exits_two(tmp_path):
     assert proc.stdout == ""
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: MalformedMap:")
+
+
+def test_augment_crossing_in_three_bigons_exits_two(tmp_path):
+    """The former twist-region walk never ended on this diagram."""
+    _augment_refused(tmp_path, THREE_BIGON_CROSSING)
+
+
+def test_augment_six_valent_crossing_exits_two(tmp_path):
+    """augment used to exit 0 here and write a 6-valent crossing circle,
+    which decompose then rejected."""
+    data = {
+        **_one_circle(1, [0, 1, 2, 3, 4, 5], [[0, 3], [1, 4], [2, 5]]),
+        "vertex_kind": ["crossing"],
+        "over_pair": [0],
+        "half_twist": [None],
+        "half_twist_sign": [None],
+    }
+    _augment_refused(tmp_path, data)
+
 
 def _one_circle(genus, vertex, pairs):
     return {

@@ -3,11 +3,15 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from surflink.curves_mcg import (
     Certificate,
+    _axes_linked,
+    _direction_order,
+    _inverse_word,
+    _orient,
     _relator_table,
     MappingClassWord,
     acts_nontrivially,
@@ -26,6 +30,7 @@ from surflink.curves_mcg import (
 )
 from surflink.errors import (
     BadAlpha,
+    InternalInvariant,
     LengthBudgetExceeded,
     LengthMismatch,
     NotNontrivial,
@@ -309,6 +314,141 @@ class TestIntersectionOracle:
             geometric_intersection_oracle(
                 tuple([1, 2] * 20), (2,), 2, budget=8
             )
+
+
+# -- reference ray walk --------------------------------------------------------
+#
+# The letter-by-letter walk that _axes_linked replaced, kept verbatim as a
+# reference: rays as objects, equality up to a fixed horizon, and the
+# three-ray walk that prepends the inverse of each common letter.
+
+
+class _Ray:
+    """Eventually periodic reduced infinite word: finite prefix, then a
+    cyclic word repeated forever."""
+
+    __slots__ = ("prefix", "cycle", "offset")
+
+    def __init__(self, cycle, offset=0, prefix=()):
+        self.prefix = tuple(prefix)
+        self.cycle = tuple(cycle)
+        self.offset = offset
+
+    def first(self) -> int:
+        if self.prefix:
+            return self.prefix[0]
+        return self.cycle[self.offset % len(self.cycle)]
+
+    def shift(self) -> "_Ray":
+        if self.prefix:
+            return _Ray(self.cycle, self.offset, self.prefix[1:])
+        return _Ray(self.cycle, (self.offset + 1) % len(self.cycle))
+
+    def prepend(self, letter: int) -> "_Ray":
+        return _Ray(self.cycle, self.offset, (letter,) + self.prefix)
+
+    def letters(self, n: int):
+        out = []
+        r = self
+        for _ in range(n):
+            out.append(r.first())
+            r = r.shift()
+        return out
+
+
+def _same_ray(r1: _Ray, r2: _Ray) -> bool:
+    horizon = 2 * (len(r1.cycle) * len(r2.cycle) + len(r1.prefix) + len(r2.prefix)) + 4
+    return r1.letters(horizon) == r2.letters(horizon)
+
+
+def reference_orient(r1: _Ray, r2: _Ray, r3: _Ray, pos: dict, budget: int) -> int:
+    """Circular orientation (+1/-1) of three distinct boundary rays."""
+    n = len(pos)
+    for _ in range(budget):
+        f1, f2, f3 = r1.first(), r2.first(), r3.first()
+        if f1 != f2 and f2 != f3 and f1 != f3:
+            d2 = (pos[f2] - pos[f1]) % n
+            d3 = (pos[f3] - pos[f1]) % n
+            return 1 if d2 < d3 else -1
+        if f1 == f2 == f3:
+            r1, r2, r3 = r1.shift(), r2.shift(), r3.shift()
+        elif f1 == f2:
+            r1, r2, r3 = r1.shift(), r2.shift(), r3.prepend(-f1)
+        elif f1 == f3:
+            r1, r2, r3 = r1.shift(), r2.prepend(-f1), r3.shift()
+        else:
+            r1, r2, r3 = r1.prepend(-f2), r2.shift(), r3.shift()
+    raise LengthBudgetExceeded("ray comparison did not resolve within budget")
+
+
+def reference_axes_linked(u, v, pos: dict, budget: int = 16) -> bool:
+    a1 = _Ray(u)
+    b1 = _Ray(_inverse_word(u))
+    a2 = _Ray(v)
+    b2 = _Ray(_inverse_word(v))
+    for p in (a2, b2):
+        if _same_ray(a1, p) or _same_ray(b1, p):
+            return False  # shared endpoint: same axis, no transverse crossing
+    steps = budget * 8 * (len(u) + len(v) + 4)
+    return reference_orient(a1, a2, b1, pos, steps) != reference_orient(a1, b2, b1, pos, steps)
+
+
+@st.composite
+def reduced_word_pairs(draw):
+    """Nonempty Dehn-reduced words u, v in genus 2-4: unrelated, proper
+    powers of one root, or a power of a root against that root extended,
+    so that rays run together for long stretches."""
+    g = draw(st.sampled_from([2, 3, 4]))
+    letter = st.sampled_from([s * x for x in range(1, 2 * g + 1) for s in (1, -1)])
+    root = tuple(draw(st.lists(letter, min_size=1, max_size=4)))
+    shape = draw(st.sampled_from(["unrelated", "powers", "extended"]))
+    if shape == "unrelated":
+        u, v = root, tuple(draw(st.lists(letter, min_size=1, max_size=6)))
+    elif shape == "powers":
+        u, v = root * draw(st.integers(1, 3)), root * draw(st.integers(1, 3))
+    else:
+        u, v = root * draw(st.integers(1, 2)), root + tuple(draw(st.lists(letter, min_size=1, max_size=2)))
+    u, v = dehn_reduce(u, g), dehn_reduce(v, g)
+    assume(u and v)
+    return g, u, v
+
+
+class TestAxesLinked:
+    @settings(max_examples=80, deadline=None)
+    @given(reduced_word_pairs())
+    def test_matches_reference_on_every_rotation_pair(self, case):
+        g, u, v = case
+        pos = _direction_order(g)
+        for i in range(len(u)):
+            ui = u[i:] + u[:i]
+            for j in range(len(v)):
+                vj = v[j:] + v[:j]
+                assert _axes_linked(ui, vj, pos) == reference_axes_linked(ui, vj, pos)
+
+    def test_proper_powers_share_their_axis(self):
+        pos = _direction_order(2)
+        root = (1, 2, -3)
+        for k in (1, 2, 3):
+            for j in (1, 2):
+                assert not _axes_linked(root * k, root * j, pos)
+                assert not _axes_linked(root * k, _inverse_word(root * j), pos)
+
+    def test_fine_wilf_boundary(self):
+        # (1 2 1)^inf and (1 2)^inf agree on 3 = 3 + 2 - gcd(3, 2) - 1 letters
+        # and then differ: the longest common prefix two distinct rays of
+        # periods 3 and 2 can have.
+        pos = _direction_order(2)
+        u, v = (1, 2, 1), (1, 2)
+        assert (u * 2)[:4] == (1, 2, 1, 1) and (v * 2)[:4] == (1, 2, 1, 2)
+        assert _axes_linked(u, v, pos) is True
+        assert reference_axes_linked(u, v, pos) is True
+        expected = reference_orient(_Ray(u), _Ray(v), _Ray(_inverse_word(u)), pos, 100)
+        assert _orient(u, v, _inverse_word(u), pos) == expected
+
+    def test_equal_rays_raise(self):
+        pos = _direction_order(2)
+        with pytest.raises(InternalInvariant):
+            _orient((1, 2), (1, 2, 1, 2), (-2, -1), pos)
 
 
 class TestRelatorTable:
