@@ -9,10 +9,6 @@ class MalformedMap(SurflinkError):
     """The dart/rotation/opposite data does not describe a combinatorial map."""
 
 
-class InternalParity(SurflinkError):
-    """Euler characteristic came out odd; indicates an internal bug."""
-
-
 class InternalInvariant(SurflinkError):
     """A counting law or consistency check of a construction failed;
     indicates an internal bug, never bad input."""

@@ -321,18 +321,51 @@ def _end_ports(m: CombinatorialMap, v: int, internal: set[int]) -> tuple[int, in
 # -- augmentation and filling -----------------------------------------------
 
 
-def _check_genus_kept(out: FalDiagram, diagram: FalDiagram) -> None:
-    if map_genus(out.map) != diagram.genus:
-        raise InternalInvariant(
-            f"surgery changed the surface genus from {diagram.genus} to {map_genus(out.map)}"
-        )
+def _replace_tangles(diagram: FalDiagram, kinds, tangles) -> FalDiagram:
+    """Cut each tangle out of `diagram` and glue a ladder in its place.
+
+    A tangle is (vertices, ports, new_kinds); its vertices go, with all
+    their darts.  In their place goes a ladder of one 4-valent vertex per
+    new kind, each rotation reading (a, b, c, d) with a, b facing the
+    previous vertex and c, d the next, as in a twist region.  Ladder darts
+    are numbered upward from the diagram's largest dart, one tangle after
+    another, and the ladders' vertices follow the kept ones, whose kinds
+    come from `kinds`.  The partner of each of the four ports is glued to
+    the matching end dart: a, b of the first ladder vertex, then c, d of
+    the last.  One map is built, and its genus is checked once.
+    """
+    m = diagram.map
+    cut = {v for tangle in tangles for v in tangle[0]}
+    rotation = [m.rotation[v] for v in range(m.vertex_count) if v not in cut]
+    out_kinds = [kinds[v] for v in range(m.vertex_count) if v not in cut]
+    end: dict[int, int] = {}
+    rungs: list[tuple[int, int]] = []
+    next_dart = max(m.opposite) + 1
+    for _, ports, new_kinds in tangles:
+        ladder = [tuple(range(d, d + 4)) for d in range(next_dart, next_dart + 4 * len(new_kinds), 4)]
+        next_dart += 4 * len(new_kinds)
+        end.update(zip(ports, ladder[0][:2] + ladder[-1][2:]))
+        for (_, _, c_i, d_i), (a_next, b_next, _, _) in zip(ladder, ladder[1:]):
+            rungs += ((c_i, b_next), (b_next, c_i), (d_i, a_next), (a_next, d_i))
+        rotation.extend(ladder)
+        out_kinds.extend(new_kinds)
+    inner = {d for v in cut for d in m.rotation[v] if d not in end}
+    opposite = {end.get(d, d): end.get(e, e) for d, e in m.opposite.items() if d not in inner}
+    opposite.update(rungs)
+    out = FalDiagram(CombinatorialMap(tuple(rotation), opposite), diagram.genus, tuple(out_kinds))
+    g = map_genus(out.map)
+    if g != diagram.genus:
+        raise InternalInvariant(f"surgery changed the surface genus from {diagram.genus} to {g}")
+    return out
 
 
 def augment(diagram: FalDiagram) -> FalDiagram:
     """Replace every twist region by a crossing circle.
 
     A region with k crossings becomes a circle with half_twist = (k odd);
-    the half-twist sign records the region's common crossing sign.
+    the half-twist sign records the region's common crossing sign.  A lone
+    crossing changes kind in place; each longer chain is cut out and a new
+    circle vertex is glued to its four ports.
     A crossing that is not 4-valent raises MalformedMap.
     """
     m = diagram.map
@@ -342,62 +375,15 @@ def augment(diagram: FalDiagram) -> FalDiagram:
     regions = detect_twist_regions(diagram)
     if not regions:
         return diagram
-
-    removed: set[int] = set()
-    singles: dict[int, TwistRegion] = {}
-    chains: list[TwistRegion] = []
+    kinds = list(diagram.vertex_kind)
+    tangles = []
     for r in regions:
+        circle = CrossingCircle(half_twist=r.parity == 1, half_twist_sign=r.sign)
         if len(r.crossings) == 1:
-            singles[r.crossings[0]] = r
+            kinds[r.crossings[0]] = circle
         else:
-            removed.update(r.crossings)
-            chains.append(r)
-
-    interior: set[int] = set()
-    for r in chains:
-        for v in r.crossings:
-            interior.update(m.rotation[v])
-        interior.difference_update(r.boundary_darts)
-
-    next_dart = max(m.darts) + 1
-    rep: dict[int, int] = {}
-    new_vertices: list[tuple[int, ...]] = []
-    new_kinds: list[VertexKind] = []
-    for r in chains:
-        slots = tuple(range(next_dart, next_dart + 4))
-        next_dart += 4
-        for port, slot in zip(r.boundary_darts, slots):
-            rep[port] = slot
-        new_vertices.append(slots)
-        new_kinds.append(
-            CrossingCircle(half_twist=len(r.crossings) % 2 == 1, half_twist_sign=r.sign)
-        )
-
-    rotation: list[tuple[int, ...]] = []
-    kinds: list[VertexKind] = []
-    for v in range(m.vertex_count):
-        if v in removed:
-            continue
-        rotation.append(m.rotation[v])
-        if v in singles:
-            kinds.append(CrossingCircle(half_twist=True, half_twist_sign=singles[v].sign))
-        else:
-            kinds.append(diagram.vertex_kind[v])
-    rotation.extend(new_vertices)
-    kinds.extend(new_kinds)
-
-    opposite: dict[int, int] = {}
-    for d in m.edges():
-        e = m.opposite[d]
-        if d in interior or e in interior:
-            continue
-        a, b = rep.get(d, d), rep.get(e, e)
-        opposite[a] = b
-        opposite[b] = a
-
-    out = FalDiagram(CombinatorialMap(tuple(rotation), opposite), diagram.genus, tuple(kinds))
-    _check_genus_kept(out, diagram)
-    return out
+            tangles.append((r.crossings, r.boundary_darts, [circle]))
+    return _replace_tangles(diagram, kinds, tangles)
 
 
 def fill_crossing_circle(diagram: FalDiagram, k: int, t: int) -> FalDiagram:
@@ -432,32 +418,15 @@ def fill_all(diagram: FalDiagram, coefficients: dict[int, int]) -> FalDiagram:
         if not (0 <= k < m.vertex_count) or not isinstance(diagram.vertex_kind[k], CrossingCircle):
             raise NotACrossingCircle(f"vertex {k} is not a crossing circle")
 
-    rotation = [m.rotation[v] for v in range(m.vertex_count) if v not in coefficients]
-    kinds = [diagram.vertex_kind[v] for v in range(m.vertex_count) if v not in coefficients]
-    next_dart = max(m.opposite) + 1
-    rep: dict[int, int] = {}
-    rungs: list[tuple[int, int]] = []
+    tangles = []
     for k in keys:
         t, kind = coefficients[k], diagram.vertex_kind[k]
         sign = 1 if t > 0 else -1
         n = 2 * abs(t)
         if kind.half_twist:
             n = n + 1 if sign == kind.half_twist_sign else n - 1
-        # Ladder of n crossings; each rotation reads (a, b, c, d) with a,b
-        # the rungs facing the previous crossing and c,d facing the next.
-        ladder = [tuple(range(d, d + 4)) for d in range(next_dart, next_dart + 4 * n, 4)]
-        next_dart += 4 * n
-        rep.update(zip(m.rotation[k], ladder[0][:2] + ladder[-1][2:]))
-        for (_, _, c_i, d_i), (a_next, b_next, _, _) in zip(ladder, ladder[1:]):
-            rungs += ((c_i, b_next), (b_next, c_i), (d_i, a_next), (a_next, d_i))
-        rotation.extend(ladder)
-        kinds.extend([Crossing(0 if sign == 1 else 1)] * n)
-    opposite = {rep.get(d, d): rep.get(e, e) for d, e in m.opposite.items()}
-    opposite.update(rungs)
-
-    out = FalDiagram(CombinatorialMap(tuple(rotation), opposite), diagram.genus, tuple(kinds))
-    _check_genus_kept(out, diagram)
-    return out
+        tangles.append(((k,), m.rotation[k], [Crossing(0 if sign == 1 else 1)] * n))
+    return _replace_tangles(diagram, diagram.vertex_kind, tangles)
 
 
 # -- alternation ------------------------------------------------------------

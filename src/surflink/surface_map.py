@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
-from .errors import InternalParity, InvalidCorridor, MalformedMap
+from .errors import InternalInvariant, InvalidCorridor, MalformedMap
 
 __all__ = [
     "CombinatorialMap",
@@ -184,10 +184,10 @@ def genus(m: CombinatorialMap) -> int:
     """Genus of the closed orientable surface the map is cellular in."""
     chi = m.vertex_count - m.edge_count + trace_faces(m).count
     if chi % 2 != 0:
-        raise InternalParity(f"odd Euler characteristic {chi}")
+        raise InternalInvariant(f"odd Euler characteristic {chi}")
     g = (2 - chi) // 2
     if g < 0:
-        raise InternalParity(f"negative genus from chi={chi}")
+        raise InternalInvariant(f"negative genus from chi={chi}")
     return g
 
 

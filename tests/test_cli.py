@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import surflink
-from surflink import bowtie, cli
+from surflink import bowtie, cli, surface_map
 from surflink.errors import ParseError
 from surflink.fal_diagram import diagrams_isomorphic, fill_all
 from surflink.generator import generate_fal
@@ -655,6 +655,22 @@ class TestInternalError:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: internal: InternalInvariant: ")
         assert proc.stderr.count("\n") == 1
+
+    def test_odd_euler_characteristic_exits_three(self, monkeypatch, diagram_file, capsys):
+        # One face too many makes the Euler characteristic odd, which no
+        # valid map can give: an internal failure, not bad input.
+        traced = surface_map.trace_faces
+
+        def one_face_more(m):
+            fs = traced(m)
+            return surface_map.FaceSet(fs.faces + ((),), fs.face_of)
+
+        monkeypatch.setattr(surface_map, "trace_faces", one_face_more)
+        _, path = diagram_file
+        assert cli.main(["validate", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: internal: InternalInvariant: odd Euler characteristic -1\n"
 
     def test_unexpected_exception_exits_three(self, monkeypatch, diagram_file, capsys):
         def broken(args):

@@ -483,19 +483,31 @@ def test_fill_all_raises_like_reference(coefficients):
     assert _outcome(fill_all, d, coefficients) == expected
 
 
-def test_fill_all_builds_one_map(monkeypatch):
-    d = generate_fal(3, 12, seed=5, half_twist_probability=0.5)
-    built = []
+def count_surgery(monkeypatch):
+    """Record each map built and each map whose genus fal_diagram checks."""
+    built, checked = [], []
     init = CombinatorialMap.__init__
 
     def counting_init(self, *args, **kwargs):
         built.append(1)
         init(self, *args, **kwargs)
 
+    def counting_genus(m):
+        checked.append(m)
+        return genus(m)
+
     monkeypatch.setattr(CombinatorialMap, "__init__", counting_init)
+    monkeypatch.setattr(fal_diagram, "map_genus", counting_genus)
+    return built, checked
+
+
+def test_fill_all_builds_one_map(monkeypatch):
+    d = generate_fal(3, 12, seed=5, half_twist_probability=0.5)
+    built, checked = count_surgery(monkeypatch)
     filled = fill_all(d, {k: 2 - 4 * (k % 2) for k in d.circles})
     assert filled.c == 0
     assert len(built) == 1
+    assert checked == [filled.map]
 
 
 def test_fill_all_checks_genus(monkeypatch):
@@ -686,7 +698,7 @@ def random_decorated(rng):
     return FalDiagram(m, genus(m), tuple(kinds))
 
 
-def _outcome(f, *args):
+def _result_or_type(f, *args):
     try:
         return f(*args)
     except (SurflinkError, WalkLoops) as exc:
@@ -696,15 +708,15 @@ def _outcome(f, *args):
 def compare_with_reference(d):
     """Assert the cached facts equal the former per-call code on `d`; return
     what the former region finder did."""
-    expected = _outcome(reference_detect_twist_regions, d)
-    got = _outcome(detect_twist_regions, d)
+    expected = _result_or_type(reference_detect_twist_regions, d)
+    got = _result_or_type(detect_twist_regions, d)
     if expected is WalkLoops:
         assert got is MalformedMap
     elif isinstance(expected, type):
         assert got is expected
     else:
         assert got == tuple(expected)
-    assert _outcome(check_alternating, d) == _outcome(reference_check_alternating, d)
+    assert _result_or_type(check_alternating, d) == _result_or_type(reference_check_alternating, d)
     assert d.strands == tuple(reference_strand_components(d))
     label = fal_diagram._dart_label(d)
     assert [label(x) for x in d.map.darts] == [reference_dart_label(d, x) for x in d.map.darts]
@@ -768,3 +780,119 @@ def test_one_strand_partition_per_diagram(monkeypatch):
     assert d.l >= 1
     check_wga(d, surface_incompressible=True)
     assert partitions == [d]
+
+
+# -- augment against the former two-pass rebuild ----------------------------
+
+
+def reference_augment(diagram):
+    """The former augment: its own dart allocator, port renaming and
+    opposite rebuild."""
+    m = diagram.map
+    for v in diagram.crossings:
+        if m.degree(v) != 4:
+            raise MalformedMap(f"crossing {v} has degree {m.degree(v)}, not 4")
+    regions = detect_twist_regions(diagram)
+    if not regions:
+        return diagram
+
+    removed = set()
+    singles = {}
+    chains = []
+    for r in regions:
+        if len(r.crossings) == 1:
+            singles[r.crossings[0]] = r
+        else:
+            removed.update(r.crossings)
+            chains.append(r)
+
+    interior = set()
+    for r in chains:
+        for v in r.crossings:
+            interior.update(m.rotation[v])
+        interior.difference_update(r.boundary_darts)
+
+    next_dart = max(m.darts) + 1
+    rep = {}
+    new_vertices = []
+    new_kinds = []
+    for r in chains:
+        slots = tuple(range(next_dart, next_dart + 4))
+        next_dart += 4
+        for port, slot in zip(r.boundary_darts, slots):
+            rep[port] = slot
+        new_vertices.append(slots)
+        new_kinds.append(CrossingCircle(half_twist=len(r.crossings) % 2 == 1, half_twist_sign=r.sign))
+
+    rotation = []
+    kinds = []
+    for v in range(m.vertex_count):
+        if v in removed:
+            continue
+        rotation.append(m.rotation[v])
+        if v in singles:
+            kinds.append(CrossingCircle(half_twist=True, half_twist_sign=singles[v].sign))
+        else:
+            kinds.append(diagram.vertex_kind[v])
+    rotation.extend(new_vertices)
+    kinds.extend(new_kinds)
+
+    opposite = {}
+    for d in m.edges():
+        e = m.opposite[d]
+        if d in interior or e in interior:
+            continue
+        a, b = rep.get(d, d), rep.get(e, e)
+        opposite[a] = b
+        opposite[b] = a
+
+    out = FalDiagram(CombinatorialMap(tuple(rotation), opposite), diagram.genus, tuple(kinds))
+    if genus(out.map) != diagram.genus:
+        raise InternalInvariant(f"surgery changed the surface genus from {diagram.genus} to {genus(out.map)}")
+    return out
+
+
+@given(g=st.sampled_from((2, 3, 4)), seed=st.integers(0, 2**16), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_augment_matches_reference(g, seed, data):
+    """On a diagram with some circles filled, so that circles, lone
+    crossings and chains mix, augment equals the former rebuild."""
+    c = data.draw(st.integers(2 * g - 1, 40))
+    d = generate_fal(g, c, seed=seed, half_twist_probability=0.5)
+    filled = fill_all(d, data.draw(st.dictionaries(st.sampled_from(d.circles), COEFFICIENT)))
+    assert_same_diagram(augment(filled), reference_augment(filled))
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_augment_raises_like_reference(rng):
+    """On small decorated maps augment gives the former result, or raises
+    the same exception type."""
+    d = random_decorated(rng)
+    assume(d is not None)
+    expected = _result_or_type(reference_augment, d)
+    got = _result_or_type(augment, d)
+    if isinstance(expected, type):
+        assert got is expected
+    else:
+        assert_same_diagram(got, expected)
+
+
+def test_augment_builds_one_map(monkeypatch):
+    """Lone crossings and chains in one diagram: still one map, one check."""
+    d = generate_fal(3, 12, seed=5, half_twist_probability=0.5)
+    filled = fill_all(d, {k: (-1) ** k for k in d.circles})
+    assert {len(r.crossings) > 1 for r in detect_twist_regions(filled)} == {True, False}
+    built, checked = count_surgery(monkeypatch)
+    out = augment(filled)
+    assert out.c == 12
+    assert len(built) == 1
+    assert checked == [out.map]
+
+
+def test_augment_checks_genus(monkeypatch):
+    """The genus check is a raise, not an assert, so it also runs under -O."""
+    d = fill_all(generate_fal(2, 4, seed=1), {0: 1, 2: -2})
+    monkeypatch.setattr(fal_diagram, "map_genus", lambda m: d.genus + 1)
+    with pytest.raises(InternalInvariant, match="surgery changed the surface genus"):
+        augment(d)

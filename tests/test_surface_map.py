@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from surflink.errors import InternalParity, InvalidCorridor, MalformedMap
+from surflink.errors import InvalidCorridor, MalformedMap
 from surflink.surface_map import (
     CombinatorialMap,
     FaceSet,
