@@ -4,6 +4,10 @@ Exit codes: 0 all requested checks pass, 1 a checked property fails,
 2 malformed input or violated precondition, 3 an internal error (a broken
 InternalInvariant or an exception that is not a SurflinkError), reported
 on one stderr line.
+
+Each command imports the layers it runs inside its own body, so one
+``surflink`` process loads only those; importing this module loads nothing
+of the package but ``errors``.
 """
 
 from __future__ import annotations
@@ -12,27 +16,7 @@ import argparse
 import os
 import sys
 
-from . import io as sio
-from .bowtie import (
-    build_nerve,
-    decompose,
-    prism_triangulation,
-    require_cellular,
-    volume_bounds,
-)
-from .curves_mcg import (
-    algebraic_intersection,
-    conjugacy_equal,
-    dehn_reduce,
-    format_curve_word,
-    geometric_intersection_oracle,
-    parse_curve_word,
-    word_to_homology,
-)
 from .errors import InternalInvariant, ParseError, SurflinkError
-from .fal_diagram import augment, check_weakly_prime, fill_all, validate_fal
-from .generator import generate_fal
-from .surface_map import checkerboard_coloring
 
 EXIT_PASS = 0
 EXIT_PROPERTY = 1
@@ -49,6 +33,8 @@ INCONCLUSIVE_NOTE = (
 
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
+        from . import io as sio
+
         sys.stdout.write(sio.dumps_json(report))
         return
     for key, value in report.items():
@@ -60,6 +46,8 @@ def _emit(report: dict, as_json: bool) -> None:
 
 
 def _write_diagram(diagram, output) -> int:
+    from . import io as sio
+
     if output:
         sio.dump_diagram(diagram, output)
     else:
@@ -80,6 +68,10 @@ def _seed(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from . import io as sio
+    from .fal_diagram import check_weakly_prime, validate_fal
+    from .surface_map import checkerboard_coloring
+
     diagram = sio.load_diagram(args.path)
     report = validate_fal(diagram)
     weakly_prime, witness = check_weakly_prime(diagram)
@@ -106,10 +98,16 @@ def cmd_validate(args) -> int:
 
 
 def cmd_augment(args) -> int:
+    from . import io as sio
+    from .fal_diagram import augment
+
     return _write_diagram(augment(sio.load_diagram(args.path)), args.output)
 
 
 def cmd_fill(args) -> int:
+    from . import io as sio
+    from .fal_diagram import fill_all
+
     diagram = sio.load_diagram(args.path)
     try:
         coefficients = [int(x) for x in args.t.split(",")] if args.t else []
@@ -124,6 +122,9 @@ def cmd_fill(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from . import io as sio
+    from .bowtie import build_nerve, decompose, prism_triangulation
+
     diagram = sio.load_diagram(args.path)
     d = decompose(diagram)
     nerve = build_nerve(d)
@@ -153,6 +154,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from . import io as sio
+    from .bowtie import require_cellular, volume_bounds
+
     diagram = sio.load_diagram(args.path)
     require_cellular(diagram)
     vb = volume_bounds(diagram.c, diagram.genus, diagram.l, args.m, args.kind)
@@ -169,6 +173,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_family(args) -> int:
+    from . import io as sio
+    from .bowtie import volume_bounds
+
     spec = sio.load_family_spec(args.path)
     link = sio.build_link_from_spec(spec)
     base = link.family.base
@@ -207,6 +214,8 @@ def cmd_family(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .generator import generate_fal
+
     diagram = generate_fal(
         args.genus,
         args.circles,
@@ -221,6 +230,16 @@ _CURVES_WORD_COUNT = {"intersect": 2, "reduce": 1, "conjugate": 2}
 
 
 def cmd_curves(args) -> int:
+    from .curves_mcg import (
+        algebraic_intersection,
+        conjugacy_equal,
+        dehn_reduce,
+        format_curve_word,
+        geometric_intersection_oracle,
+        parse_curve_word,
+        word_to_homology,
+    )
+
     g = args.genus
     expected = _CURVES_WORD_COUNT[args.action]
     if len(args.words) != expected:
@@ -262,7 +281,7 @@ def probability(text: str) -> float:
     return value
 
 
-def budget(text: str) -> int:
+def nonnegative(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
@@ -270,6 +289,8 @@ def budget(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .io import KINDS
+
     parser = argparse.ArgumentParser(
         prog="surflink",
         description="Fully augmented link diagrams on higher-genus surfaces.",
@@ -302,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = with_common(sub.add_parser("bounds", help="triangulation volume bounds"))
     p.add_argument("path")
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--kind", default="TrivialMappingTorus", choices=sio.KINDS)
+    p.add_argument("--m", type=nonnegative, default=0)
+    p.add_argument("--kind", default="TrivialMappingTorus", choices=KINDS)
     p.set_defaults(func=cmd_bounds)
 
     p = with_common(sub.add_parser("family", help="build a link family from a spec"))
@@ -324,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("words", nargs="+")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument(
-        "--budget", type=budget, default=None, help="search budget (reduce ignores it)"
+        "--budget", type=nonnegative, default=None, help="search budget (reduce ignores it)"
     )
     p.add_argument("--up-to-inverse", action="store_true")
     p.set_defaults(func=cmd_curves)

@@ -311,8 +311,12 @@ def fill_to_wga(link: ManifoldLink, s: Sequence[int]) -> ManifoldLink:
 
 
 def plan_volume_target(target: float) -> int:
-    """Smallest layer-pair count m >= 1 whose filled family is forced past
-    the volume target: 2 m v_tet > target strictly."""
+    """Smallest layer-pair count m >= 1 with 2 m v_tet > target strictly.
+
+    That m puts the filled family past the volume target only under two
+    hypotheses this function does not check: the manifold is hyperbolic,
+    and the filling coefficients t are large enough.  Thurston's hyperbolic
+    Dehn filling theorem says such t exist but gives no explicit bound."""
     if target <= 0:
         return 1
     m = max(1, math.floor(target / (2 * V_TET)))

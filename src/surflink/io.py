@@ -6,28 +6,17 @@ Family specifications bundle a base diagram (inline or by path), the two
 layer curve classes, a layer count, an optional monodromy word, and
 optional filling coefficients.  All emitted JSON is deterministic: sorted
 keys, fixed indentation.
+
+The layers a function needs are imported inside it, so a caller that only
+formats JSON loads none of them.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 
-from .bowtie import require_cellular
-from .constructions import (
-    ManifoldLink,
-    annular_fill,
-    build_doubled,
-    build_layered,
-    build_mapping_torus,
-    build_trivial_torus,
-    fill_to_wga,
-)
-from .curves_mcg import MappingClassWord, parse_curve_word
 from .errors import ParseError
-from .fal_diagram import Crossing, CrossingCircle, FalDiagram
-from .surface_map import map_from_json_dict, map_to_json_dict
 
 __all__ = [
     "diagram_to_json_dict",
@@ -44,7 +33,11 @@ __all__ = [
 KINDS = ("DoubledThickenedSurface", "MappingTorus", "TrivialMappingTorus")
 
 
-def diagram_to_json_dict(diagram: FalDiagram) -> dict:
+def diagram_to_json_dict(diagram) -> dict:
+    """The JSON object of a FalDiagram."""
+    from .fal_diagram import CrossingCircle
+    from .surface_map import map_to_json_dict
+
     data = map_to_json_dict(diagram.map)
     data["genus"] = diagram.genus
     kinds, over, twist, twist_sign = [], [], [], []
@@ -66,7 +59,11 @@ def diagram_to_json_dict(diagram: FalDiagram) -> dict:
     return data
 
 
-def diagram_from_json_dict(data: dict) -> FalDiagram:
+def diagram_from_json_dict(data: dict):
+    """The FalDiagram of a JSON object; a malformed object is a ParseError."""
+    from .fal_diagram import Crossing, CrossingCircle, FalDiagram
+    from .surface_map import map_from_json_dict
+
     try:
         for field in ("vertices", "opposite"):
             for group in data[field]:
@@ -109,7 +106,7 @@ def write_text(path: str, text: str) -> None:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def dump_diagram(diagram: FalDiagram, path: str) -> None:
+def dump_diagram(diagram, path: str) -> None:
     write_text(path, dumps_json(diagram_to_json_dict(diagram)))
 
 
@@ -123,16 +120,19 @@ def _load_json(path: str) -> dict:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def load_diagram(path: str) -> FalDiagram:
+def load_diagram(path: str):
+    """Read a FalDiagram from a JSON file."""
     return diagram_from_json_dict(_load_json(path))
 
 
 def file_digest(path: str) -> str:
+    import hashlib
+
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _resolve_diagram(entry, spec_dir: str) -> FalDiagram:
+def _resolve_diagram(entry, spec_dir: str):
     if isinstance(entry, str):
         return load_diagram(os.path.join(spec_dir, entry))
     if isinstance(entry, dict):
@@ -189,7 +189,9 @@ def _parse_curve_entry(entry, field: str):
     raise ParseError(f"curve entry must be a word string or a list, got {type(entry)}")
 
 
-def _parse_phi(entries, g: int) -> MappingClassWord:
+def _parse_phi(entries, g: int):
+    from .curves_mcg import MappingClassWord, parse_curve_word
+
     letters = []
     for item in _json_list(entries, "phi"):
         try:
@@ -204,10 +206,20 @@ def _parse_phi(entries, g: int) -> MappingClassWord:
     return MappingClassWord(tuple(letters), g)
 
 
-def build_link_from_spec(spec: dict) -> ManifoldLink:
+def build_link_from_spec(spec: dict):
     """Assemble a ManifoldLink from a parsed family spec, applying any
     annular (t) and crossing-circle (s) fillings it requests.  Each base
     diagram must be cellular on its declared surface."""
+    from .bowtie import require_cellular
+    from .constructions import (
+        annular_fill,
+        build_doubled,
+        build_layered,
+        build_mapping_torus,
+        build_trivial_torus,
+        fill_to_wga,
+    )
+
     spec_dir = spec.get("_dir", ".")
     base = _resolve_diagram(spec["base"], spec_dir)
     require_cellular(base)

@@ -448,6 +448,23 @@ class TestBoundsCommand:
         assert captured.out == ""
         assert "NotCellular" in captured.err
 
+    @pytest.mark.parametrize("value", ["-1", "x"])
+    def test_bad_layer_count_names_the_option(self, value, diagram_file, capsys):
+        # A negative m is a bad option, not a malformed map.
+        _, path = diagram_file
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bounds", path, "--m", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --m: " in captured.err
+        assert "MalformedMap" not in captured.err
+
+    def test_zero_layer_count_accepted(self, diagram_file, capsys):
+        _, path = diagram_file
+        assert cli.main(["bounds", path, "--m", "0", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["counts"]["m"] == 0
+
 
 class TestFamilyCommand:
     def _write_spec(self, tmp_path, diagram_path, extra):
