@@ -13,10 +13,9 @@ circles, 3c sites in all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import permutations, product
-from typing import Optional
 
 from .errors import (
     DegenerateFace,
@@ -48,20 +47,16 @@ __all__ = [
 V_TET = 1.0149416064096536
 
 
-@dataclass(frozen=True)
-class BowtieDecomposition:
+class BowtieDecomposition(namedtuple("BowtieDecomposition", "genus c white circle_slots half_twists")):
     """Shaded triangle t = 2k + half of circle k has corners ("beta", k)
     and the arcs of slots 2 * half and 2 * half + 1 of circle k, in that
     order; its side s runs from corner s to corner s + 1 mod 3 and is
     named by the integer 3t + s.  Each white polygon is its boundary walk,
     a tuple of (site, side): the site and the shaded side leading from it
-    to the next entry's site."""
-
-    genus: int
-    c: int
-    white: tuple[tuple, ...]
-    circle_slots: tuple[tuple, ...]  # per circle, the four arc ids in slot order
-    half_twists: tuple[tuple[bool, int], ...]  # recorded and stripped flags
+    to the next entry's site.  circle_slots holds, per circle, the four arc
+    ids in slot order; half_twists the recorded and stripped (flag, sign)
+    pairs.  The boundary triangulation is cached in the instance
+    ``__dict__``, outside the value."""
 
     @property
     def white_count(self) -> int:
@@ -169,11 +164,11 @@ def reglue(d: BowtieDecomposition) -> FalDiagram:
     return FalDiagram(CombinatorialMap(rotation, opposite), d.genus, kinds)
 
 
-@dataclass(frozen=True)
-class Nerve:
-    node_count: int
-    edges: tuple  # (site, (polygon, polygon))
-    faces: tuple  # ((circle, half), (polygon, polygon, polygon))
+class Nerve(namedtuple("Nerve", "node_count edges faces")):
+    """edges: (site, (polygon, polygon)) per ideal vertex site; faces:
+    ((circle, half), (polygon, polygon, polygon)) per shaded triangle."""
+
+    __slots__ = ()
 
     @property
     def edge_count(self) -> int:
@@ -216,16 +211,14 @@ def build_nerve(d: BowtieDecomposition) -> Nerve:
 # -- boundary triangulation --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SurfaceTriangulation:
+class SurfaceTriangulation(namedtuple("SurfaceTriangulation", "triangles cells")):
     """triangles[t] is the triple of sides of triangle t, side i running
     from corner i to corner i + 1, each as (cell id, flipped): flipped when
     the side walks its cell from end 1 to end 0.  The fans of the white
     polygons come first, in polygon order, then shaded triangle t of the
-    decomposition."""
+    decomposition.  cells[i] is the (end0 site, end1 site) of cell i."""
 
-    triangles: tuple
-    cells: tuple  # cell id -> (end0 site, end1 site)
+    __slots__ = ()
 
     @property
     def triangle_count(self) -> int:
@@ -318,17 +311,16 @@ _S3 = ((0, 0), (0, 1), (1, 1), (2, 1))
 _TET_LABELS = (_S1, _S2, _S3)
 
 
-@dataclass(frozen=True)
-class VolumeBounds:
-    v_tet: float
-    lower: float
-    upper: Optional[float]
+class VolumeBounds(namedtuple("VolumeBounds", "v_tet lower upper")):
+    """upper is None for every kind but TrivialMappingTorus."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PrismTriangulation:
-    tetrahedron_count: int
-    gluings: tuple  # per tet: four (neighbour, neighbour face, perm) entries
+class PrismTriangulation(namedtuple("PrismTriangulation", "tetrahedron_count gluings")):
+    """gluings holds, per tet, four (neighbour, neighbour face, perm) entries."""
+
+    __slots__ = ()
 
     def export_gluing_table(self) -> str:
         text = _perm_tables()[1]

@@ -13,8 +13,8 @@ twisted diagram.  Hyperbolicity is tracked as an assumption flag only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .bowtie import V_TET
 from .curves_mcg import (
@@ -36,7 +36,6 @@ from .errors import (
 )
 from .fal_diagram import (
     FalDiagram,
-    WgaReport,
     check_wga,
     choose_alternating_signs,
     detect_twist_regions,
@@ -58,46 +57,41 @@ __all__ = [
     "plan_volume_target",
 ]
 
-CurveInput = Union[str, tuple]
-
-
-def curve_class(curve: CurveInput, g: int) -> HomologyClass:
+def curve_class(curve: str | tuple, g: int) -> HomologyClass:
     """Homology class of a curve given as a class vector, a word tuple, or
     a word string (see ``split_curve`` for the rule that tells them apart)."""
     return split_curve(curve, g)[1]
 
 
-@dataclass(frozen=True)
-class IntersectionCertificate:
-    """How we know the two family curves intersect essentially."""
+class IntersectionCertificate(namedtuple("IntersectionCertificate", "kind value")):
+    """How we know the two family curves intersect essentially: kind is
+    "homology", "oracle" or "asserted", value the count or None."""
 
-    kind: str  # "homology" | "oracle" | "asserted"
-    value: Optional[int]
-
-
-@dataclass(frozen=True)
-class LayerCurve:
-    index: int  # nonzero; C_i and C_{-i} form the annulus pair A_i
-    parity: str  # "odd" | "even"
-    homology: HomologyClass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LayeredFamily:
+class LayerCurve(namedtuple("LayerCurve", "index parity homology")):
+    """Curve C_index, index nonzero (C_i and C_-i form the annulus pair
+    A_i), of parity "odd" or "even" and the given homology class."""
+
+    __slots__ = ()
+
+
+class LayeredFamily(
+    namedtuple(
+        "LayeredFamily", "base gamma_odd gamma_even m layers certificate base2", defaults=(None,)
+    )
+):
     """Base diagram plus m pairs of layered curves.
 
-    Layers are listed as C_1, C_-1, ..., C_m, C_-m; smaller |index| lies
-    nearer the projection surface.  Odd-index curves carry the class of
-    gamma_odd, even-index curves that of gamma_even.
+    Layers are LayerCurves, listed as C_1, C_-1, ..., C_m, C_-m; smaller
+    |index| lies nearer the projection surface.  Odd-index curves carry the
+    class of gamma_odd, even-index curves that of gamma_even; each gamma is
+    word text, a word tuple or a class vector.  base2 is the second base
+    of a doubled family, otherwise None.
     """
 
-    base: FalDiagram
-    gamma_odd: CurveInput
-    gamma_even: CurveInput
-    m: int
-    layers: tuple  # of LayerCurve
-    certificate: IntersectionCertificate
-    base2: Optional[FalDiagram] = None
+    __slots__ = ()
 
     @property
     def genus(self) -> int:
@@ -116,27 +110,29 @@ class LayeredFamily:
         return tuple((i, -i) for i in range(1, self.m + 1))
 
 
-@dataclass(frozen=True)
-class ManifoldLink:
-    """A layered family embedded in a closed ambient manifold."""
+class ManifoldLink(
+    namedtuple(
+        "ManifoldLink",
+        "kind family cusp_count monodromy annular_coefficients circle_coefficients "
+        "hyperbolic_assumed certificates filled_diagram wga_report twist_region_count",
+        defaults=(None, None, None, True, (), None, None, None),
+    )
+):
+    """A layered family embedded in a closed ambient manifold.
 
-    kind: str  # "DoubledThickenedSurface" | "MappingTorus" | "TrivialMappingTorus"
-    family: LayeredFamily
-    cusp_count: int
-    monodromy: Optional[MappingClassWord] = None
-    annular_coefficients: Optional[tuple] = None
-    circle_coefficients: Optional[tuple] = None
-    hyperbolic_assumed: bool = True
-    certificates: tuple = ()
-    filled_diagram: Optional[FalDiagram] = None
-    wga_report: Optional[WgaReport] = None
-    twist_region_count: Optional[int] = None
+    kind is "DoubledThickenedSurface", "MappingTorus" or
+    "TrivialMappingTorus".  The monodromy is a MappingClassWord, the
+    filled diagram a FalDiagram and its report a WgaReport, each None
+    until set, as are the coefficient tuples and the twist-region count.
+    """
+
+    __slots__ = ()
 
 
 def build_layered(
     base: FalDiagram,
-    gamma_odd: CurveInput,
-    gamma_even: CurveInput,
+    gamma_odd: str | tuple,
+    gamma_even: str | tuple,
     m: int,
     assert_intersection: bool = False,
 ) -> LayeredFamily:
@@ -195,7 +191,7 @@ def build_doubled(
         raise GenusMismatch(
             f"cannot glue genus {base.genus} to genus {base2.genus}"
         )
-    family = replace(family, base=base, base2=base2)
+    family = family._replace(base=base, base2=base2)
     return ManifoldLink(
         kind="DoubledThickenedSurface",
         family=family,
@@ -207,14 +203,14 @@ def build_mapping_torus(
     base: FalDiagram,
     phi: MappingClassWord,
     family: LayeredFamily,
-    gamma_even_justification: Optional[str] = None,
+    gamma_even_justification: str | None = None,
 ) -> ManifoldLink:
     """Close the thickened surface up by a monodromy that moves both
     family curves.  A homology-inconclusive gamma_even is allowed only
     with a recorded justification (e.g. it came from the second-curve
     procedure)."""
     g = base.genus
-    family = replace(family, base=base)
+    family = family._replace(base=base)
     certs = []
     for name, cls in (
         ("gamma_odd", family.gamma_odd_class),
@@ -241,7 +237,7 @@ def build_mapping_torus(
 def build_trivial_torus(base: FalDiagram, family: LayeredFamily) -> ManifoldLink:
     """The product Sigma x S^1; the one ambient kind with a triangulation
     volume upper bound."""
-    family = replace(family, base=base)
+    family = family._replace(base=base)
     return ManifoldLink(
         kind="TrivialMappingTorus",
         family=family,
@@ -278,8 +274,7 @@ def annular_fill(link: ManifoldLink, t: Sequence[int]) -> ManifoldLink:
     effective = (
         MappingClassWord(base_letters + twist_letters, g) if twist_letters or base_letters else None
     )
-    return replace(
-        link,
+    return link._replace(
         annular_coefficients=t,
         cusp_count=link.cusp_count - 2 * m,
         monodromy=effective if link.kind == "MappingTorus" or twist_letters else link.monodromy,
@@ -301,8 +296,7 @@ def fill_to_wga(link: ManifoldLink, s: Sequence[int]) -> ManifoldLink:
     signs = choose_alternating_signs(base)
     coefficients = {k: sign * abs(sk) for k, sign, sk in zip(base.circles, signs, s)}
     filled = fill_all(base, coefficients)
-    return replace(
-        link,
+    return link._replace(
         circle_coefficients=s,
         filled_diagram=filled,
         twist_region_count=len(detect_twist_regions(filled)),

@@ -17,11 +17,12 @@ from __future__ import annotations
 import enum
 import functools
 import re
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .errors import (
     BadAlpha,
+    GenusTooSmall,
     InternalInvariant,
     LengthBudgetExceeded,
     LengthMismatch,
@@ -89,18 +90,18 @@ def twist_action(alpha: HomologyClass, x: HomologyClass, t: int = 1) -> Homology
     return tuple(xi + k * ai for xi, ai in zip(x, alpha))
 
 
-@dataclass(frozen=True)
-class MappingClassWord:
-    """Composition of Dehn twists; letters apply right to left."""
+class MappingClassWord(namedtuple("MappingClassWord", "letters g")):
+    """Composition of Dehn twists; letters apply right to left.  letters is
+    ((curve, exponent), ...), each curve a class or a word."""
 
-    letters: tuple  # ((curve, exponent), ...); curve is a class or a word
-    g: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for curve, exp in self.letters:
+    def __new__(cls, letters, g: int):
+        letters = tuple(letters)
+        for curve, exp in letters:
             if exp == 0:
                 raise MalformedMap("twist exponents must be nonzero")
+        return super().__new__(cls, letters, g)
 
     def inverse(self) -> "MappingClassWord":
         return MappingClassWord(
@@ -223,7 +224,7 @@ def dehn_reduce(w: CurveWord, g: int) -> CurveWord:
     """Cyclically reduced form with no subword longer than half the surface
     relator; length-nonincreasing and idempotent."""
     if g < 2:
-        raise MalformedMap("surface-group reduction needs genus >= 2")
+        raise GenusTooSmall("surface-group reduction needs genus >= 2")
     _check_letters(w, g)
     word = _cyclic_reduce(w)
     while word:

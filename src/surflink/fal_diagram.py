@@ -9,9 +9,8 @@ to the same strand arc.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from typing import Union
 
 from .errors import (
     InternalInvariant,
@@ -52,46 +51,42 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CrossingCircle:
+class CrossingCircle(namedtuple("CrossingCircle", "half_twist half_twist_sign")):
     """A crossing-circle site; the circle is perpendicular to the surface."""
 
-    half_twist: bool = False
-    half_twist_sign: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.half_twist_sign not in (1, -1):
+    def __new__(cls, half_twist: bool = False, half_twist_sign: int = 1):
+        if half_twist_sign not in (1, -1):
             raise MalformedMap("half-twist sign must be +1 or -1")
+        return super().__new__(cls, half_twist, half_twist_sign)
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(namedtuple("Crossing", "over_pair")):
     """A plain crossing; over_pair selects which dart pair {0,2} / {1,3}
     runs over."""
 
-    over_pair: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.over_pair not in (0, 1):
+    def __new__(cls, over_pair: int):
+        if over_pair not in (0, 1):
             raise MalformedMap("over_pair must be 0 or 1")
+        return super().__new__(cls, over_pair)
 
 
-VertexKind = Union[CrossingCircle, Crossing]
+class FalDiagram(namedtuple("FalDiagram", "map genus vertex_kind")):
+    """A CombinatorialMap, the genus of its surface, and one vertex kind, a
+    CrossingCircle or a Crossing, per vertex.  Derived data is cached in
+    the instance ``__dict__``, outside the value."""
 
-
-@dataclass(frozen=True)
-class FalDiagram:
-    map: CombinatorialMap
-    genus: int
-    vertex_kind: tuple[VertexKind, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertex_kind", tuple(self.vertex_kind))
-        if len(self.vertex_kind) != self.map.vertex_count:
+    def __new__(cls, map: CombinatorialMap, genus: int, vertex_kind):
+        vertex_kind = tuple(vertex_kind)
+        if len(vertex_kind) != map.vertex_count:
             raise MalformedMap("one vertex kind required per vertex")
-        for k in self.vertex_kind:
+        for k in vertex_kind:
             if not isinstance(k, (CrossingCircle, Crossing)):
                 raise MalformedMap(f"unknown vertex kind {k!r}")
+        return super().__new__(cls, map, genus, vertex_kind)
 
     @property
     def circles(self) -> tuple[int, ...]:
@@ -199,24 +194,23 @@ class FalDiagram:
         return tuple(regions)
 
 
-@dataclass(frozen=True)
-class TwistRegion:
-    crossings: tuple[int, ...]
-    boundary_darts: tuple[int, int, int, int]
-    sign: int
+class TwistRegion(namedtuple("TwistRegion", "crossings boundary_darts sign")):
+    """A chain of crossings, its four boundary darts and its crossing sign."""
+
+    __slots__ = ()
 
     @property
     def parity(self) -> int:
         return len(self.crossings) % 2
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    four_valent: bool
-    crossing_discs: bool
-    crossings_anchored: bool
-    components_meet_circles: bool
-    cellular: bool
+class ValidationReport(
+    namedtuple(
+        "ValidationReport",
+        "four_valent crossing_discs crossings_anchored components_meet_circles cellular",
+    )
+):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -231,14 +225,17 @@ class ValidationReport:
         )
 
 
-@dataclass(frozen=True)
-class WgaReport:
-    weakly_prime: bool
-    components_on_all_surfaces: bool
-    crossing_per_component: bool
-    checkerboard: bool
-    alternating: bool
-    representativity: str  # "InfiniteIncompressible" | "NotChecked"
+class WgaReport(
+    namedtuple(
+        "WgaReport",
+        "weakly_prime components_on_all_surfaces crossing_per_component "
+        "checkerboard alternating representativity",
+    )
+):
+    """The WGA conditions as flags; representativity reads
+    "InfiniteIncompressible" or "NotChecked"."""
+
+    __slots__ = ()
 
     @property
     def wga_positive(self) -> bool:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from typing import Optional
 
 from .errors import GenerationFailed, InternalInvariant
 from .fal_diagram import CrossingCircle, FalDiagram
@@ -250,7 +249,7 @@ def _insert_circle(rng: random.Random, state: _Growth) -> bool:
 def generate_fal(
     g: int,
     c: int,
-    seed: Optional[int] = None,
+    seed: int | None = None,
     half_twist_probability: float = 0.0,
     require_checkerboard: bool = False,
 ) -> FalDiagram:

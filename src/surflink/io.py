@@ -126,10 +126,19 @@ def load_diagram(path: str):
 
 
 def file_digest(path: str) -> str:
-    import hashlib
+    """SHA-256 of the file's bytes, in hex."""
+    # The interpreter's builtin SHA-256 spares a one-file hash the cost of
+    # loading OpenSSL through hashlib, as the stdlib's random does for sha512.
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        try:
+            from _sha2 import sha256  # Python 3.12+
+        except ImportError:
+            from hashlib import sha256
 
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        return sha256(fh.read()).hexdigest()
 
 
 def _resolve_diagram(entry, spec_dir: str):

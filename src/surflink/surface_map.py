@@ -11,9 +11,9 @@ so face cycles, Euler characteristic and genus are all derived data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
 
 from .errors import InternalInvariant, InvalidCorridor, MalformedMap
 
@@ -30,24 +30,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class CombinatorialMap:
     """A connected graph cellularly embedded in a closed orientable surface.
 
     rotation[v] lists the darts at vertex v in counterclockwise order;
-    opposite[d] is the other dart of d's edge.
+    opposite[d] is the other dart of d's edge.  Equality and repr see only
+    these two; the dart tables and the face cache are derived from them.
     """
 
-    rotation: tuple[tuple[int, ...], ...]
-    opposite: Mapping[int, int]
-    _vertex_of: dict[int, int] = field(repr=False, compare=False, default_factory=dict)
-    _pos_of: dict[int, int] = field(repr=False, compare=False, default_factory=dict)
-    _succ: dict[int, int] = field(repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rotation", tuple(tuple(cycle) for cycle in self.rotation))
-        object.__setattr__(self, "opposite", dict(self.opposite))
+    def __init__(self, rotation, opposite) -> None:
+        self.rotation: tuple[tuple[int, ...], ...] = tuple(tuple(cycle) for cycle in rotation)
+        self.opposite: dict[int, int] = dict(opposite)
         self._validate()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rotation, self.opposite) == (other.rotation, other.opposite)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(rotation={self.rotation!r}, opposite={self.opposite!r})"
 
     # -- construction checks -------------------------------------------------
 
@@ -72,9 +74,9 @@ class CombinatorialMap:
                 raise MalformedMap(f"opposite fixes dart {d}")
             if self.opposite.get(e) != d:
                 raise MalformedMap(f"opposite is not an involution at dart {d}")
-        object.__setattr__(self, "_vertex_of", seen)
-        object.__setattr__(self, "_pos_of", pos)
-        object.__setattr__(self, "_succ", succ)
+        self._vertex_of = seen
+        self._pos_of = pos
+        self._succ = succ
         if not self._connected():
             raise MalformedMap("map is disconnected")
 
@@ -130,9 +132,8 @@ class CombinatorialMap:
     def faces(self) -> "FaceSet":
         """The face cycles, traced on first use and then shared.
 
-        The cache lives in the instance ``__dict__``, so it is not a field:
-        equality and repr still see only the rotation and the involution.
-        Callers must treat the returned FaceSet as read-only.
+        Equality and repr do not see the cache.  Callers must treat the
+        returned FaceSet as read-only.
         """
         nxt = self._succ
         opp = self.opposite
@@ -154,12 +155,11 @@ class CombinatorialMap:
         return FaceSet(tuple(faces), face_of)
 
 
-@dataclass(frozen=True)
-class FaceSet:
-    """Face cycles of a map, each as a tuple of darts in trace order."""
+class FaceSet(namedtuple("FaceSet", "faces face_of")):
+    """Face cycles of a map, each as a tuple of darts in trace order, and
+    the dict from each dart to the index of its face."""
 
-    faces: tuple[tuple[int, ...], ...]
-    face_of: Mapping[int, int]
+    __slots__ = ()
 
     @property
     def count(self) -> int:
@@ -191,7 +191,7 @@ def genus(m: CombinatorialMap) -> int:
     return g
 
 
-def checkerboard_coloring(m: CombinatorialMap, faces: Optional[FaceSet] = None) -> Optional[tuple[int, ...]]:
+def checkerboard_coloring(m: CombinatorialMap, faces: FaceSet | None = None) -> tuple[int, ...] | None:
     """Two-color the faces so edge-adjacent faces differ, or None if impossible.
 
     Faces meeting only at a vertex may share a color; one arc of the face
@@ -221,13 +221,12 @@ def checkerboard_coloring(m: CombinatorialMap, faces: Optional[FaceSet] = None) 
     return tuple(color[i] for i in range(fs.count))
 
 
-@dataclass(frozen=True)
-class CutPiece:
-    """One complementary piece of a two-cut curve (internal use only)."""
+class CutPiece(namedtuple("CutPiece", "vertices chi_capped disc")):
+    """One complementary piece of a two-cut curve (internal use only): its
+    vertex frozenset, its Euler characteristic once capped, and whether
+    that makes it a disc."""
 
-    vertices: frozenset[int]
-    chi_capped: int
-    disc: bool
+    __slots__ = ()
 
 
 def components_of(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> list[set[int]]:

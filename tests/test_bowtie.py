@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 from types import SimpleNamespace
@@ -27,6 +26,7 @@ from surflink.errors import (
 from surflink.fal_diagram import FalDiagram, diagrams_isomorphic, fill_crossing_circle
 from surflink.generator import generate_fal
 from surflink.io import dump_diagram
+from test_surface_map import check_value_record
 
 
 CASES = [(g, c, seed) for g in (2, 3) for c in (2 * g - 1, 2 * g + 2, 11) for seed in (0, 1)]
@@ -119,7 +119,7 @@ def test_white_polygon_missing_a_side_is_an_internal_error():
     longest = max(range(len(white)), key=lambda p: len(white[p]))
     white[longest] = white[longest][1:]
     with pytest.raises(InternalInvariant, match="borders no white polygon"):
-        triangulate_white_faces(dataclasses.replace(good, white=tuple(white)))
+        triangulate_white_faces(good._replace(white=tuple(white)))
 
 
 def test_reglue_round_trip():
@@ -663,3 +663,18 @@ def test_cyclic_corner_order_is_rejected(monkeypatch):
     monkeypatch.setattr(bowtie, "_orient_cells", cyclic_first_triangle)
     with pytest.raises(MalformedMap, match="no diagonal orientation"):
         prism_triangulation(d)
+
+
+def test_bowtie_records_are_values():
+    d = decompose(generate_fal(2, 4, seed=1))
+    assert d.boundary is d.boundary  # cached, outside the value
+    assert d == BowtieDecomposition(*d) and repr(d) == repr(BowtieDecomposition(*d))
+    assert repr(BowtieDecomposition(2, 0, (), (), ())) == (
+        "BowtieDecomposition(genus=2, c=0, white=(), circle_slots=(), half_twists=())"
+    )
+    assert repr(volume_bounds(0, 2, 2, 0, "MappingTorus")) == (
+        "VolumeBounds(v_tet=1.0149416064096537, lower=2.0298832128193074, upper=None)"
+    )
+    bounds = volume_bounds(4, 2, 1, 2, "TrivialMappingTorus")
+    for record in (d, build_nerve(d), d.boundary, prism_triangulation(d), bounds):
+        check_value_record(record)

@@ -740,3 +740,12 @@ class TestCurvesCommand:
         assert cli.main(["curves", *words, "--genus", "2"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "words", [["intersect", "a1", "b1"], ["reduce", "a1b1"], ["conjugate", "a1", "b1"]]
+    )
+    def test_genus_one_is_too_small(self, words, capsys):
+        assert cli.main(["curves", *words, "--genus", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: GenusTooSmall: surface-group reduction needs genus >= 2\n"

@@ -5,6 +5,8 @@ import pytest
 from surflink.bowtie import V_TET, volume_bounds
 from surflink.constructions import (
     IntersectionCertificate,
+    LayerCurve,
+    ManifoldLink,
     build_doubled,
     build_layered,
     build_mapping_torus,
@@ -31,6 +33,7 @@ from surflink.fal_diagram import (
 )
 from surflink.generator import generate_fal
 from surflink.surface_map import CombinatorialMap
+from test_surface_map import check_value_record
 
 
 def base_diagram(g=2, c=6, seed=1, checkerboard=True):
@@ -282,3 +285,21 @@ class TestConstancySweep:
                     assert wga.twist_region_count == c
                     count += 1
         assert count >= 100
+
+
+def test_family_records_are_values():
+    family = build_layered(base_diagram(), "a1", "b1", 2)
+    link = build_trivial_torus(family.base, family)
+    assert repr(family.layers[1]) == "LayerCurve(index=-1, parity='odd', homology=(1, 0, 0, 0))"
+    assert repr(family.certificate) == "IntersectionCertificate(kind='homology', value=1)"
+    assert repr(link).startswith("ManifoldLink(kind='TrivialMappingTorus', family=LayeredFamily(base=FalDiagram(")
+    assert repr(link).endswith(
+        "cusp_count=11, monodromy=None, annular_coefficients=None, circle_coefficients=None, "
+        "hyperbolic_assumed=False, certificates=(), filled_diagram=None, wga_report=None, "
+        "twist_region_count=None)"
+    )
+    assert link == ManifoldLink("TrivialMappingTorus", family, 11, hyperbolic_assumed=False)
+    check_value_record(family.certificate)
+    check_value_record(family.layers[0])
+    check_value_record(family, hashable=False)
+    check_value_record(link, hashable=False)

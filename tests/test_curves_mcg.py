@@ -33,10 +33,12 @@ from surflink.errors import (
     InternalInvariant,
     LengthBudgetExceeded,
     LengthMismatch,
+    MalformedMap,
     NotNontrivial,
     ParseError,
     ZeroClass,
 )
+from test_surface_map import check_value_record
 
 
 def vectors(g):
@@ -120,6 +122,16 @@ class TestMappingClassWord:
         phi = MappingClassWord(((basis_class(1, 2), 1),), 2)
         with pytest.raises(LengthMismatch):
             mcg_apply(phi, (1, 0))
+
+    def test_is_a_value_record(self):
+        phi = MappingClassWord([((1, 0, 0, 0), 2)], 2)
+        assert repr(phi) == "MappingClassWord(letters=(((1, 0, 0, 0), 2),), g=2)"
+        assert phi.inverse().inverse() == phi
+        check_value_record(phi)
+
+    def test_zero_exponent_rejected(self):
+        with pytest.raises(MalformedMap, match="nonzero"):
+            MappingClassWord([((1, 0, 0, 0), 2), ((0, 1, 0, 0), 0)], 2)
 
 
 class TestCertificates:

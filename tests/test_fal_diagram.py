@@ -40,6 +40,7 @@ from surflink.surface_map import (
     genus,
     trace_faces,
 )
+from test_surface_map import check_value_record
 
 
 def ladder_data(n, shift=0):
@@ -896,3 +897,47 @@ def test_augment_checks_genus(monkeypatch):
     monkeypatch.setattr(fal_diagram, "map_genus", lambda m: d.genus + 1)
     with pytest.raises(InternalInvariant, match="surgery changed the surface genus"):
         augment(d)
+
+
+ONE_CIRCLE_MAP = CombinatorialMap(((0, 1, 2, 3),), {0: 2, 2: 0, 1: 3, 3: 1})
+
+
+def test_diagram_records_are_values():
+    d = FalDiagram(ONE_CIRCLE_MAP, 1, [CrossingCircle(True, -1)])
+    pinned = (
+        "FalDiagram(map=CombinatorialMap(rotation=((0, 1, 2, 3),), opposite={0: 2, 2: 0, 1: 3, 3: 1}), "
+        "genus=1, vertex_kind=(CrossingCircle(half_twist=True, half_twist_sign=-1),))"
+    )
+    assert repr(d) == pinned
+    assert d.strands and d.twist_regions == ()  # cached, outside the value
+    assert repr(d) == pinned and d == FalDiagram(ONE_CIRCLE_MAP, 1, [CrossingCircle(True, -1)])
+    assert repr(CrossingCircle()) == "CrossingCircle(half_twist=False, half_twist_sign=1)"
+    assert repr(Crossing(1)) == "Crossing(over_pair=1)"
+    assert repr(TwistRegion((3, 4), (1, 2, 3, 4), -1)) == (
+        "TwistRegion(crossings=(3, 4), boundary_darts=(1, 2, 3, 4), sign=-1)"
+    )
+    g = generate_fal(2, 4, seed=1)
+    check_value_record(d, hashable=False)
+    for record in (
+        CrossingCircle(),
+        Crossing(0),
+        TwistRegion((3, 4), (1, 2, 3, 4), -1),
+        validate_fal(g),
+        check_wga(fill_all(g, {k: 1 for k in g.circles}), surface_incompressible=False),
+    ):
+        check_value_record(record)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CrossingCircle(half_twist_sign=0),
+        lambda: Crossing(over_pair=2),
+        lambda: FalDiagram(ONE_CIRCLE_MAP, 1, []),
+        lambda: FalDiagram(ONE_CIRCLE_MAP, 1, [CrossingCircle(), Crossing(0)]),
+        lambda: FalDiagram(ONE_CIRCLE_MAP, 1, [(False, 1)]),
+    ],
+)
+def test_record_checks_still_raise(build):
+    with pytest.raises(MalformedMap):
+        build()

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -8,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from surflink.errors import InvalidCorridor, MalformedMap
 from surflink.surface_map import (
     CombinatorialMap,
+    CutPiece,
     FaceSet,
     canonical_form,
     checkerboard_coloring,
@@ -320,7 +320,32 @@ class TestFaceCache:
             assert "faces" in vars(m)
             assert m == fresh
             assert (repr(m), map_to_json_dict(m)) == before == (repr(fresh), map_to_json_dict(fresh))
-            assert "faces" not in {f.name for f in dataclasses.fields(m)}
+            assert repr(m) == f"CombinatorialMap(rotation={m.rotation!r}, opposite={m.opposite!r})"
+            with pytest.raises(TypeError):
+                hash(m)
+
+
+def check_value_record(record, hashable=True):
+    """A record rebuilt from its fields equals it, hashes as its field tuple
+    (or, like that tuple, not at all), and refuses a field assignment."""
+    rebuilt = type(record)(*record)
+    assert rebuilt == record and rebuilt is not record
+    if hashable:
+        assert hash(record) == hash(tuple(record))
+    else:
+        with pytest.raises(TypeError):
+            hash(record)
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+
+
+def test_face_set_and_cut_piece_are_values():
+    m = CombinatorialMap(((0, 1),), {0: 1, 1: 0})
+    piece = CutPiece(frozenset({0}), 2, True)
+    assert repr(m.faces) == "FaceSet(faces=((0,), (1,)), face_of={0: 0, 1: 1})"
+    assert repr(piece) == "CutPiece(vertices=frozenset({0}), chi_capped=2, disc=True)"
+    check_value_record(m.faces, hashable=False)
+    check_value_record(piece)
 
 
 FACESET_PARTS = {"faces", "face_of"}
