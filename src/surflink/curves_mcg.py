@@ -252,39 +252,39 @@ def _relator_swaps(word: tuple, g: int, length: int):
             yield _cyclic_reduce(doubled[start + length : start + n] + table[piece])
 
 
-def _conjugacy_class_forms(w: CurveWord, g: int, budget: int) -> frozenset:
+def _conjugacy_key(w: CurveWord, g: int, budget: int) -> tuple:
+    """The least word in the closure of w's Dehn reduction under rotation
+    and Dehn-reduced half-relator swaps (2g letters to the inverse of the
+    other half), closed over cyclic words: each is stored once, keyed by
+    its least rotation, and expanded once.  This is exact.  For each cyclic
+    position of a 2g-letter relator piece, _relator_swaps yields the rest
+    of the cyclic word after the piece followed by the piece's replacement,
+    and that linear word does not depend on the rotation the input starts
+    at.  So every rotation has the same swaps, the closure reaches the same
+    cyclic words as one over every rotation, and the least of their least
+    rotations is the least word of the rotation-closed class."""
     if len(w) > budget:
         raise LengthBudgetExceeded(f"word of length {len(w)} exceeds budget {budget}")
-    start = dehn_reduce(w, g)
-    seen = {start}
-    frontier = [start]
+    seen = set()
+    frontier = [dehn_reduce(w, g)]
     while frontier:
         word = frontier.pop()
-        rotations = {word[i:] + word[:i] for i in range(max(len(word), 1))}
-        for rot in rotations:
-            if rot not in seen:
-                seen.add(rot)
-                frontier.append(rot)
-        # Half-relator swaps: 2g letters to the inverse of the other half.
-        for swapped in set(_relator_swaps(word, g, 2 * g)):
-            reduced = dehn_reduce(swapped, g)
-            if reduced not in seen:
-                seen.add(reduced)
-                frontier.append(reduced)
-    return frozenset(seen)
+        key = min((word[i:] + word[:i] for i in range(len(word))), default=word)
+        if key not in seen:
+            seen.add(key)
+            frontier += (dehn_reduce(s, g) for s in set(_relator_swaps(key, g, 2 * g)))
+    return min(seen)
 
 
 def conjugacy_equal(
     w1: CurveWord, w2: CurveWord, g: int, budget: int = 64, up_to_inverse: bool = False
 ) -> bool:
-    """Free-homotopy (conjugacy) equality via Dehn-reduced rotation closures."""
-    forms1 = _conjugacy_class_forms(tuple(w1), g, budget)
-    if min(forms1) == min(_conjugacy_class_forms(tuple(w2), g, budget)):
+    """Free-homotopy (conjugacy) equality by comparing conjugacy keys: w1's,
+    w2's, then under up_to_inverse that of w2's inverse."""
+    key1 = _conjugacy_key(tuple(w1), g, budget)
+    if key1 == _conjugacy_key(tuple(w2), g, budget):
         return True
-    if up_to_inverse:
-        inv = _inverse_word(tuple(w2))
-        return min(forms1) == min(_conjugacy_class_forms(inv, g, budget))
-    return False
+    return up_to_inverse and key1 == _conjugacy_key(_inverse_word(tuple(w2)), g, budget)
 
 
 # -- geometric intersection oracle -------------------------------------------

@@ -17,6 +17,7 @@ from .errors import (
     MalformedMap,
     NonAlternatingTwistRegion,
     NotACrossingCircle,
+    NotCellular,
     NotCheckerboard,
     UnfilledCircle,
     ZeroCoefficient,
@@ -329,9 +330,13 @@ def _replace_tangles(diagram: FalDiagram, kinds, tangles) -> FalDiagram:
     another, and the ladders' vertices follow the kept ones, whose kinds
     come from `kinds`.  The partner of each of the four ports is glued to
     the matching end dart: a, b of the first ladder vertex, then c, d of
-    the last.  One map is built, and its genus is checked once.
+    the last.  An input map not of the declared genus raises NotCellular;
+    one map is built, and a genus the surgery changed is an InternalInvariant.
     """
     m = diagram.map
+    g = map_genus(m)
+    if g != diagram.genus:
+        raise NotCellular(f"map genus {g} differs from declared genus {diagram.genus}")
     cut = {v for tangle in tangles for v in tangle[0]}
     rotation = [m.rotation[v] for v in range(m.vertex_count) if v not in cut]
     out_kinds = [kinds[v] for v in range(m.vertex_count) if v not in cut]

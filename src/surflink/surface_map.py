@@ -194,31 +194,28 @@ def genus(m: CombinatorialMap) -> int:
 def checkerboard_coloring(m: CombinatorialMap, faces: FaceSet | None = None) -> tuple[int, ...] | None:
     """Two-color the faces so edge-adjacent faces differ, or None if impossible.
 
-    Faces meeting only at a vertex may share a color; one arc of the face
-    adjacency graph is used per edge of the map, so parallel edges and loops
-    all impose constraints.
+    Faces meeting only at a vertex may share a color.  The walk crosses
+    every dart of each face to the face of its opposite dart, so parallel
+    edges and loops all impose constraints.
     """
     fs = faces if faces is not None else trace_faces(m)
-    color: dict[int, int] = {}
-    adjacency: dict[int, list[int]] = {i: [] for i in range(fs.count)}
-    for d in m.edges():
-        a, b = fs.face_of[d], fs.face_of[m.opposite[d]]
-        adjacency[a].append(b)
-        adjacency[b].append(a)
+    opp, face_of = m.opposite, fs.face_of
+    color = [-1] * fs.count
     for root in range(fs.count):
-        if root in color:
+        if color[root] >= 0:
             continue
         color[root] = 0
         todo = [root]
         while todo:
             f = todo.pop()
-            for nbr in adjacency[f]:
-                if nbr not in color:
+            for d in fs.faces[f]:
+                nbr = face_of[opp[d]]
+                if color[nbr] < 0:
                     color[nbr] = 1 - color[f]
                     todo.append(nbr)
                 elif color[nbr] == color[f]:
                     return None
-    return tuple(color[i] for i in range(fs.count))
+    return tuple(color)
 
 
 class CutPiece(namedtuple("CutPiece", "vertices chi_capped disc")):
@@ -317,9 +314,9 @@ def cut_along_two_cut(
         if flanks != corridor:
             raise InvalidCorridor(f"edge {e} is not flanked by the two corridor faces")
 
+    inner = [d for d in m.edges() if d not in (e1, e2)]
     components = components_of(
-        range(m.vertex_count),
-        ((m.vertex_of(d), m.vertex_of(m.opposite[d])) for d in m.edges() if d not in (e1, e2)),
+        range(m.vertex_count), ((m.vertex_of(d), m.vertex_of(m.opposite[d])) for d in inner)
     )
     chi_surface = 2 - 2 * genus(m)
     if len(components) == 1:
@@ -331,22 +328,19 @@ def cut_along_two_cut(
     # Side of e1's smaller dart first, for determinism.
     first = m.vertex_of(e1)
     components.sort(key=lambda comp: (first not in comp, min(comp)))
-    pieces = []
-    for comp in components:
-        n_vertices = len(comp)
-        n_edges = sum(
-            1
-            for d in m.edges()
-            if d not in (e1, e2) and m.vertex_of(d) in comp
-        )
-        n_faces = sum(
-            1
-            for i, cycle in enumerate(fs.faces)
-            if i not in corridor and m.vertex_of(cycle[0]) in comp
-        )
-        chi_capped = n_vertices - n_edges + n_faces + 1
-        pieces.append(CutPiece(frozenset(comp), chi_capped, chi_capped == 2))
-    a, b = pieces
+    comp_a, comp_b = components
+    n_edges = sum(1 for d in inner if m.vertex_of(d) in comp_a)
+    n_faces = sum(
+        1
+        for i, cycle in enumerate(fs.faces)
+        if i not in corridor and m.vertex_of(cycle[0]) in comp_a
+    )
+    # Capping both sides gives chi_a + chi_b = chi(S) + 2: the two pieces
+    # share out every vertex, every uncut edge and every non-corridor face.
+    chi_a = len(comp_a) - n_edges + n_faces + 1
+    chi_b = chi_surface + 2 - chi_a
+    a = CutPiece(frozenset(comp_a), chi_a, chi_a == 2)
+    b = CutPiece(frozenset(comp_b), chi_b, chi_b == 2)
     return a, b, a.disc, b.disc
 
 

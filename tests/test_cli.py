@@ -242,6 +242,24 @@ class TestFillAndAugmentCommands:
         assert cli.main(["fill", path, "--t", "1,x,1,1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["fill", "augment"])
+    def test_wrong_declared_genus_exit_two(self, command, diagram_file, tmp_path, capsys):
+        """A declared genus the map does not have is bad input, refused as
+        decompose and bounds refuse it, not an error in the surgery."""
+        d, path = diagram_file
+        if command == "augment":
+            path = str(tmp_path / "filled.json")
+            dump_diagram(fill_all(d, {k: 1 for k in d.circles}), path)
+        data = json.loads(open(path).read())
+        data["genus"] = 5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        argv = [command, str(bad)] + (["--t=1,1,1,1"] if command == "fill" else [])
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: NotCellular: map genus 2 differs from declared genus 5\n"
+
     @pytest.mark.parametrize("g,c,seed", sorted(GOLDEN_FILL_STDOUT), ids=str)
     def test_stdout_golden_digest(self, g, c, seed, tmp_path, capsys):
         """sha256 of `fill` stdout on generated diagrams with half-twists,

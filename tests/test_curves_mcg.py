@@ -6,12 +6,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from surflink import curves_mcg
 from surflink.curves_mcg import (
     Certificate,
     _axes_linked,
+    _conjugacy_key,
     _direction_order,
     _inverse_word,
     _orient,
+    _relator_swaps,
     _relator_table,
     MappingClassWord,
     acts_nontrivially,
@@ -259,6 +262,103 @@ class TestConjugacy:
     def test_budget_enforced(self):
         with pytest.raises(LengthBudgetExceeded):
             conjugacy_equal(tuple([1, 2] * 40), (1,), 2, budget=16)
+
+
+def reference_class_forms(w, g, budget):
+    """The former closure: every rotation of every class member is its own
+    form, and each form is expanded by its half-relator swaps again."""
+    if len(w) > budget:
+        raise LengthBudgetExceeded(f"word of length {len(w)} exceeds budget {budget}")
+    start = dehn_reduce(w, g)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        word = frontier.pop()
+        rotations = {word[i:] + word[:i] for i in range(max(len(word), 1))}
+        for rot in rotations:
+            if rot not in seen:
+                seen.add(rot)
+                frontier.append(rot)
+        for swapped in set(_relator_swaps(word, g, 2 * g)):
+            reduced = dehn_reduce(swapped, g)
+            if reduced not in seen:
+                seen.add(reduced)
+                frontier.append(reduced)
+    return frozenset(seen)
+
+
+def reference_conjugacy_equal(w1, w2, g, up_to_inverse):
+    forms1 = reference_class_forms(tuple(w1), g, 64)
+    if min(forms1) == min(reference_class_forms(tuple(w2), g, 64)):
+        return True
+    if up_to_inverse:
+        return min(forms1) == min(reference_class_forms(_inverse_word(tuple(w2)), g, 64))
+    return False
+
+
+@st.composite
+def words_with_relator_pieces(draw, g):
+    """Up to 8 random letters, often with a relator piece of about half the
+    relator's length inserted, so that half-relator swaps apply."""
+    letters = [s * x for x in range(1, 2 * g + 1) for s in (1, -1)]
+    word = draw(st.lists(st.sampled_from(letters), max_size=8))
+    if draw(st.booleans()):
+        R = surface_relator(g)
+        rel = draw(st.sampled_from([R, _inverse_word(R)]))
+        start = draw(st.integers(0, len(rel) - 1))
+        piece = (rel + rel)[start : start + draw(st.integers(2 * g - 1, 2 * g + 1))]
+        at = draw(st.integers(0, len(word)))
+        word[at:at] = piece
+    return tuple(word)
+
+
+@st.composite
+def conjugacy_cases(draw):
+    """A genus, a word, and a second word that is unrelated, a conjugate of
+    the first, or a conjugate of its inverse."""
+    g = draw(st.sampled_from([2, 3]))
+    w1 = draw(words_with_relator_pieces(g))
+    shape = draw(st.sampled_from(["unrelated", "conjugate", "inverse"]))
+    if shape == "unrelated":
+        return g, w1, draw(words_with_relator_pieces(g))
+    x = draw(words_with_relator_pieces(g))[:4]
+    w = w1 if shape == "conjugate" else _inverse_word(w1)
+    return g, w1, x + w + _inverse_word(x)
+
+
+class TestConjugacyKey:
+    @settings(max_examples=120, deadline=None)
+    @given(conjugacy_cases())
+    def test_matches_the_former_rotation_closure(self, case):
+        g, w1, w2 = case
+        for w in (w1, w2):
+            assert _conjugacy_key(w, g, 64) == min(reference_class_forms(w, g, 64))
+        for up_to_inverse in (False, True):
+            assert conjugacy_equal(w1, w2, g, up_to_inverse=up_to_inverse) == (
+                reference_conjugacy_equal(w1, w2, g, up_to_inverse)
+            )
+
+    def test_each_cyclic_word_is_expanded_once(self, monkeypatch):
+        """(a1b1A1B1)^8 a1: 256 cyclic words, none expanded as two rotations."""
+        g = 2
+        expanded = []
+
+        def spy(word, g, length):
+            if length == 2 * g:  # only the closure asks for 2g-letter swaps
+                expanded.append(word)
+            return _relator_swaps(word, g, length)
+
+        monkeypatch.setattr(curves_mcg, "_relator_swaps", spy)
+        _conjugacy_key(parse_curve_word("a1b1A1B1" * 8 + "a1", g), g, 64)
+        cyclic = {min(w[i:] + w[:i] for i in range(len(w))) for w in expanded}
+        assert len(expanded) == len(cyclic) == 256
+
+    def test_keys_are_computed_in_argument_order(self):
+        """w1 first, then w2: the first bad argument is the one reported."""
+        with pytest.raises(ParseError):
+            conjugacy_equal((5,), (1, 2) * 20, 2, budget=16)
+        with pytest.raises(LengthBudgetExceeded, match="length 40"):
+            conjugacy_equal((1,), (1, 2) * 20, 2, budget=16)
 
 
 class TestIntersectionOracle:
