@@ -203,20 +203,23 @@ def surface_relator(g: int) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _relator_table(g: int) -> dict:
-    """Map every cyclic subword of R or R^-1 with at least 2g letters to the
-    inverse of its complement, an equal element no longer than 2g letters.
+    """Map each pair of cyclically consecutive letters of R or R^-1 to that
+    relator doubled and the pair's position in it.
 
     A subword of two or more letters occurs at only one position among all
-    rotations of R and R^-1, so no key is assigned twice.  The cached dict
-    is shared by every caller and must not be modified."""
+    rotations of R and R^-1, so its first two letters fix that position: a
+    cyclic subword of 2g..4g letters is the doubled relator's slice from
+    there, and the inverse of its complement, an equal element no longer
+    than 2g letters, is the slice after it up to 4g letters from the start,
+    inverted.  The table has 8g entries and shares two doubled relators,
+    so it takes O(g) memory.  The cached dict is shared by every caller
+    and must not be modified."""
     table: dict = {}
     R = surface_relator(g)
     for rel in (R, _inverse_word(R)):
-        n = len(rel)
-        for start in range(n):
-            rot = rel[start:] + rel[:start]
-            for length in range(2 * g, n + 1):
-                table[rot[:length]] = _inverse_word(rot[length:])
+        doubled = rel + rel
+        for start in range(len(rel)):
+            table[doubled[start : start + 2]] = (doubled, start)
     return table
 
 
@@ -239,17 +242,22 @@ def dehn_reduce(w: CurveWord, g: int) -> CurveWord:
 
 
 def _relator_swaps(word: tuple, g: int, length: int):
-    """Cyclic reductions of word with one cyclic subword of the given length
-    replaced through the relator table, in order of position."""
+    """Cyclic reductions of word with one cyclic subword of the given length,
+    a piece of 2g to 4g letters of R or R^-1, replaced through the relator
+    table by the inverse of its complement, in order of position."""
     n = len(word)
-    if length > n:
+    if not 2 * g <= length <= min(n, 4 * g):
         return
     table = _relator_table(g)
     doubled = word + word
     for start in range(n):
-        piece = doubled[start : start + length]
-        if piece in table:
-            yield _cyclic_reduce(doubled[start + length : start + n] + table[piece])
+        hit = table.get(doubled[start : start + 2])
+        if hit is None:
+            continue
+        rel, at = hit
+        if doubled[start : start + length] == rel[at : at + length]:
+            replacement = _inverse_word(rel[at + length : at + 4 * g])
+            yield _cyclic_reduce(doubled[start + length : start + n] + replacement)
 
 
 def _conjugacy_key(w: CurveWord, g: int, budget: int) -> tuple:

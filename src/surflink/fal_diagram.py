@@ -26,7 +26,6 @@ from .surface_map import (
     CombinatorialMap,
     canonical_form,
     checkerboard_coloring,
-    components_of,
     cut_along_two_cut,
     cycle_space_labels,
     genus as map_genus,
@@ -114,14 +113,41 @@ class FalDiagram(namedtuple("FalDiagram", "map genus vertex_kind")):
         """Partition of darts into closed strand cycles, by least dart.
 
         Darts of one edge share a strand, as do darts at opposite rotation
-        positions of any vertex (strands pass straight through).
+        positions of any vertex (strands pass straight through): at a
+        vertex of degree k, slot i faces slot i + k//2 for i < k//2.  Both
+        are matchings, so a strand alternates between them and is one
+        walk, O(D) for D darts in all.  At an odd degree the last slot
+        faces nothing, and its strand is a path, not a cycle: the walk
+        goes across the edge first, and from a path end back across the
+        vertex from the start.  Starting from each unseen dart in sorted
+        order lists the strands by least dart.
         """
         m = self.map
-        pairs = list(m.opposite.items())
+        opp = m.opposite
+        through: dict[int, int] = {}
         for cycle in m.rotation:
             half = len(cycle) // 2
-            pairs.extend(zip(cycle[:half], cycle[half:]))
-        return tuple(sorted((frozenset(g) for g in components_of(m.darts, pairs)), key=min))
+            for a, b in zip(cycle[:half], cycle[half:]):
+                through[a] = b
+                through[b] = a
+        seen: set[int] = set()
+        strands = []
+        for start in m.darts:
+            if start in seen:
+                continue
+            strand = [start, opp[start]]
+            d = through.get(strand[-1])
+            while d is not None and d != start:
+                strand += (d, opp[d])
+                d = through.get(strand[-1])
+            if d is None:
+                d = through.get(start)
+                while d is not None:
+                    strand += (d, opp[d])
+                    d = through.get(strand[-1])
+            seen.update(strand)
+            strands.append(frozenset(strand))
+        return tuple(strands)
 
     @cached_property
     def over_ends(self) -> frozenset[int]:

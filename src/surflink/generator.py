@@ -201,6 +201,24 @@ def _splice(state: _Growth, ends: tuple[int, int, int, int]) -> tuple[int, list[
     return len(lengths) - len({key_of[e] for e in ends}), lengths
 
 
+def _on_three_faces(key_of: list[int], u: int, u2: int, w2: int) -> bool:
+    """Whether a draw's ends lie on three faces: u (and w) on the drawn
+    face F, the far ends u2 and w2 alone on two other faces F2 and F3.
+
+    Such a draw admits no wiring, so it is rejected from its face keys
+    alone, before any `_splice`.  In either wiring the ends u2 and w2 are
+    each the only end on their face, and for an end i alone on its face
+    `_splice` sets after[i] = (i, size).  The cycle map of the faces
+    through the new vertex, j -> after[j-1][0], then sends j = i+1 to i,
+    so it is not the identity and has at most 3 cycles: at most 3 faces
+    through the new vertex replace the 3 faces that held ends, gained <= 0
+    for both wirings, and neither is accepted.  The rng draws and the
+    accepted wirings are those of splicing every draw.
+    """
+    f2, f3 = key_of[u2], key_of[w2]
+    return f2 != f3 and key_of[u] != f2 and key_of[u] != f3
+
+
 def _insert_circle(rng: random.Random, state: _Growth) -> bool:
     """Reroute two edges of one face through a new vertex, preserving
     genus; False when no draw of the budget admits a wiring.
@@ -220,7 +238,9 @@ def _insert_circle(rng: random.Random, state: _Growth) -> bool:
     has 4(2g-1) >= 12 darts, and every insertion is checked).  `_splice`
     reads both numbers off the current faces, so a draw is decided
     without touching the state, and only the accepted wiring is applied.
-    Many draws admit no such wiring; they are redrawn.
+    Many draws admit no such wiring; they are redrawn.  A draw whose ends
+    lie on three faces is one of them (`_on_three_faces`), and is redrawn
+    without a splice.
 
     The grown map is always a valid map: the four new darts are fresh and
     paired with distinct old darts, and every old adjacency A-B across a
@@ -230,7 +250,7 @@ def _insert_circle(rng: random.Random, state: _Growth) -> bool:
     it has one only if the parent has -- and neither the base nor any map
     grown from it does.
     """
-    opp, mins, face_at = state.opp, state.mins, state.face_at
+    opp, mins, face_at, key_of = state.opp, state.mins, state.face_at, state.key_of
     for _ in range(INSERT_TRIES):
         face = face_at[mins[rng.randrange(len(mins))]]
         u = face[rng.randrange(len(face))]
@@ -238,6 +258,8 @@ def _insert_circle(rng: random.Random, state: _Growth) -> bool:
         if w == u or w == opp[u]:
             continue
         u2, w2 = opp[u], opp[w]
+        if _on_three_faces(key_of, u, u2, w2):
+            continue
         for ends in ((u, w, u2, w2), (u, w2, u2, w)):
             gained, lengths = _splice(state, ends)
             if gained == 1 and min(lengths) >= 3:

@@ -563,10 +563,35 @@ class TestAxesLinked:
             _orient((1, 2), (1, 2, 1, 2), (-2, -1), pos)
 
 
+def reference_relator_table(g):
+    """The former relator table: every cyclic subword of R or R^-1 with at
+    least 2g letters, mapped to the inverse of its complement."""
+    table = {}
+    R = surface_relator(g)
+    for rel in (R, _inverse_word(R)):
+        n = len(rel)
+        for start in range(n):
+            rot = rel[start:] + rel[:start]
+            for length in range(2 * g, n + 1):
+                table[rot[:length]] = _inverse_word(rot[length:])
+    return table
+
+
+def reference_relator_swaps(word, table, length):
+    n = len(word)
+    if length > n:
+        return
+    doubled = word + word
+    for start in range(n):
+        piece = doubled[start : start + length]
+        if piece in table:
+            yield curves_mcg._cyclic_reduce(doubled[start + length : start + n] + table[piece])
+
+
 class TestRelatorTable:
     @pytest.mark.parametrize("g", [2, 3, 4, 5])
     def test_keys_are_long_subwords_mapped_to_inverse_complements(self, g):
-        table = _relator_table(g)
+        table = reference_relator_table(g)
         # One key per (relator or inverse, start, length 2g..4g): none collide.
         assert len(table) == 2 * 4 * g * (2 * g + 1)
         R = surface_relator(g)
@@ -579,6 +604,25 @@ class TestRelatorTable:
             assert len(piece) >= 2 * g
             complement = tuple(-x for x in reversed(replacement))
             assert piece + complement in rotations
+
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    def test_table_is_keyed_by_letter_pairs(self, g):
+        # 8g letter pairs, one per position of R and R^-1: linear in g.
+        assert len(_relator_table(g)) == 8 * g
+
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    def test_swaps_match_reference_table(self, g):
+        """Every length, on words built from relator pieces, so that hits,
+        near misses (a matching first pair) and whole relators all occur."""
+        reference = reference_relator_table(g)
+        rng = random.Random(g)
+        R = surface_relator(g)
+        words = [R, _inverse_word(R), R + R, R[1:] + _inverse_word(R)[:3]]
+        words += [_seeded_word(rng, g, rng.randint(1, 8)) for _ in range(150)]
+        for word in words:
+            for length in range(1, len(word) + 2):
+                expected = list(reference_relator_swaps(word, reference, length))
+                assert list(_relator_swaps(word, g, length)) == expected, (word, length)
 
 
 def _seeded_word(rng, g, pieces):

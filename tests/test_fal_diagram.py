@@ -749,6 +749,72 @@ def test_reference_comparison_reaches_every_outcome():
     assert {"lone", "chain", "WalkLoops", "NonAlternatingTwistRegion", "MalformedMap"} <= seen
 
 
+def random_map_any_degree(rng):
+    """A map on 1 to 6 vertices of degree 1 to 6, with scattered dart ids
+    in random rotation order, or None when the random pairing leaves it
+    disconnected."""
+    degrees = [rng.randint(1, 6) for _ in range(rng.randint(1, 6))]
+    if sum(degrees) % 2:
+        i = rng.randrange(len(degrees))
+        degrees[i] += 1 if degrees[i] < 6 else -1
+    darts = rng.sample(range(200), sum(degrees))
+    rotation, k = [], 0
+    for degree in degrees:
+        rotation.append(tuple(darts[k : k + degree]))
+        k += degree
+    rng.shuffle(darts)
+    opposite = {}
+    for a, b in zip(darts[::2], darts[1::2]):
+        opposite[a] = b
+        opposite[b] = a
+    try:
+        m = CombinatorialMap(tuple(rotation), opposite)
+    except MalformedMap:
+        return None
+    return FalDiagram(m, genus(m), (CrossingCircle(),) * len(rotation))
+
+
+def test_theta_graph_strand_is_one_path():
+    """At a vertex of degree 3 the last slot faces nothing, so the strand
+    through it is a path: here one strand holding all six darts."""
+    m = CombinatorialMap(((0, 1, 2), (3, 5, 4)), {0: 3, 3: 0, 1: 4, 4: 1, 2: 5, 5: 2})
+    d = FalDiagram(m, genus(m), (CrossingCircle(),) * 2)
+    assert genus(m) == 0
+    assert d.strands == (frozenset(range(6)),) == tuple(reference_strand_components(d))
+    assert d.l == 1
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_strands_match_union_find_at_every_degree(rng):
+    d = random_map_any_degree(rng)
+    assume(d is not None)
+    assert d.strands == tuple(reference_strand_components(d))
+
+
+def test_strands_sweep_meets_every_degree_and_paths():
+    """A seeded sweep of the same maps: degrees 1 to 6 all occur, and
+    strands that are paths (through an odd-degree vertex) occur beside
+    closed ones."""
+    rng = random.Random(0)
+    degrees, paths, cycles = set(), 0, 0
+    for _ in range(3000):
+        d = random_map_any_degree(rng)
+        if d is None:
+            continue
+        assert d.strands == tuple(reference_strand_components(d))
+        m = d.map
+        degrees.update(map(len, m.rotation))
+        odd = {x for cycle in m.rotation if len(cycle) % 2 for x in cycle[-1:]}
+        for strand in d.strands:
+            if strand & odd:
+                paths += 1
+            else:
+                cycles += 1
+    assert degrees == set(range(1, 7))
+    assert paths and cycles
+
+
 def count_computations(monkeypatch, name):
     """Record each diagram on which the cached FalDiagram value `name` is
     computed."""

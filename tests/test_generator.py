@@ -12,6 +12,7 @@ from surflink.generator import (
     _build_map,
     _Growth,
     _insert_circle,
+    _on_three_faces,
     _random_base,
     _splice,
     generate_fal,
@@ -260,6 +261,54 @@ def test_splice_predicts_traced_faces(g, c, seed):
     assert outcomes["count"] and outcomes["bigon"]
 
 
+@given(
+    g=st.sampled_from((2, 3)),
+    extra=st.integers(min_value=0, max_value=25),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_three_face_draws_gain_no_face(g, extra, seed):
+    """Every draw of a seeded growth state: the face-key test holds exactly
+    when the ends lie on three faces, and then `_splice` gains no face with
+    either wiring, so the test rejects only draws that splicing rejects."""
+    rng = random.Random(seed)
+    state = _Growth(_random_base(rng, g))
+    while state.vertex_count < 2 * g - 1 + extra and _insert_circle(rng, state):
+        pass
+    opp, key_of = state.opp, state.key_of
+    for face in state.face_at.values():
+        for u in face:
+            for w in face:
+                if w == u or w == opp[u]:
+                    continue
+                u2, w2 = opp[u], opp[w]
+                on_three = len({key_of[u], key_of[u2], key_of[w2]}) == 3
+                assert _on_three_faces(key_of, u, u2, w2) == on_three
+                if on_three:
+                    for ends in ((u, w, u2, w2), (u, w2, u2, w)):
+                        assert _splice(state, ends)[0] <= 0
+
+
+def test_no_splice_sees_ends_on_three_faces(monkeypatch):
+    """Design pin: three-face draws are rejected by their face keys, and
+    never reach `_splice`."""
+    faces_seen, rejected = [], []
+
+    def spy_splice(state, ends):
+        faces_seen.append(len({state.key_of[e] for e in ends}))
+        return _splice(state, ends)
+
+    def spy_key_test(key_of, u, u2, w2):
+        rejected.append(_on_three_faces(key_of, u, u2, w2))
+        return rejected[-1]
+
+    monkeypatch.setattr(generator, "_splice", spy_splice)
+    monkeypatch.setattr(generator, "_on_three_faces", spy_key_test)
+    generate_fal(2, 200, seed=1)
+    assert faces_seen and max(faces_seen) <= 2
+    assert any(rejected)
+
+
 def _assert_faces_match(state, g):
     fs = trace_faces(_build_map(state.opp, g))
     assert [state.face_at[k] for k in state.mins] == list(fs.faces)
@@ -325,5 +374,9 @@ def test_corrupt_face_bookkeeping_raises(corrupt, message, monkeypatch):
     the white-face law or has a bigon; the one built map catches it with
     `InternalInvariant`, which `python -O` keeps."""
     monkeypatch.setattr(generator, "_splice", corrupt)
+    if corrupt is _splice_ignoring_face_count:
+        # The misread count must also reach the draws that the face-key
+        # test rejects without a splice.
+        monkeypatch.setattr(generator, "_on_three_faces", lambda *args: False)
     with pytest.raises(InternalInvariant, match=message):
         generate_fal(2, 40, seed=0)
