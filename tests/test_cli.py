@@ -603,6 +603,25 @@ class TestFamilyCommand:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize(
+        "extra,name,cls",
+        [
+            ({"gamma_odd": "a1a1"}, "gamma_odd", "[2, 0, 0, 0]"),
+            ({"gamma_even": [0, 3, 0, -3]}, "gamma_even", "[0, 3, 0, -3]"),
+        ],
+        ids=["word-a1a1", "vector"],
+    )
+    def test_non_primitive_layer_curve_exit_two(self, extra, name, cls, diagram_file, tmp_path, capsys):
+        """No simple closed curve has a nonzero class with a common factor
+        > 1, so a layer curve of class 2[a1] is refused, not certified by
+        its pairing 2 with b1."""
+        _, path = diagram_file
+        spec = self._write_spec(tmp_path, path, extra)
+        assert cli.main(["family", spec, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: NonPrimitiveClass: {name} has class {cls}, ")
+
+    @pytest.mark.parametrize(
         "flag,code",
         [(True, 0), (False, 2), ("false", 2), (1, 2)],
         ids=["true", "false", "text", "one"],
@@ -758,6 +777,19 @@ class TestCurvesCommand:
         assert cli.main(["curves", *words, "--genus", "2"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "words", [["intersect", "a1", "b1"], ["reduce", "a1b1"], ["conjugate", "a1", "b1"]]
+    )
+    def test_genus_above_cap_exit_two(self, words, capsys):
+        """A genus past MAX_CURVES_GENUS is refused before any vector of 2g
+        entries is built."""
+        genus = str(cli.MAX_CURVES_GENUS + 1)
+        assert cli.main(["curves", *words, "--genus", genus]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --genus {genus} is above the cap of ")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "words", [["intersect", "a1", "b1"], ["reduce", "a1b1"], ["conjugate", "a1", "b1"]]

@@ -1,15 +1,15 @@
-"""Fuzz guard for the CLI exit contract on diagram files.
+"""Fuzz guard for the CLI exit contract on diagram files and curve words.
 
 Generated diagrams, unfilled and filled, are mutated as JSON: keys are
 dropped, values change type, integers go out of range and darts are
-duplicated.  Each mutant runs in-process through the diagram commands,
-and every run must end in exit 0, 1 or 2; exit 3 means an internal error.
+duplicated.  Each mutant runs in-process through the diagram commands.
+The ``curves`` commands get short words with junk text mixed in, at
+genera from negative to far past the cap.  Every run must end in exit 0,
+1 or 2; exit 3 means an internal error.
 
-Family specs and ``curves`` arguments are left out because they would
-hit two known defects rather than test the contract: a huge ``--genus``
-makes ``curves intersect`` allocate dense 2g-entry vectors (MemoryError,
-exit 3), and a spec's layer count m builds 2m layer records, so a large m
-runs as long and as large as it asks.
+Family specs are left out because they would hit a known defect rather
+than test the contract: a spec's layer count m builds 2m layer records,
+so a large m runs as long and as large as it asks.
 """
 
 import contextlib
@@ -17,6 +17,7 @@ import copy
 import io
 import json
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from surflink import cli
@@ -91,3 +92,24 @@ def test_mutated_diagrams_exit_zero_one_or_two(tmp_path_factory, data):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.main(argv)
         assert code in (0, 1, 2), (argv[0], code, err.getvalue(), data)
+
+
+LETTERS = [f"{kind}{index}" for kind in "abAB" for index in (1, 2, 3)]
+JUNK = ["", " ", "x", "a", "1", "a0", "c1", "a1b", "()", "é", "-1", "a 1"]
+GENERA = [-1, 0, 1, 2, 3, 2**40, 10**30]
+WORDS = st.lists(st.sampled_from(LETTERS + JUNK), max_size=10).map("".join)
+
+
+@pytest.mark.parametrize("action,count", [("intersect", 2), ("reduce", 1), ("conjugate", 2)])
+@given(words=st.lists(WORDS, min_size=2, max_size=2), genus=st.sampled_from(GENERA))
+@example(words=["a1", "b1"], genus=10**10)  # dense 2g-entry vectors at a huge genus
+@settings(max_examples=60, deadline=5000)
+def test_curves_exit_zero_one_or_two(action, count, words, genus):
+    argv = ["curves", action, *words[:count], "--genus", str(genus)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses the command line
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())

@@ -10,10 +10,12 @@ from surflink.fal_diagram import CrossingCircle, validate_fal
 from surflink.generator import (
     INSERT_TRIES,
     _build_map,
+    _below,
     _Growth,
     _insert_circle,
     _on_three_faces,
     _random_base,
+    _shuffle_steps,
     _splice,
     generate_fal,
 )
@@ -106,7 +108,7 @@ def reference_random_base(rng, g, tries=4000):
     raise GenerationFailed(f"no one-face base map found for genus {g}")
 
 
-@pytest.mark.parametrize("g", (2, 3, 4))
+@pytest.mark.parametrize("g", (2, 3, 4, 5, 6))
 @pytest.mark.parametrize("seed", range(8))
 def test_random_base_matches_reference(g, seed):
     rng = random.Random(seed)
@@ -116,6 +118,42 @@ def test_random_base_matches_reference(g, seed):
     assert rng.getstate() == ref_rng.getstate()
     assert m.rotation == expected.rotation
     assert m.opposite == expected.opposite
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_below_matches_randrange(seed):
+    """Same index and same rng state as `randrange(n)`, for n around the
+    powers of two, where the number of rejected draws changes most."""
+    rng, ref = random.Random(seed), random.Random(seed)
+    sizes = [1, 2, 3, 5, 7, 64, 65, 1000, 2**31 - 1, 2**32 + 1, 2**70 + 3]
+    for n in sizes + list(range(1, 200)):
+        assert _below(rng.getrandbits, n) == ref.randrange(n)
+        assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_shuffle_steps_match_shuffle(seed):
+    """Fisher-Yates over `_shuffle_steps`, drawing as `_random_base` draws
+    inline, gives `Random.shuffle`'s order and leaves the rng where it does,
+    for every size 1-64."""
+    rng, ref = random.Random(seed), random.Random(seed)
+    for size in range(1, 65):
+        pool, expected = list(range(size)), list(range(size))
+        for i, n, k in _shuffle_steps(size):
+            assert k == n.bit_length()
+            j = rng.getrandbits(k)
+            while j >= n:
+                j = rng.getrandbits(k)
+            pool[i], pool[j] = pool[j], pool[i]
+        ref.shuffle(expected)
+        assert pool == expected
+        assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("n", (0, -1))
+def test_below_refuses_an_empty_range(n):
+    with pytest.raises(InternalInvariant, match=f"no index below {n}"):
+        _below(random.Random(1).getrandbits, n)
 
 
 def reference_insert_circle(rng, m, tries=200):
