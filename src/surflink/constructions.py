@@ -1,13 +1,16 @@
 """Link-family builders on thickened surfaces and mapping tori.
 
 A layered family adds m pairs of parallel curves above a fully augmented
-base diagram, alternating between two transverse curve classes.  The
-family embeds in one of three closed ambient pieces: a doubled thickened
-surface, a mapping torus with nontrivial monodromy, or the trivial
-mapping torus used for triangulation volume bounds.  Annular Dehn filling
-consumes the layer pairs (each filling spins transverse curves and costs
-two cusps); crossing-circle filling turns the base into an alternating
-twisted diagram.  Hyperbolicity is tracked as an assumption flag only.
+base diagram, alternating between two transverse curve classes, so it is
+kept as the base, the two classes and m; no per-layer record is built,
+and a family costs the same for every m.  The family embeds in one of
+three closed ambient pieces: a doubled thickened surface, a mapping torus
+whose monodromy is certified on homology to move both classes, or the
+trivial mapping torus used for triangulation volume bounds.  Annular Dehn
+filling consumes the layer pairs (each filling spins transverse curves and
+costs two cusps); crossing-circle filling turns the base into an
+alternating twisted diagram.  Hyperbolicity is tracked as an assumption
+flag only.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from collections.abc import Sequence
 from .bowtie import V_TET
 from .curves_mcg import (
     Certificate,
-    HomologyClass,
     MappingClassWord,
     acts_nontrivially,
     algebraic_intersection,
@@ -45,10 +47,8 @@ from .fal_diagram import (
 
 __all__ = [
     "IntersectionCertificate",
-    "LayerCurve",
     "LayeredFamily",
     "ManifoldLink",
-    "curve_class",
     "build_layered",
     "build_doubled",
     "build_mapping_torus",
@@ -58,12 +58,6 @@ __all__ = [
     "plan_volume_target",
 ]
 
-def curve_class(curve: str | tuple, g: int) -> HomologyClass:
-    """Homology class of a curve given as a class vector, a word tuple, or
-    a word string (see ``split_curve`` for the rule that tells them apart)."""
-    return split_curve(curve, g)[1]
-
-
 class IntersectionCertificate(namedtuple("IntersectionCertificate", "kind value")):
     """How we know the two family curves intersect essentially: kind is
     "homology", "oracle" or "asserted", value the count or None."""
@@ -71,44 +65,21 @@ class IntersectionCertificate(namedtuple("IntersectionCertificate", "kind value"
     __slots__ = ()
 
 
-class LayerCurve(namedtuple("LayerCurve", "index parity homology")):
-    """Curve C_index, index nonzero (C_i and C_-i form the annulus pair
-    A_i), of parity "odd" or "even" and the given homology class."""
-
-    __slots__ = ()
-
-
 class LayeredFamily(
     namedtuple(
-        "LayeredFamily", "base gamma_odd gamma_even m layers certificate base2", defaults=(None,)
+        "LayeredFamily",
+        "base gamma_odd_class gamma_even_class m certificate base2",
+        defaults=(None,),
     )
 ):
-    """Base diagram plus m pairs of layered curves.
+    """Base diagram plus m pairs of layered curves C_i, C_-i (i = 1..m).
 
-    Layers are LayerCurves, listed as C_1, C_-1, ..., C_m, C_-m; smaller
-    |index| lies nearer the projection surface.  Odd-index curves carry the
-    class of gamma_odd, even-index curves that of gamma_even; each gamma is
-    word text, a word tuple or a class vector.  base2 is the second base
-    of a doubled family, otherwise None.
+    Odd-index pairs carry gamma_odd_class, even-index pairs
+    gamma_even_class; smaller |i| lies nearer the projection surface.
+    base2 is the second base of a doubled family, otherwise None.
     """
 
     __slots__ = ()
-
-    @property
-    def genus(self) -> int:
-        return self.base.genus
-
-    @property
-    def gamma_odd_class(self) -> HomologyClass:
-        return curve_class(self.gamma_odd, self.genus)
-
-    @property
-    def gamma_even_class(self) -> HomologyClass:
-        return curve_class(self.gamma_even, self.genus)
-
-    @property
-    def annuli(self) -> tuple:
-        return tuple((i, -i) for i in range(1, self.m + 1))
 
 
 class ManifoldLink(
@@ -170,20 +141,7 @@ def build_layered(
             raise NoIntersectionCertificate(
                 "no evidence that the two curves intersect essentially"
             )
-    layers = []
-    for i in range(1, m + 1):
-        parity = "odd" if i % 2 == 1 else "even"
-        cls = odd_class if parity == "odd" else even_class
-        layers.append(LayerCurve(i, parity, cls))
-        layers.append(LayerCurve(-i, parity, cls))
-    return LayeredFamily(
-        base=base,
-        gamma_odd=gamma_odd,
-        gamma_even=gamma_even,
-        m=m,
-        layers=tuple(layers),
-        certificate=certificate,
-    )
+    return LayeredFamily(base, odd_class, even_class, m, certificate)
 
 
 def _base_cusps(family: LayeredFamily) -> int:
@@ -215,25 +173,15 @@ def build_mapping_torus(
     base: FalDiagram,
     phi: MappingClassWord,
     family: LayeredFamily,
-    gamma_even_justification: str | None = None,
 ) -> ManifoldLink:
     """Close the thickened surface up by a monodromy that moves both
-    family curves.  A homology-inconclusive gamma_even is allowed only
-    with a recorded justification (e.g. it came from the second-curve
-    procedure)."""
-    g = base.genus
+    family curves.  Each class must be certified on homology: phi maps it
+    to neither itself nor its negative.  An inconclusive class raises
+    MonodromyActsTrivially."""
     family = family._replace(base=base)
-    certs = []
-    for name, cls in (
-        ("gamma_odd", family.gamma_odd_class),
-        ("gamma_even", family.gamma_even_class),
-    ):
-        verdict = acts_nontrivially(phi, cls)
-        if verdict is Certificate.CertifiedNontrivial:
-            certs.append((name, "CertifiedNontrivial"))
-        elif name == "gamma_even" and gamma_even_justification:
-            certs.append((name, gamma_even_justification))
-        else:
+    names = ("gamma_odd", "gamma_even")
+    for name, cls in zip(names, (family.gamma_odd_class, family.gamma_even_class)):
+        if acts_nontrivially(phi, cls) is not Certificate.CertifiedNontrivial:
             raise MonodromyActsTrivially(
                 f"monodromy action on {name} is homology-inconclusive"
             )
@@ -242,7 +190,7 @@ def build_mapping_torus(
         family=family,
         cusp_count=_base_cusps(family) + 2 * family.m,
         monodromy=phi,
-        certificates=tuple(certs),
+        certificates=tuple((name, "CertifiedNontrivial") for name in names),
     )
 
 
@@ -274,17 +222,13 @@ def annular_fill(link: ManifoldLink, t: Sequence[int]) -> ManifoldLink:
         )
     if any(ti < 1 for ti in t):
         raise NonPositiveCoefficient("annular coefficients must be >= 1")
-    g = link.family.genus
-    twist_letters = tuple(
-        (
-            link.family.gamma_odd_class if i % 2 == 1 else link.family.gamma_even_class,
-            t[i - 1],
-        )
-        for i in range(1, m + 1)
-    )
+    classes = (link.family.gamma_odd_class, link.family.gamma_even_class)
+    twist_letters = tuple((classes[i % 2], ti) for i, ti in enumerate(t))
     base_letters = link.monodromy.letters if link.monodromy is not None else ()
     effective = (
-        MappingClassWord(base_letters + twist_letters, g) if twist_letters or base_letters else None
+        MappingClassWord(base_letters + twist_letters, link.family.base.genus)
+        if twist_letters or base_letters
+        else None
     )
     return link._replace(
         annular_coefficients=t,

@@ -21,13 +21,11 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
 from .errors import (
-    BadAlpha,
     GenusTooSmall,
     InternalInvariant,
     LengthBudgetExceeded,
     LengthMismatch,
     MalformedMap,
-    NotNontrivial,
     ParseError,
     ZeroClass,
 )
@@ -41,7 +39,6 @@ __all__ = [
     "twist_action",
     "mcg_apply",
     "acts_nontrivially",
-    "find_second_curve",
     "dehn_reduce",
     "conjugacy_equal",
     "geometric_intersection_oracle",
@@ -154,22 +151,6 @@ def acts_nontrivially(phi: MappingClassWord, gamma: HomologyClass) -> Certificat
     if image != tuple(gamma) and image != minus:
         return Certificate.CertifiedNontrivial
     return Certificate.Inconclusive
-
-
-def find_second_curve(
-    phi: MappingClassWord, gamma: HomologyClass, alpha: HomologyClass
-):
-    """A second curve moved by phi: alpha itself when certified, otherwise
-    the twist of gamma about alpha, whose pairing with gamma is the square
-    of the original pairing and hence nonzero."""
-    pairing = algebraic_intersection(gamma, alpha)
-    if pairing == 0:
-        raise BadAlpha("auxiliary curve must pair nontrivially with gamma")
-    if acts_nontrivially(phi, gamma) is not Certificate.CertifiedNontrivial:
-        raise NotNontrivial("phi is not certified to move gamma")
-    if acts_nontrivially(phi, alpha) is Certificate.CertifiedNontrivial:
-        return alpha, "Direct"
-    return twist_action(alpha, gamma, 1), "Twisted"
 
 
 # -- word level: Dehn's algorithm --------------------------------------------

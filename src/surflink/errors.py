@@ -26,6 +26,10 @@ class ZeroCoefficient(SurflinkError):
     """A Dehn-filling coefficient of zero was supplied."""
 
 
+class FillTooLarge(SurflinkError):
+    """Dehn-filling coefficients would add more crossings than the cap."""
+
+
 class NotACrossingCircle(SurflinkError):
     """The named vertex is not a crossing-circle site."""
 
@@ -61,14 +65,6 @@ class ZeroClass(SurflinkError):
 class NonPrimitiveClass(SurflinkError):
     """A nonzero homology class whose entries share a factor > 1 was
     supplied where a simple closed curve is required; no such curve has it."""
-
-
-class BadAlpha(SurflinkError):
-    """Auxiliary curve has zero pairing with the primary curve."""
-
-
-class NotNontrivial(SurflinkError):
-    """Mapping class lacks the required nontriviality certificate."""
 
 
 class LengthBudgetExceeded(SurflinkError):

@@ -13,6 +13,7 @@ from collections import namedtuple
 from functools import cached_property
 
 from .errors import (
+    FillTooLarge,
     InternalInvariant,
     MalformedMap,
     NonAlternatingTwistRegion,
@@ -414,6 +415,12 @@ def augment(diagram: FalDiagram) -> FalDiagram:
     return _replace_tangles(diagram, kinds, tangles)
 
 
+# A fill builds one map holding every added crossing, so its time and
+# memory grow linearly with them: `fill` of a genus-2 diagram adding 10^5
+# crossings takes about 3 s and 310 MB on a shared 2-core x86-64 host.
+MAX_FILL_CROSSINGS = 10**5
+
+
 def fill_crossing_circle(diagram: FalDiagram, k: int, t: int) -> FalDiagram:
     """1/t Dehn filling on circle k alone; see fill_all."""
     return fill_all(diagram, {k: t})
@@ -434,7 +441,9 @@ def fill_all(diagram: FalDiagram, coefficients: dict[int, int]) -> FalDiagram:
     follows them, from the highest circle index down, with darts numbered
     upward from the diagram's largest dart, so the result equals filling
     one circle at a time from the highest index down.  One map is built,
-    and its genus is checked once.
+    and its genus is checked once.  Fillings that would add more than
+    MAX_FILL_CROSSINGS crossings in total raise FillTooLarge before any
+    surgery.
     """
     if not coefficients:
         return diagram
@@ -446,13 +455,19 @@ def fill_all(diagram: FalDiagram, coefficients: dict[int, int]) -> FalDiagram:
         if not (0 <= k < m.vertex_count) or not isinstance(diagram.vertex_kind[k], CrossingCircle):
             raise NotACrossingCircle(f"vertex {k} is not a crossing circle")
 
-    tangles = []
+    tangles, added = [], 0
     for k in keys:
         t, kind = coefficients[k], diagram.vertex_kind[k]
         sign = 1 if t > 0 else -1
         n = 2 * abs(t)
         if kind.half_twist:
             n = n + 1 if sign == kind.half_twist_sign else n - 1
+        added += n
+        if added > MAX_FILL_CROSSINGS:
+            raise FillTooLarge(
+                f"filling circle {k} brings the added crossings to {added}, "
+                f"above the cap of {MAX_FILL_CROSSINGS}"
+            )
         tangles.append(((k,), m.rotation[k], [Crossing(0 if sign == 1 else 1)] * n))
     return _replace_tangles(diagram, diagram.vertex_kind, tangles)
 

@@ -192,7 +192,7 @@ def _json_ints(value, field: str) -> tuple:
 
 def _parse_curve_entry(entry, field: str):
     if isinstance(entry, str):
-        return entry  # word text; curve_class handles parsing
+        return entry  # word text; split_curve parses it
     if isinstance(entry, list):
         return _json_ints(entry, field)
     raise ParseError(f"curve entry must be a word string or a list, got {type(entry)}")
@@ -251,12 +251,7 @@ def build_link_from_spec(spec: dict):
         if "phi" not in spec:
             raise ParseError("mapping-torus specs require a 'phi' word")
         phi = _parse_phi(spec["phi"], g)
-        link = build_mapping_torus(
-            base,
-            phi,
-            family,
-            gamma_even_justification=spec.get("gamma_even_justification"),
-        )
+        link = build_mapping_torus(base, phi, family)
     else:
         link = build_trivial_torus(base, family)
     if "t" in spec:

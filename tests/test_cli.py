@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import surflink
-from surflink import bowtie, cli, surface_map
+from surflink import bowtie, cli, fal_diagram, surface_map
 from surflink.errors import ParseError
 from surflink.fal_diagram import diagrams_isomorphic, fill_all
 from surflink.generator import generate_fal
@@ -241,6 +241,26 @@ class TestFillAndAugmentCommands:
         _, path = diagram_file
         assert cli.main(["fill", path, "--t", "1,x,1,1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_fill_above_crossing_cap_exit_two(self, diagram_file, capsys):
+        """Fillings past MAX_FILL_CROSSINGS are refused before any surgery;
+        a coefficient of 10**10 used to exit 3 with MemoryError."""
+        d, path = diagram_file
+        assert cli.main(["fill", path, "--t=10000000000,1,1,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: FillTooLarge: filling circle {d.circles[0]} brings the added "
+            f"crossings to 20000000006, above the cap of {fal_diagram.MAX_FILL_CROSSINGS}\n"
+        )
+
+    def test_fill_crossing_cap_boundary(self, diagram_file, monkeypatch, capsys):
+        # 2|t| crossings per circle: 6 + 2 + 2 + 2 = 12 is at the cap, 14 above it.
+        _, path = diagram_file
+        monkeypatch.setattr(fal_diagram, "MAX_FILL_CROSSINGS", 12)
+        assert cli.main(["fill", path, "--t=3,-1,1,1"]) == 0
+        assert cli.main(["fill", path, "--t=3,-1,1,2"]) == 2
+        assert capsys.readouterr().err.startswith("error: FillTooLarge: ")
 
     @pytest.mark.parametrize("command", ["fill", "augment"])
     def test_wrong_declared_genus_exit_two(self, command, diagram_file, tmp_path, capsys):
@@ -620,6 +640,51 @@ class TestFamilyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: NonPrimitiveClass: {name} has class {cls}, ")
+
+    @pytest.mark.parametrize("s0", [2**40, 10**30, -(2**40)], ids=["2^40", "10^30", "-2^40"])
+    def test_crossing_circle_fill_above_cap_exit_two(self, s0, diagram_file, tmp_path, capsys):
+        """An `s` entry of 2**40 used to exit 3 with MemoryError, and one of
+        10**30 with OverflowError."""
+        _, path = diagram_file
+        spec = self._write_spec(tmp_path, path, {"s": [s0, 1, 1, 1]})
+        assert cli.main(["family", spec, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: FillTooLarge: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["TrivialMappingTorus", "DoubledThickenedSurface"])
+    def test_layer_count_costs_nothing(self, kind, diagram_file, tmp_path, capsys):
+        """m names a count, not 2m records: m = 10**12 used to run out of
+        memory."""
+        d, path = diagram_file
+        m = 10**12
+        spec = self._write_spec(tmp_path, path, {"kind": kind, "m": m})
+        assert cli.main(["family", spec, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        bases = 2 if kind == "DoubledThickenedSurface" else 1
+        assert report["counts"]["m"] == m
+        assert report["cusp_count"] == bases * (d.l + d.c) + 2 * m
+
+    @pytest.mark.parametrize("justification", [None, "trust me", "Twisted"])
+    def test_inconclusive_monodromy_refused_whatever_the_spec_says(
+        self, justification, diagram_file, tmp_path, capsys
+    ):
+        """T_b1 fixes b1, so no certificate says the monodromy moves
+        gamma_even.  A free-text gamma_even_justification used to be printed
+        as that certificate with exit 0; the field is no longer read."""
+        _, path = diagram_file
+        extra = {"kind": "MappingTorus", "phi": [["b1", 1]]}
+        if justification is not None:
+            extra["gamma_even_justification"] = justification
+        spec = self._write_spec(tmp_path, path, extra)
+        assert cli.main(["family", spec, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: MonodromyActsTrivially: monodromy action on gamma_even is "
+            f"homology-inconclusive\n{cli.INCONCLUSIVE_NOTE}\n"
+        )
 
     @pytest.mark.parametrize(
         "flag,code",

@@ -1,15 +1,15 @@
-"""Fuzz guard for the CLI exit contract on diagram files and curve words.
+"""Fuzz guard for the CLI exit contract on diagram files, family specs
+and curve words.
 
 Generated diagrams, unfilled and filled, are mutated as JSON: keys are
-dropped, values change type, integers go out of range and darts are
-duplicated.  Each mutant runs in-process through the diagram commands.
-The ``curves`` commands get short words with junk text mixed in, at
-genera from negative to far past the cap.  Every run must end in exit 0,
-1 or 2; exit 3 means an internal error.
-
-Family specs are left out because they would hit a known defect rather
-than test the contract: a spec's layer count m builds 2m layer records,
-so a large m runs as long and as large as it asks.
+dropped, values change type, integers move a little or jump to huge values
+and darts are duplicated.  Each mutant runs in-process through the diagram
+commands.  Family specs of all three kinds, with an inline base, list-form
+curves and every filling, get the same mutations; they reach list elements
+such as `s` and `t` entries, `phi` exponents and curve entries, and run
+through ``family``.  The ``curves`` commands get short words with junk
+text mixed in, at genera from negative to far past the cap.  Every run
+must end in exit 0, 1 or 2; exit 3 means an internal error.
 """
 
 import contextlib
@@ -41,8 +41,8 @@ BIG = [-1, -(2**40), 2**40, 10**30]
 
 
 @st.composite
-def mutants(draw):
-    data = copy.deepcopy(draw(st.sampled_from(BASES)))
+def mutants(draw, pool=BASES):
+    data = copy.deepcopy(draw(st.sampled_from(pool)))
     for _ in range(draw(st.integers(1, 3))):
         if not data:
             break
@@ -58,7 +58,7 @@ def mutants(draw):
             node[key] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
         elif action == "integer":
             value = node[key]
-            if isinstance(value, int) and not isinstance(value, bool):
+            if isinstance(value, int) and not isinstance(value, bool) and draw(st.booleans()):
                 node[key] = value + draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
             else:
                 node[key] = draw(st.sampled_from(BIG))
@@ -92,6 +92,48 @@ def test_mutated_diagrams_exit_zero_one_or_two(tmp_path_factory, data):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.main(argv)
         assert code in (0, 1, 2), (argv[0], code, err.getvalue(), data)
+
+
+def _specs():
+    # fill_to_wga needs a checkerboard base; this one has four circles.
+    base = diagram_to_json_dict(generate_fal(2, 4, seed=1, require_checkerboard=True))
+    common = {"base": base, "m": 2, "t": [1, 2], "s": [1, -2, 1, 3]}
+    return [
+        dict(common, kind="TrivialMappingTorus", gamma_odd=[1, 0, 0, 0], gamma_even="b1"),
+        dict(
+            common,
+            kind="MappingTorus",
+            gamma_odd="a1",
+            gamma_even=[2],
+            phi=[["a1", 1], [[0, 1, 0, 0], -2]],
+        ),
+        dict(
+            common,
+            kind="DoubledThickenedSurface",
+            base2=BASES[0],
+            gamma_odd=[1, 2],
+            gamma_even="b1",
+            m=1,
+            t=[3],
+        ),
+    ]
+
+
+SPECS = _specs()
+
+
+@given(mutants(SPECS))
+@example({**{k: v for k, v in SPECS[0].items() if k != "t"}, "m": 10**12})  # m is only a count
+@example(dict(SPECS[0], s=[2**40, 1, 1, 1]))  # fill past the crossing cap
+@example(dict(SPECS[1], s=[10**30, 1, 1, 1]))
+@settings(max_examples=100, deadline=5000)
+def test_mutated_family_specs_exit_zero_one_or_two(tmp_path_factory, spec):
+    path = tmp_path_factory.mktemp("fuzz") / "spec.json"
+    path.write_text(json.dumps(spec))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["family", str(path), "--json"])
+    assert code in (0, 1, 2), (code, err.getvalue(), spec)
 
 
 LETTERS = [f"{kind}{index}" for kind in "abAB" for index in (1, 2, 3)]

@@ -5,18 +5,16 @@ import pytest
 from surflink.bowtie import V_TET, volume_bounds
 from surflink.constructions import (
     IntersectionCertificate,
-    LayerCurve,
     ManifoldLink,
     build_doubled,
     build_layered,
     build_mapping_torus,
     build_trivial_torus,
     annular_fill,
-    curve_class,
     fill_to_wga,
     plan_volume_target,
 )
-from surflink.curves_mcg import MappingClassWord, basis_class, twist_action
+from surflink.curves_mcg import MappingClassWord, basis_class, split_curve, twist_action
 from surflink.errors import (
     CoefficientCountMismatch,
     GenusMismatch,
@@ -47,33 +45,25 @@ A2 = basis_class(3, 2)
 
 class TestCurveClass:
     def test_class_vector_passthrough(self):
-        assert curve_class((1, 0, 0, 0), 2) == (1, 0, 0, 0)
+        assert split_curve((1, 0, 0, 0), 2)[1] == (1, 0, 0, 0)
 
     def test_word_string(self):
-        assert curve_class("a1b1", 2) == (1, 1, 0, 0)
+        assert split_curve("a1b1", 2)[1] == (1, 1, 0, 0)
 
     def test_short_word_tuple_abelianizes(self):
-        assert curve_class((1, 2), 2) == (1, 1, 0, 0)
+        assert split_curve((1, 2), 2)[1] == (1, 1, 0, 0)
 
 
 class TestBuildLayered:
     def test_m_zero_is_base_alone(self):
         fam = build_layered(base_diagram(), A1, B1, 0)
-        assert fam.layers == ()
         assert fam.m == 0
         assert fam.certificate == IntersectionCertificate("homology", 1)
 
     def test_parity_and_pairing(self):
-        fam = build_layered(base_diagram(), A1, B1, 3)
-        assert len(fam.layers) == 6
-        by_index = {layer.index: layer for layer in fam.layers}
-        for i in (1, 3):
-            assert by_index[i].parity == "odd"
-            assert by_index[i].homology == A1
-            assert by_index[-i].homology == A1
-        assert by_index[2].parity == "even"
-        assert by_index[2].homology == B1
-        assert fam.annuli == ((1, -1), (2, -2), (3, -3))
+        fam = build_layered(base_diagram(), "a1", (0, 1, 0, 0), 3)
+        assert (fam.gamma_odd_class, fam.gamma_even_class, fam.m) == (A1, B1, 3)
+        assert fam.certificate == IntersectionCertificate("homology", 1)
 
     def test_no_certificate(self):
         with pytest.raises(NoIntersectionCertificate):
@@ -145,15 +135,14 @@ class TestBuildMappingTorus:
             build_mapping_torus(base, identity_like, fam)
 
     def test_fixed_even_curve_needs_justification(self):
+        # Only a homology certificate moves a class; no text stands in for it.
         base = generate_fal(2, 3, seed=0)
         phi = MappingClassWord(((B1, 1),), 2)  # fixes b1, moves a1
         fam = build_layered(base, A1, B1, 1)
-        with pytest.raises(MonodromyActsTrivially):
+        with pytest.raises(MonodromyActsTrivially, match="on gamma_even is"):
             build_mapping_torus(base, phi, fam)
-        link = build_mapping_torus(
-            base, phi, fam, gamma_even_justification="Twisted"
-        )
-        assert ("gamma_even", "Twisted") in link.certificates
+        with pytest.raises(TypeError):
+            build_mapping_torus(base, phi, fam, gamma_even_justification="Twisted")
 
     def test_cusp_spot_value(self):
         base = generate_fal(2, 3, seed=4)
@@ -290,7 +279,11 @@ class TestConstancySweep:
 def test_family_records_are_values():
     family = build_layered(base_diagram(), "a1", "b1", 2)
     link = build_trivial_torus(family.base, family)
-    assert repr(family.layers[1]) == "LayerCurve(index=-1, parity='odd', homology=(1, 0, 0, 0))"
+    assert repr(family).startswith("LayeredFamily(base=FalDiagram(")
+    assert repr(family).endswith(
+        "gamma_odd_class=(1, 0, 0, 0), gamma_even_class=(0, 1, 0, 0), m=2, "
+        "certificate=IntersectionCertificate(kind='homology', value=1), base2=None)"
+    )
     assert repr(family.certificate) == "IntersectionCertificate(kind='homology', value=1)"
     assert repr(link).startswith("ManifoldLink(kind='TrivialMappingTorus', family=LayeredFamily(base=FalDiagram(")
     assert repr(link).endswith(
@@ -300,6 +293,5 @@ def test_family_records_are_values():
     )
     assert link == ManifoldLink("TrivialMappingTorus", family, 11, hyperbolic_assumed=False)
     check_value_record(family.certificate)
-    check_value_record(family.layers[0])
     check_value_record(family, hashable=False)
     check_value_record(link, hashable=False)

@@ -22,7 +22,6 @@ from surflink.curves_mcg import (
     basis_class,
     conjugacy_equal,
     dehn_reduce,
-    find_second_curve,
     format_curve_word,
     geometric_intersection_oracle,
     mcg_apply,
@@ -32,12 +31,10 @@ from surflink.curves_mcg import (
     word_to_homology,
 )
 from surflink.errors import (
-    BadAlpha,
     InternalInvariant,
     LengthBudgetExceeded,
     LengthMismatch,
     MalformedMap,
-    NotNontrivial,
     ParseError,
     ZeroClass,
 )
@@ -153,35 +150,6 @@ class TestCertificates:
         phi = MappingClassWord(((basis_class(1, 2), 1),), 2)
         with pytest.raises(ZeroClass):
             acts_nontrivially(phi, (0, 0, 0, 0))
-
-    def test_find_second_curve_direct(self):
-        g = 2
-        a1, b1 = basis_class(1, g), basis_class(2, g)
-        phi = MappingClassWord(((a1, 1), (b1, 1)), g)
-        curve, how = find_second_curve(phi, a1, b1)
-        assert how == "Direct"
-        assert curve == b1
-        assert algebraic_intersection(a1, curve) != 0
-
-    def test_find_second_curve_twisted(self):
-        g = 2
-        a1, b1 = basis_class(1, g), basis_class(2, g)
-        # Twisting about b1 moves a1 but fixes b1 itself.
-        phi = MappingClassWord(((b1, 1),), g)
-        curve, how = find_second_curve(phi, a1, b1)
-        assert how == "Twisted"
-        assert curve == twist_action(b1, a1, 1)
-        assert algebraic_intersection(a1, curve) != 0
-
-    def test_find_second_curve_errors(self):
-        g = 2
-        a1, a2 = basis_class(1, g), basis_class(3, g)
-        phi = MappingClassWord(((basis_class(2, g), 1),), g)
-        with pytest.raises(BadAlpha):
-            find_second_curve(phi, a1, a2)
-        fixing = MappingClassWord(((a1, 1),), g)
-        with pytest.raises(NotNontrivial):
-            find_second_curve(fixing, a1, basis_class(2, g))
 
 
 class TestWordParsing:
