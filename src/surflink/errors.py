@@ -97,3 +97,7 @@ class ParseError(SurflinkError):
 
 class GenerationFailed(SurflinkError):
     """Random diagram generation exhausted its retry budget."""
+
+
+class GenerationTooLarge(SurflinkError):
+    """The requested genus or circle count is above the generator's cap."""

@@ -17,8 +17,11 @@ minimum dart, each face's tuple starting at its minimum dart.  Accepting
 a draw drops the faces that held the rerouted ends and traces again only
 from the four new darts, since every face that changes passes through
 the new vertex; the cost per step is the length of the faces through it,
-not the size of the map.  One validated map is built per grown diagram,
-and its own face trace re-proves the counting laws growth kept.
+not the size of the map.  One map is built per grown diagram, handed
+these faces: the map core runs its structural checks and checks that the
+faces partition the darts, but neither walks the map for connectivity nor
+traces it again (`_build_map` says why both are proved), and the counting
+laws growth kept are checked on the handed-over faces.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 
-from .errors import GenerationFailed, InternalInvariant
-from .fal_diagram import CrossingCircle, FalDiagram
-from .surface_map import CombinatorialMap, checkerboard_coloring
+from .errors import GenerationFailed, GenerationTooLarge, InternalInvariant
+from .fal_diagram import MAX_FILL_CROSSINGS, CrossingCircle, FalDiagram
+from .surface_map import CombinatorialMap, FaceSet, checkerboard_coloring
 
 __all__ = ["generate_fal"]
 
@@ -36,6 +39,12 @@ BASE_TRIES = 4000  # random pairings per one-face base map
 INSERT_TRIES = 200  # (face, u, w) draws per circle insertion
 GENERATE_TRIES = 50  # base maps grown per diagram
 CHECKERBOARD_TRIES = 2000  # the same, when the checkerboard filter is on
+# Size caps, checked before any draw.  Growth time and memory are linear in
+# c: 10^5 circles, the `fill` crossing cap, take about 11 s and 320 MB on a
+# shared 2-core x86-64 host.  A base-map try shuffles 4(2g-1) darts, so a
+# failing BASE_TRIES budget is linear in g: about 21 s at g = 2000 there.
+MAX_GENERATE_CIRCLES = MAX_FILL_CROSSINGS
+MAX_GENERATE_GENUS = 2000
 
 
 def _below(getrandbits, n: int) -> int:
@@ -187,24 +196,30 @@ class _Growth:
                 self._trace(x)
 
 
-def _build_map(opp: list[int], g: int) -> CombinatorialMap:
-    """The validated map of a flat involution grown at genus g.
+def _build_map(state: _Growth, g: int) -> CombinatorialMap:
+    """The map of a state grown at genus g, handed its faces.
 
     Growth keeps the genus and the reduced-face condition by face
-    arithmetic alone; the built map's own face trace, which the checks on
-    the diagram reuse, confirms both: c + 2 - 2g faces (the white-face
-    law, with V = c and E = 2c) and no face of fewer than 3 darts.
+    arithmetic alone, and `_Growth` traces every face through each new
+    vertex, so the state's faces are those `trace_faces` would give, in
+    its order.  They are checked here, with `InternalInvariant`: c + 2 - 2g
+    faces (the white-face law, with V = c and E = 2c) and no face of fewer
+    than 3 darts.  The map core checks that they partition the darts, and
+    skips its connectivity walk and its own trace: the one-face base is
+    connected, since its face visits every dart, and each insertion turns
+    an adjacency A-B into A-h-B.
     """
+    opp, mins = state.opp, state.mins
     c = len(opp) // 4
-    m = CombinatorialMap(tuple(tuple(range(4 * v, 4 * v + 4)) for v in range(c)), dict(enumerate(opp)))
-    faces = m.faces.faces
-    if len(faces) != c + 2 - 2 * g:
-        raise InternalInvariant(
-            f"grown map has {len(faces)} faces, not c + 2 - 2g = {c + 2 - 2 * g}"
-        )
+    if len(mins) != c + 2 - 2 * g:
+        raise InternalInvariant(f"grown map has {len(mins)} faces, not c + 2 - 2g = {c + 2 - 2 * g}")
+    faces = tuple(map(state.face_at.__getitem__, mins))
     if min(map(len, faces)) < 3:
         raise InternalInvariant("grown map has a face of fewer than 3 darts")
-    return m
+    index = {key: i for i, key in enumerate(mins)}
+    face_of = dict(enumerate(map(index.__getitem__, state.key_of)))
+    rotation = tuple(tuple(range(4 * v, 4 * v + 4)) for v in range(c))
+    return CombinatorialMap(rotation, dict(enumerate(opp)), FaceSet(faces, face_of))
 
 
 def _splice(state: _Growth, ends: tuple[int, int, int, int]) -> tuple[int, list[int]]:
@@ -328,6 +343,8 @@ def generate_fal(
     c + 2 - 2g complementary faces, so at least one face forces c >= 2g-1.
     With require_checkerboard the sampling is filtered on checkerboard
     colorability; that needs at least two faces, i.e. c >= 2g.
+    A genus above MAX_GENERATE_GENUS or more than MAX_GENERATE_CIRCLES
+    circles raise GenerationTooLarge, before any draw.
     """
     if g < 2:
         raise GenerationFailed("generator targets surfaces of genus >= 2")
@@ -339,6 +356,10 @@ def generate_fal(
         raise GenerationFailed(
             "a one-face diagram is self-adjacent, never checkerboard; need c >= 2g"
         )
+    if g > MAX_GENERATE_GENUS:
+        raise GenerationTooLarge(f"genus {g} is above the generator's cap of {MAX_GENERATE_GENUS}")
+    if c > MAX_GENERATE_CIRCLES:
+        raise GenerationTooLarge(f"{c} circles are above the generator's cap of {MAX_GENERATE_CIRCLES}")
     rng = random.Random(seed)
     for _ in range(CHECKERBOARD_TRIES if require_checkerboard else GENERATE_TRIES):
         state = _Growth(_random_base(rng, g))
@@ -347,7 +368,7 @@ def generate_fal(
             grown = _insert_circle(rng, state)
         if not grown:
             continue
-        m = _build_map(state.opp, g)
+        m = _build_map(state, g)
         if require_checkerboard and checkerboard_coloring(m) is None:
             continue
         kinds = []

@@ -36,12 +36,19 @@ class CombinatorialMap:
     rotation[v] lists the darts at vertex v in counterclockwise order;
     opposite[d] is the other dart of d's edge.  Equality and repr see only
     these two; the dart tables and the face cache are derived from them.
+
+    A map is validated in full, connectivity included, unless its builder
+    hands over `faces`: the FaceSet that `trace_faces` would return, which
+    a builder may pass only when its own construction proved the map
+    connected and traced every face.  Then the structural checks still
+    run, the faces must partition the darts (else InternalInvariant), and
+    the connectivity walk and the face trace are skipped.
     """
 
-    def __init__(self, rotation, opposite) -> None:
+    def __init__(self, rotation, opposite, faces: "FaceSet | None" = None) -> None:
         self.rotation: tuple[tuple[int, ...], ...] = tuple(tuple(cycle) for cycle in rotation)
         self.opposite: dict[int, int] = dict(opposite)
-        self._validate()
+        self._validate(faces)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -53,21 +60,16 @@ class CombinatorialMap:
 
     # -- construction checks -------------------------------------------------
 
-    def _validate(self) -> None:
+    def _validate(self, faces: "FaceSet | None") -> None:
         seen: dict[int, int] = {}
-        pos: dict[int, int] = {}
-        succ: dict[int, int] = {}
         for v, cycle in enumerate(self.rotation):
             if not cycle:
                 raise MalformedMap(f"vertex {v} has no incident darts")
-            for i, d in enumerate(cycle):
+            for d in cycle:
                 if d in seen:
                     raise MalformedMap(f"dart {d} appears at more than one vertex slot")
                 seen[d] = v
-                pos[d] = i
-            succ.update(zip(cycle, cycle[1:] + cycle[:1]))
-        darts = set(seen)
-        if set(self.opposite) != darts:
+        if self.opposite.keys() != seen.keys():
             raise MalformedMap("opposite involution is not defined on exactly the darts")
         for d, e in self.opposite.items():
             if e == d:
@@ -75,10 +77,20 @@ class CombinatorialMap:
             if self.opposite.get(e) != d:
                 raise MalformedMap(f"opposite is not an involution at dart {d}")
         self._vertex_of = seen
-        self._pos_of = pos
-        self._succ = succ
-        if not self._connected():
-            raise MalformedMap("map is disconnected")
+        if faces is None:
+            if not self._connected():
+                raise MalformedMap("map is disconnected")
+            return
+        face_of = {d: i for i, cycle in enumerate(faces.faces) for d in cycle}
+        if (
+            face_of != faces.face_of
+            or face_of.keys() != seen.keys()
+            or sum(map(len, faces.faces)) != len(seen)
+            or not all(faces.faces)
+        ):
+            raise InternalInvariant("handed-over faces do not partition the darts")
+        # Seeds the `faces` cache, as the first trace would.
+        self.__dict__["faces"] = faces
 
     def _connected(self) -> bool:
         darts = list(self._vertex_of)
@@ -94,6 +106,19 @@ class CombinatorialMap:
                     seen.add(e)
                     todo.append(e)
         return len(seen) == len(darts)
+
+    # -- dart tables, derived on first use -------------------------------------
+
+    @cached_property
+    def _pos_of(self) -> dict[int, int]:
+        return {d: i for cycle in self.rotation for i, d in enumerate(cycle)}
+
+    @cached_property
+    def _succ(self) -> dict[int, int]:
+        succ: dict[int, int] = {}
+        for cycle in self.rotation:
+            succ.update(zip(cycle, cycle[1:] + cycle[:1]))
+        return succ
 
     # -- basic accessors -----------------------------------------------------
 

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import surflink
-from surflink import bowtie, cli, fal_diagram, surface_map
+from surflink import bowtie, cli, fal_diagram, generator, surface_map
 from surflink.errors import ParseError
 from surflink.fal_diagram import diagrams_isomorphic, fill_all
 from surflink.generator import generate_fal
@@ -164,6 +164,34 @@ class TestGenerateCommand:
 
     def test_impossible_parameters_exit_two(self, capsys):
         assert cli.main(["generate", "--genus", "2", "--circles", "2"]) == 2
+
+    @pytest.mark.parametrize(
+        "genus,circles,message",
+        [
+            (2, 10**8, f"100000000 circles are above the generator's cap of {generator.MAX_GENERATE_CIRCLES}"),
+            (10**6, 2 * 10**6, f"genus 1000000 is above the generator's cap of {generator.MAX_GENERATE_GENUS}"),
+        ],
+        ids=["circles", "genus"],
+    )
+    def test_above_size_cap_exit_two(self, genus, circles, message, capsys):
+        """Oversized requests are refused before any draw; both used to run
+        for minutes."""
+        assert cli.main(["generate", "--genus", str(genus), "--circles", str(circles)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: GenerationTooLarge: {message}\n"
+
+    @pytest.mark.parametrize(
+        "cap,value,at_cap,above_cap",
+        [("MAX_GENERATE_CIRCLES", 12, (2, 12), (2, 13)), ("MAX_GENERATE_GENUS", 3, (3, 5), (4, 7))],
+        ids=["circles", "genus"],
+    )
+    def test_size_cap_boundary(self, cap, value, at_cap, above_cap, monkeypatch, capsys):
+        monkeypatch.setattr(generator, cap, value)
+        for (genus, circles), code in ((at_cap, 0), (above_cap, 2)):
+            argv = ["generate", "--genus", str(genus), "--circles", str(circles), "--seed", "1"]
+            assert cli.main(argv) == code
+        assert capsys.readouterr().err.startswith("error: GenerationTooLarge: ")
 
     @pytest.mark.parametrize("value", ["7", "-0.1", "nan", "x"])
     def test_bad_probability_exit_two(self, value, capsys):

@@ -8,7 +8,9 @@ commands.  Family specs of all three kinds, with an inline base, list-form
 curves and every filling, get the same mutations; they reach list elements
 such as `s` and `t` entries, `phi` exponents and curve entries, and run
 through ``family``.  The ``curves`` commands get short words with junk
-text mixed in, at genera from negative to far past the cap.  Every run
+text mixed in, at genera from negative to far past the cap.  ``generate``
+gets genera and circle counts from negative to far past its caps, with
+seeds, half-twist probabilities and the checkerboard filter.  Every run
 must end in exit 0, 1 or 2; exit 3 means an internal error.
 """
 
@@ -148,6 +150,33 @@ WORDS = st.lists(st.sampled_from(LETTERS + JUNK), max_size=10).map("".join)
 @settings(max_examples=60, deadline=5000)
 def test_curves_exit_zero_one_or_two(action, count, words, genus):
     argv = ["curves", action, *words[:count], "--genus", str(genus)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses the command line
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+
+
+SIZES = [-(2**40), -1, 0, 1, 2, 3, 4, 5, 8, 2**40, 10**30]
+PROBABILITIES = ["0", "0.3", "1", "-0.1", "1.5", "nan", "x"]
+
+
+@given(
+    genus=st.sampled_from(SIZES),
+    circles=st.sampled_from(SIZES),
+    seed=st.sampled_from([None, -1, 0, 7, 2**70]),
+    probability=st.sampled_from(PROBABILITIES),
+    checkerboard=st.booleans(),
+)
+@example(genus=2, circles=10**8, seed=None, probability="0", checkerboard=False)
+@example(genus=10**6, circles=2 * 10**6, seed=None, probability="0", checkerboard=False)
+@settings(max_examples=100, deadline=5000)
+def test_generate_exit_zero_one_or_two(genus, circles, seed, probability, checkerboard):
+    argv = ["generate", "--genus", str(genus), "--circles", str(circles)]
+    argv += ["--half-twist-probability", probability] + ["--require-checkerboard"] * checkerboard
+    argv += [] if seed is None else ["--seed", str(seed)]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:

@@ -26,6 +26,7 @@ from surflink.fal_diagram import (
     check_wga,
     choose_alternating_signs,
     detect_twist_regions,
+    diagram_canonical_form,
     diagrams_isomorphic,
     fill_all,
     fill_crossing_circle,
@@ -828,6 +829,16 @@ def count_computations(monkeypatch, name):
 
     monkeypatch.setattr(prop, "func", counted)
     return calls
+
+
+def test_canonical_form_computed_once_per_diagram(monkeypatch):
+    a = generate_fal(2, 6, seed=4, half_twist_probability=0.5)
+    b = FalDiagram(a.map, a.genus, a.vertex_kind)
+    forms = count_computations(monkeypatch, "canonical")
+    assert diagrams_isomorphic(a, b) and diagrams_isomorphic(b, a)
+    assert diagram_canonical_form(a) == diagram_canonical_form(b)
+    assert len(forms) == 2 and forms[0] is a and forms[1] is b
+    assert a == b and "canonical" in vars(a)
 
 
 def test_fill_to_wga_and_augment_share_one_region_walk(monkeypatch):

@@ -74,6 +74,13 @@ def test_half_twist_sprinkling():
     assert not any(k.half_twist for k in d.vertex_kind)
 
 
+def traced_map(opp):
+    """The map of a flat involution as the map core validates and traces it
+    in full, with no faces handed over: the reference for the grown state."""
+    rotation = tuple(tuple(range(4 * v, 4 * v + 4)) for v in range(len(opp) // 4))
+    return CombinatorialMap(rotation, dict(enumerate(opp)))
+
+
 def _has_same_parity_loop(m):
     """A loop joining two equal-parity slots of one vertex."""
     for d in m.darts:
@@ -113,7 +120,7 @@ def reference_random_base(rng, g, tries=4000):
 def test_random_base_matches_reference(g, seed):
     rng = random.Random(seed)
     ref_rng = random.Random(seed)
-    m = _build_map(_random_base(rng, g), g)
+    m = _build_map(_Growth(_random_base(rng, g)), g)
     expected = reference_random_base(ref_rng, g)
     assert rng.getstate() == ref_rng.getstate()
     assert m.rotation == expected.rotation
@@ -213,7 +220,7 @@ def test_insert_circle_matches_reference(g, c, seed):
     while state.vertex_count < c:
         ref_rng = random.Random()
         ref_rng.setstate(rng.getstate())
-        m = _build_map(state.opp, g)
+        m = traced_map(state.opp)
         grown = _insert_circle(rng, state)
         expected = reference_insert_circle(ref_rng, m)
         assert rng.getstate() == ref_rng.getstate()
@@ -221,7 +228,7 @@ def test_insert_circle_matches_reference(g, c, seed):
             assert not grown
             break
         assert grown
-        built = _build_map(state.opp, g)
+        built = _build_map(state, g)
         assert built.rotation == expected.rotation
         assert built.opposite == expected.opposite
 
@@ -260,7 +267,7 @@ def test_splice_predicts_traced_faces(g, c, seed):
     state = _Growth(_random_base(rng, g))
     outcomes = {"count": 0, "bigon": 0}
     while state.vertex_count < c:
-        m = _build_map(state.opp, g)
+        m = traced_map(state.opp)
         fs = trace_faces(m)
         base = len(state.opp)
         h = tuple(range(base, base + 4))
@@ -293,7 +300,7 @@ def test_splice_predicts_traced_faces(g, c, seed):
         if accepted is None:
             assert not grown
             break
-        built = _build_map(state.opp, g)
+        built = _build_map(state, g)
         assert built.rotation == accepted.rotation
         assert built.opposite == accepted.opposite
     assert outcomes["count"] and outcomes["bigon"]
@@ -348,7 +355,7 @@ def test_no_splice_sees_ends_on_three_faces(monkeypatch):
 
 
 def _assert_faces_match(state, g):
-    fs = trace_faces(_build_map(state.opp, g))
+    fs = trace_faces(traced_map(state.opp))
     assert [state.face_at[k] for k in state.mins] == list(fs.faces)
     assert state.mins == [face[0] for face in fs.faces]
     for d in range(len(state.opp)):
@@ -373,6 +380,57 @@ def test_incremental_faces_equal_traced_faces(g, extra, seed):
     _assert_faces_match(state, g)
     while state.vertex_count < c and _insert_circle(rng, state):
         _assert_faces_match(state, g)
+
+
+def _assert_handed_over_map_is_traced_map(state, g):
+    """The map built from the state's own faces equals the map the core
+    validates and traces in full, with the same faces and dart tables; the
+    handed-over map builds its rotation tables only when read."""
+    built = _build_map(state, g)
+    assert "faces" in vars(built)
+    assert "_pos_of" not in vars(built) and "_succ" not in vars(built)
+    reference = traced_map(state.opp)
+    assert built == reference
+    assert trace_faces(built) == trace_faces(reference)
+    assert built._vertex_of == reference._vertex_of == {d: d // 4 for d in range(len(state.opp))}
+    assert built._pos_of == reference._pos_of == {d: d % 4 for d in range(len(state.opp))}
+    assert built._succ == reference._succ == {d: d - d % 4 + (d + 1) % 4 for d in range(len(state.opp))}
+
+
+@pytest.mark.parametrize("g,c", [(2, 3), (2, 30), (3, 20), (4, 40)])
+@pytest.mark.parametrize("seed", range(3))
+def test_handed_over_map_equals_traced_map(g, c, seed):
+    rng = random.Random(seed)
+    state = _Growth(_random_base(rng, g))
+    _assert_handed_over_map_is_traced_map(state, g)
+    while state.vertex_count < c and _insert_circle(rng, state):
+        _assert_handed_over_map_is_traced_map(state, g)
+
+
+@given(
+    g=st.sampled_from((2, 3, 4)),
+    extra=st.integers(min_value=0, max_value=60),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_handed_over_map_equals_traced_map_fuzzed(g, extra, seed):
+    rng = random.Random(seed)
+    state = _Growth(_random_base(rng, g))
+    while state.vertex_count < 2 * g - 1 + extra and _insert_circle(rng, state):
+        pass
+    _assert_handed_over_map_is_traced_map(state, g)
+
+
+def test_faces_of_an_earlier_step_raise():
+    """Faces handed over from before the last insertion miss the new
+    vertex's darts; the map core refuses them with `InternalInvariant`."""
+    rng = random.Random(3)
+    state = _Growth(_random_base(rng, 2))
+    stale = _build_map(state, 2).faces
+    assert _insert_circle(rng, state)
+    grown = traced_map(state.opp)
+    with pytest.raises(InternalInvariant, match="handed-over faces do not partition the darts"):
+        CombinatorialMap(grown.rotation, grown.opposite, stale)
 
 
 @pytest.mark.parametrize("g,c", [(2, 3), (2, 40), (3, 25)])

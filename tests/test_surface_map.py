@@ -4,7 +4,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from surflink.errors import InvalidCorridor, MalformedMap
+import re
+
+from surflink.errors import InternalInvariant, InvalidCorridor, MalformedMap
 from surflink.surface_map import (
     CombinatorialMap,
     CutPiece,
@@ -89,6 +91,36 @@ class TestValidation:
     def test_opposite_domain_mismatch_rejected(self):
         with pytest.raises(MalformedMap):
             CombinatorialMap(((0, 1),), {0: 1, 1: 0, 2: 3, 3: 2})
+
+
+MALFORMED = [
+    ("empty-vertex", ((0, 1), ()), {0: 1, 1: 0}, "vertex 1 has no incident darts"),
+    ("two-slots", ((0, 1), (1, 2)), {0: 1, 1: 0, 2: 0}, "dart 1 appears at more than one vertex slot"),
+    ("domain", ((0, 1),), {0: 1, 1: 0, 2: 3, 3: 2}, "opposite involution is not defined on exactly the darts"),
+    ("fixed-point", ((0, 1),), {0: 0, 1: 1}, "opposite fixes dart 0"),
+    ("not-involution", ((0, 1, 2),), {0: 1, 1: 2, 2: 0}, "opposite is not an involution at dart 0"),
+    ("disconnected", ((0, 1), (2, 3)), {0: 1, 1: 0, 2: 3, 3: 2}, "map is disconnected"),
+]
+
+
+@pytest.mark.parametrize(
+    "rotation,opposite,message", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED]
+)
+def test_malformed_map_messages(rotation, opposite, message):
+    with pytest.raises(MalformedMap, match=f"^{re.escape(message)}$"):
+        CombinatorialMap(rotation, opposite)
+
+
+@pytest.mark.parametrize(
+    "rotation,opposite,message", [case[1:4] for case in MALFORMED[:5]], ids=[case[0] for case in MALFORMED[:5]]
+)
+def test_handed_over_faces_keep_the_structural_checks(rotation, opposite, message):
+    """Faces spare a builder only the connectivity walk and the trace: the
+    structural faults raise the same MalformedMap before the faces are read."""
+    darts = sorted({d for cycle in rotation for d in cycle})
+    faces = FaceSet(tuple((d,) for d in darts), {d: i for i, d in enumerate(darts)})
+    with pytest.raises(MalformedMap, match=f"^{re.escape(message)}$"):
+        CombinatorialMap(rotation, opposite, faces)
 
 
 class TestFaces:
@@ -323,6 +355,49 @@ class TestFaceCache:
             assert repr(m) == f"CombinatorialMap(rotation={m.rotation!r}, opposite={m.opposite!r})"
             with pytest.raises(TypeError):
                 hash(m)
+
+
+@pytest.mark.parametrize("build", TestFaceCache.MAPS, ids=lambda b: b.__name__)
+def test_handed_over_faces_become_the_face_cache(build):
+    m = build()
+    fs = uncached_faces(m)
+    handed = CombinatorialMap(m.rotation, m.opposite, fs)
+    assert handed == m
+    assert trace_faces(handed) is fs
+    assert fs == trace_faces(m)
+    assert "_pos_of" not in vars(handed) and "_succ" not in vars(handed)
+    assert (handed._vertex_of, handed._pos_of, handed._succ) == (m._vertex_of, m._pos_of, m._succ)
+
+
+def _drop_last_face(fs):
+    last = len(fs.faces) - 1
+    return FaceSet(fs.faces[:-1], {d: i for d, i in fs.face_of.items() if i != last})
+
+
+def _stale_first_face(fs):
+    # The first face listed again in place of the second, as a face list
+    # left over from before a rebuild would.
+    faces = (fs.faces[0], fs.faces[0]) + fs.faces[2:]
+    return FaceSet(faces, {d: i for i, cycle in enumerate(faces) for d in cycle})
+
+
+def _face_of_off_by_one(fs):
+    return FaceSet(fs.faces, {d: i + 1 for d, i in fs.face_of.items()})
+
+
+def _empty_face_added(fs):
+    return FaceSet(fs.faces + ((),), fs.face_of)
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_drop_last_face, _stale_first_face, _face_of_off_by_one, _empty_face_added],
+    ids=lambda f: f.__name__.strip("_"),
+)
+@pytest.mark.parametrize("build", TestFaceCache.MAPS, ids=lambda b: b.__name__)
+def test_faces_that_do_not_partition_the_darts_raise(build, corrupt):
+    m = build()
+    with pytest.raises(InternalInvariant, match="handed-over faces do not partition the darts"):
+        CombinatorialMap(m.rotation, m.opposite, corrupt(uncached_faces(m)))
 
 
 def check_value_record(record, hashable=True):
