@@ -312,7 +312,8 @@ _TET_LABELS = (_S1, _S2, _S3)
 
 
 class VolumeBounds(namedtuple("VolumeBounds", "v_tet lower upper")):
-    """upper is None for every kind but TrivialMappingTorus."""
+    """upper is None unless the manifold is the unfilled TrivialMappingTorus
+    with no layer pairs."""
 
     __slots__ = ()
 
@@ -457,13 +458,20 @@ def prism_triangulation(d: BowtieDecomposition) -> PrismTriangulation:
     return out
 
 
-def volume_bounds(c: int, g: int, l: int, m: int, kind: str) -> VolumeBounds:
+def volume_bounds(c: int, g: int, l: int, m: int, kind: str, filled: bool = False) -> VolumeBounds:
     """Cusp-count lower bound, and the prism upper bound when the manifold
-    is the trivial mapping torus."""
+    is the trivial mapping torus over the base diagram alone: m = 0 and no
+    fills.  The prisms triangulate Sigma x S^1 over the base; layer curves
+    and fillings are not in that triangulation, so no upper bound is
+    claimed for them."""
     if g < 2:
         raise GenusTooSmall("volume bounds require an ambient surface of genus >= 2")
     if min(c, l, m) < 0:
         raise MalformedMap("counts must be nonnegative")
-    cusp_count = l + c + 2 * m
-    upper = 6 * (3 * c + 2 * g - 2) * V_TET if kind == "TrivialMappingTorus" else None
-    return VolumeBounds(v_tet=V_TET, lower=cusp_count * V_TET, upper=upper)
+    lower = (l + c + 2 * m) * V_TET
+    upper = None
+    if kind == "TrivialMappingTorus" and m == 0 and not filled:
+        upper = 6 * (3 * c + 2 * g - 2) * V_TET
+        if lower > upper:
+            raise InternalInvariant(f"volume lower bound {lower} exceeds upper bound {upper}")
+    return VolumeBounds(v_tet=V_TET, lower=lower, upper=upper)

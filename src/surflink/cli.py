@@ -179,7 +179,8 @@ def cmd_family(args) -> int:
     spec = sio.load_family_spec(args.path)
     link = sio.build_link_from_spec(spec)
     base = link.family.base
-    vb = volume_bounds(base.c, base.genus, base.l, link.family.m, link.kind)
+    filled = bool(link.annular_coefficients or link.circle_coefficients)
+    vb = volume_bounds(base.c, base.genus, base.l, link.family.m, link.kind, filled)
     out = {
         "command": "family",
         "input_digest": sio.file_digest(args.path),

@@ -364,12 +364,26 @@ def _count_orbits(linked, u: CurveWord, v: CurveWord, g: int) -> int:
     pairs coincide on the surface exactly when the connecting elements
     e = p_i q_j^-1 satisfy e' = u^k e v^l in the group for some integers
     k, l (deck transformations preserving both axes).
+
+    Candidates are searched only for |k|, |l| <= K = 4; that window is not
+    proved (ROADMAP item 10).  For each pair of pairs they are tried in
+    order of k, then of l, each from -K up, and the first that Dehn-reduces
+    u^k e v^l e'^-1 to the empty word merges the two.  Only (k, l) with
+    k[u] + l[v] = [e'] - [e] can pass, so for each k this solves
+    r = [e'] - [e] - k[u] for l = r/[v] by the first nonzero entry of [v]
+    and checks every entry: at most one l, the one the l loop would have
+    reached first.  When [v] = 0 every l passes if r = 0, in order.  So the
+    same candidates reach dehn_reduce in the same order, and every merge
+    is the one the full (k, l) window makes.  Each connecting element's
+    class is computed once.
     """
     elements = {
         (i, j): tuple(_free_reduce(u[:i] + _inverse_word(v[:j]))) for i, j in linked
     }
+    classes = {pair: word_to_homology(e, g) for pair, e in elements.items()}
     ab_u = word_to_homology(u, g)
     ab_v = word_to_homology(v, g)
+    pivot = next((t for t, x in enumerate(ab_v) if x), None)
     parent = {pair: pair for pair in linked}
 
     def find(x):
@@ -379,32 +393,36 @@ def _count_orbits(linked, u: CurveWord, v: CurveWord, g: int) -> int:
         return x
 
     K = 4
+    window = range(-K, K + 1)
+
+    def solutions(diff):
+        """(k, l) in the window with k[u] + l[v] = diff, in window order."""
+        for k in window:
+            r = [d - k * a for d, a in zip(diff, ab_u)]
+            if pivot is None:
+                if not any(r):
+                    yield from ((k, l) for l in window)
+                continue
+            l, rest = divmod(r[pivot], ab_v[pivot])
+            if not rest and l in window and all(
+                x == l * b for x, b in zip(r, ab_v)
+            ):
+                yield k, l
+
     for idx, p1 in enumerate(linked):
         for p2 in linked[idx + 1 :]:
             if find(p1) == find(p2):
                 continue
             e1, e2 = elements[p1], elements[p2]
-            diff = tuple(
-                a - b
-                for a, b in zip(word_to_homology(e2, g), word_to_homology(e1, g))
-            )
-            for k in range(-K, K + 1):
-                merged = False
-                for l in range(-K, K + 1):
-                    if any(
-                        k * au + l * av != d for au, av, d in zip(ab_u, ab_v, diff)
-                    ):
-                        continue
-                    candidate = (
-                        (u if k > 0 else _inverse_word(u)) * abs(k)
-                        + e1
-                        + (v if l > 0 else _inverse_word(v)) * abs(l)
-                    )
-                    if dehn_reduce(candidate + _inverse_word(e2), g) == ():
-                        parent[find(p2)] = find(p1)
-                        merged = True
-                        break
-                if merged:
+            diff = [a - b for a, b in zip(classes[p2], classes[p1])]
+            for k, l in solutions(diff):
+                candidate = (
+                    (u if k > 0 else _inverse_word(u)) * abs(k)
+                    + e1
+                    + (v if l > 0 else _inverse_word(v)) * abs(l)
+                )
+                if dehn_reduce(candidate + _inverse_word(e2), g) == ():
+                    parent[find(p2)] = find(p1)
                     break
     return len({find(pair) for pair in linked})
 

@@ -163,6 +163,24 @@ class TestVolumeBounds:
         assert volume_bounds(3, 2, 1, 0, "MappingTorus").upper is None
         assert volume_bounds(3, 2, 1, 2, "DoubledThickenedSurface").upper is None
 
+    @given(
+        st.integers(0, 300),
+        st.integers(2, 8),
+        st.integers(0, 600),
+        st.integers(0, 60),
+        st.sampled_from(["TrivialMappingTorus", "MappingTorus", "DoubledThickenedSurface"]),
+        st.booleans(),
+    )
+    def test_printed_lower_never_exceeds_printed_upper(self, c, g, l, m, kind, filled):
+        l = min(l, 2 * c)  # a 4-valent map has 2c edges, so at most 2c strands
+        vb = volume_bounds(c, g, l, m, kind, filled)
+        assert (vb.upper is not None) == (kind == "TrivialMappingTorus" and m == 0 and not filled)
+        assert vb.upper is None or vb.lower <= vb.upper
+
+    def test_lower_above_upper_is_an_internal_error(self):
+        with pytest.raises(InternalInvariant, match="exceeds"):
+            volume_bounds(0, 2, 100, 0, "TrivialMappingTorus")
+
     def test_low_genus_rejected(self):
         with pytest.raises(GenusTooSmall):
             volume_bounds(3, 1, 1, 0, "TrivialMappingTorus")

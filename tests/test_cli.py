@@ -487,14 +487,18 @@ class TestDecomposeCommand:
 
 class TestBoundsCommand:
     def test_upper_only_for_trivial_kind(self, diagram_file, capsys):
+        """The prism bound covers Sigma x S^1 over the base alone, so it is
+        printed only for m = 0: at m = 50 the prism count gives 85.26, under
+        the cusp bound 106.57."""
         _, path = diagram_file
-        assert cli.main(["bounds", path, "--m", "2", "--json"]) == 0
+        assert cli.main(["bounds", path, "--m", "0", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["upper"] is not None
-        assert cli.main(["bounds", path, "--m", "2", "--kind", "MappingTorus", "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["upper"] is None
-        assert report["lower"] > 0
+        assert report["lower"] <= report["upper"]
+        for argv in (["--m", "2"], ["--m", "50"], ["--m", "0", "--kind", "MappingTorus"]):
+            assert cli.main(["bounds", path, *argv, "--json"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["upper"] is None
+            assert report["lower"] > 0
 
     def test_wrong_declared_genus_exit_two(self, tmp_path, capsys):
         data = diagram_to_json_dict(generate_fal(2, 4, seed=1))
@@ -606,6 +610,25 @@ class TestFamilyCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["wga"]["twist_regions"] == 4
         assert report["wga"]["alternating"]
+
+    @pytest.mark.parametrize(
+        "extra,printed",
+        [
+            ({"m": 0}, True),
+            ({"m": 0, "s": [2, 1, 3, 1]}, False),
+            ({"m": 2}, False),
+            ({"m": 2, "t": [1, 2]}, False),
+        ],
+        ids=["bare", "circle-filled", "layered", "annular-filled"],
+    )
+    def test_upper_only_without_layers_or_fills(self, extra, printed, diagram_file, tmp_path, capsys):
+        _, path = diagram_file
+        spec = self._write_spec(tmp_path, path, extra)
+        assert cli.main(["family", spec, "--json"]) in (0, 1)
+        bounds = json.loads(capsys.readouterr().out)["bounds"]
+        assert (bounds["upper"] is not None) == printed
+        if printed:
+            assert bounds["lower"] <= bounds["upper"]
 
     def test_missing_field_exit_two(self, tmp_path):
         path = tmp_path / "spec.json"

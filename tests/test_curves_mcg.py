@@ -395,6 +395,140 @@ class TestIntersectionOracle:
                 tuple([1, 2] * 20), (2,), 2, budget=8
             )
 
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_twist_images_of_the_dual_curve(self, g):
+        # b_i a_i^k is T_{a_i}^k(b_i), and i(T_a^k(b), T_a^j(b)) = |k - j| i(a, b)^2.
+        for i in range(1, g + 1):
+            a, b = 2 * i - 1, 2 * i
+            for k in range(-4, 5):
+                for j in range(-4, 5):
+                    wk = (b,) + (a if k > 0 else -a,) * abs(k)
+                    wj = (b,) + (a if j > 0 else -a,) * abs(j)
+                    assert geometric_intersection_oracle(wk, wj, g) == abs(k - j)
+
+
+# -- reference orbit merge -----------------------------------------------------
+#
+# The merge that _count_orbits replaced, kept verbatim as a reference: every
+# (k, l) of the window tested coordinate by coordinate, and both connecting
+# classes recomputed for every pair of linked pairs.
+
+
+def reference_count_orbits(linked, u, v, g):
+    elements = {
+        (i, j): tuple(curves_mcg._free_reduce(u[:i] + _inverse_word(v[:j]))) for i, j in linked
+    }
+    ab_u = word_to_homology(u, g)
+    ab_v = word_to_homology(v, g)
+    parent = {pair: pair for pair in linked}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    K = 4
+    for idx, p1 in enumerate(linked):
+        for p2 in linked[idx + 1 :]:
+            if find(p1) == find(p2):
+                continue
+            e1, e2 = elements[p1], elements[p2]
+            diff = tuple(
+                a - b
+                for a, b in zip(word_to_homology(e2, g), word_to_homology(e1, g))
+            )
+            for k in range(-K, K + 1):
+                merged = False
+                for l in range(-K, K + 1):
+                    if any(
+                        k * au + l * av != d for au, av, d in zip(ab_u, ab_v, diff)
+                    ):
+                        continue
+                    candidate = (
+                        (u if k > 0 else _inverse_word(u)) * abs(k)
+                        + e1
+                        + (v if l > 0 else _inverse_word(v)) * abs(l)
+                    )
+                    if dehn_reduce(candidate + _inverse_word(e2), g) == ():
+                        parent[find(p2)] = find(p1)
+                        merged = True
+                        break
+                if merged:
+                    break
+    return len({find(pair) for pair in linked})
+
+
+def _linked_pairs(u, v, g):
+    pos = _direction_order(g)
+    return [
+        (i, j)
+        for i in range(len(u))
+        for j in range(len(v))
+        if _axes_linked(u[i:] + u[:i], v[j:] + v[:j], pos)
+    ]
+
+
+# Pairs whose second class is zero, so that every l solves each k, and
+# pairs whose classes are parallel, so that the solve divides by entries
+# of either sign.
+SPECIAL_PAIRS = [
+    ("b1", "a1a2A1A2", 2, 2),
+    ("b1b2", "a1a2A1A2", 2, 4),
+    ("a1a2A1A2", "b1", 2, 2),
+    ("b3", "a1a3A1A3", 3, 2),
+    ("A2B2A2a1", "a2b2A1a2", 2, 4),
+    ("B1a2b1A1", "a2A1", 2, 4),
+    ("a2a1B1B2", "b2b1A2A1", 2, 4),
+    ("a2", "B2b1b2A2B1", 2, 2),
+    ("B2A2A2b2A2B2", "B2A2b1A2B1A2", 2, 8),
+    ("a2a2a2", "b2A1a2B2a1", 2, 6),
+]
+
+
+class TestOrbitMerge:
+    def test_matches_the_former_window_loop(self, monkeypatch):
+        rng = random.Random(21)
+        cases = []
+        for _ in range(300):
+            g = rng.choice([2, 3])
+            letters = [s * x for x in range(1, 2 * g + 1) for s in (1, -1)]
+            w1 = tuple(rng.choice(letters) for _ in range(rng.randint(1, 7)))
+            w2 = tuple(rng.choice(letters) for _ in range(rng.randint(1, 7)))
+            cases.append((w1, w2, g))
+        cases += [
+            (parse_curve_word(s1, g), parse_curve_word(s2, g), g)
+            for s1, s2, g, _ in SPECIAL_PAIRS
+        ]
+        values = [geometric_intersection_oracle(w1, w2, g) for w1, w2, g in cases]
+        monkeypatch.setattr(curves_mcg, "_count_orbits", reference_count_orbits)
+        assert values == [geometric_intersection_oracle(w1, w2, g) for w1, w2, g in cases]
+
+    @pytest.mark.parametrize("s1, s2, g, expected", SPECIAL_PAIRS)
+    def test_zero_and_parallel_classes(self, s1, s2, g, expected):
+        u = dehn_reduce(parse_curve_word(s1, g), g)
+        v = dehn_reduce(parse_curve_word(s2, g), g)
+        linked = _linked_pairs(u, v, g)
+        count = curves_mcg._count_orbits(linked, u, v, g)
+        assert count == reference_count_orbits(linked, u, v, g)
+        assert geometric_intersection_oracle(u, v, g) == expected
+
+    def test_each_class_is_computed_once(self, monkeypatch):
+        g = 2
+        u = dehn_reduce(parse_curve_word("a1b1b1a2B1", g), g)
+        v = dehn_reduce(parse_curve_word("b1a2a2B2a1", g), g)
+        linked = _linked_pairs(u, v, g)
+        assert len(linked) > 2
+        calls = []
+
+        def spy(w, g):
+            calls.append(w)
+            return word_to_homology(w, g)
+
+        monkeypatch.setattr(curves_mcg, "word_to_homology", spy)
+        curves_mcg._count_orbits(linked, u, v, g)
+        assert len(calls) == len(linked) + 2
+
 
 # -- reference ray walk --------------------------------------------------------
 #
