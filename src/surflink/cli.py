@@ -256,13 +256,13 @@ def cmd_curves(args) -> int:
         raise ParseError(
             f"curves {args.action} takes {expected} word(s), got {len(args.words)}"
         )
+    # The library functions own the default budgets.
+    budget = {} if args.budget is None else {"budget": args.budget}
     if args.action == "intersect":
         w1 = parse_curve_word(args.words[0], g)
         w2 = parse_curve_word(args.words[1], g)
         alg = algebraic_intersection(word_to_homology(w1, g), word_to_homology(w2, g))
-        geo = geometric_intersection_oracle(
-            w1, w2, g, budget=args.budget if args.budget is not None else 16
-        )
+        geo = geometric_intersection_oracle(w1, w2, g, **budget)
         out = {"command": "curves intersect", "algebraic": alg, "geometric": geo}
         _emit(out, args.json)
         return EXIT_PASS if geo >= abs(alg) else EXIT_PROPERTY
@@ -273,13 +273,7 @@ def cmd_curves(args) -> int:
         return EXIT_PASS
     w1 = parse_curve_word(args.words[0], g)
     w2 = parse_curve_word(args.words[1], g)
-    equal = conjugacy_equal(
-        w1,
-        w2,
-        g,
-        budget=args.budget if args.budget is not None else 64,
-        up_to_inverse=args.up_to_inverse,
-    )
+    equal = conjugacy_equal(w1, w2, g, up_to_inverse=args.up_to_inverse, **budget)
     _emit({"command": "curves conjugate", "equal": equal}, args.json)
     return EXIT_PASS if equal else EXIT_PROPERTY
 

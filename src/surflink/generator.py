@@ -31,7 +31,7 @@ from bisect import bisect_left, insort
 
 from .errors import GenerationFailed, GenerationTooLarge, InternalInvariant
 from .fal_diagram import MAX_FILL_CROSSINGS, CrossingCircle, FalDiagram
-from .surface_map import CombinatorialMap, FaceSet, checkerboard_coloring
+from .surface_map import CombinatorialMap, checkerboard_coloring
 
 __all__ = ["generate_fal"]
 
@@ -216,10 +216,8 @@ def _build_map(state: _Growth, g: int) -> CombinatorialMap:
     faces = tuple(map(state.face_at.__getitem__, mins))
     if min(map(len, faces)) < 3:
         raise InternalInvariant("grown map has a face of fewer than 3 darts")
-    index = {key: i for i, key in enumerate(mins)}
-    face_of = dict(enumerate(map(index.__getitem__, state.key_of)))
     rotation = tuple(tuple(range(4 * v, 4 * v + 4)) for v in range(c))
-    return CombinatorialMap(rotation, dict(enumerate(opp)), FaceSet(faces, face_of))
+    return CombinatorialMap(rotation, dict(enumerate(opp)), faces)
 
 
 def _splice(state: _Growth, ends: tuple[int, int, int, int]) -> tuple[int, list[int]]:

@@ -36,7 +36,6 @@ KINDS = ("DoubledThickenedSurface", "MappingTorus", "TrivialMappingTorus")
 def diagram_to_json_dict(diagram) -> dict:
     """The JSON object of a FalDiagram."""
     from .fal_diagram import CrossingCircle
-    from .surface_map import map_to_json_dict
 
     data = map_to_json_dict(diagram.map)
     data["genus"] = diagram.genus
@@ -59,16 +58,38 @@ def diagram_to_json_dict(diagram) -> dict:
     return data
 
 
+def map_to_json_dict(m) -> dict:
+    """The `vertices` and `opposite` fields of a CombinatorialMap."""
+    pairs = [[d, m.opposite[d]] for d in m.edges()]
+    return {"vertices": [list(c) for c in m.rotation], "opposite": pairs}
+
+
+def map_from_json_dict(data: dict):
+    """The CombinatorialMap of the `vertices` and `opposite` fields.
+
+    Every dart is type-checked before any pair is unpacked, so a non-integer
+    dart is reported as such even after a pair of the wrong length.  Other
+    faults raise KeyError, TypeError or ValueError, which
+    `diagram_from_json_dict` reports as a ParseError.
+    """
+    from .surface_map import CombinatorialMap
+
+    for field in ("vertices", "opposite"):
+        for group in data[field]:
+            for dart in group:
+                _json_int(dart, field)
+    opposite: dict[int, int] = {}
+    for a, b in data["opposite"]:
+        opposite[a] = b
+        opposite[b] = a
+    return CombinatorialMap(data["vertices"], opposite)
+
+
 def diagram_from_json_dict(data: dict):
     """The FalDiagram of a JSON object; a malformed object is a ParseError."""
     from .fal_diagram import Crossing, CrossingCircle, FalDiagram
-    from .surface_map import map_from_json_dict
 
     try:
-        for field in ("vertices", "opposite"):
-            for group in data[field]:
-                for dart in group:
-                    _json_int(dart, field)
         m = map_from_json_dict(data)
         genus = _json_int(data["genus"], "genus")
         kinds = []

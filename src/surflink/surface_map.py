@@ -12,7 +12,6 @@ so face cycles, Euler characteristic and genus are all derived data.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable
 from functools import cached_property
 
 from .errors import InternalInvariant, InvalidCorridor, MalformedMap
@@ -26,7 +25,6 @@ __all__ = [
     "checkerboard_coloring",
     "cut_along_two_cut",
     "cycle_space_labels",
-    "components_of",
 ]
 
 
@@ -38,14 +36,15 @@ class CombinatorialMap:
     these two; the dart tables and the face cache are derived from them.
 
     A map is validated in full, connectivity included, unless its builder
-    hands over `faces`: the FaceSet that `trace_faces` would return, which
-    a builder may pass only when its own construction proved the map
-    connected and traced every face.  Then the structural checks still
-    run, the faces must partition the darts (else InternalInvariant), and
-    the connectivity walk and the face trace are skipped.
+    hands over `faces`: the face cycles, as dart tuples in the order and
+    from the start darts that `trace_faces` would give, which a builder
+    may pass only when its own construction proved the map connected and
+    traced every face.  Then the structural checks still run, the faces
+    must partition the darts (else InternalInvariant), and the connectivity
+    walk and the face trace are skipped.
     """
 
-    def __init__(self, rotation, opposite, faces: "FaceSet | None" = None) -> None:
+    def __init__(self, rotation, opposite, faces: "tuple[tuple[int, ...], ...] | None" = None) -> None:
         self.rotation: tuple[tuple[int, ...], ...] = tuple(tuple(cycle) for cycle in rotation)
         self.opposite: dict[int, int] = dict(opposite)
         self._validate(faces)
@@ -60,7 +59,7 @@ class CombinatorialMap:
 
     # -- construction checks -------------------------------------------------
 
-    def _validate(self, faces: "FaceSet | None") -> None:
+    def _validate(self, faces: "tuple[tuple[int, ...], ...] | None") -> None:
         seen: dict[int, int] = {}
         for v, cycle in enumerate(self.rotation):
             if not cycle:
@@ -81,16 +80,12 @@ class CombinatorialMap:
             if not self._connected():
                 raise MalformedMap("map is disconnected")
             return
-        face_of = {d: i for i, cycle in enumerate(faces.faces) for d in cycle}
-        if (
-            face_of != faces.face_of
-            or face_of.keys() != seen.keys()
-            or sum(map(len, faces.faces)) != len(seen)
-            or not all(faces.faces)
-        ):
+        faces = tuple(faces)
+        face_of = {d: i for i, cycle in enumerate(faces) for d in cycle}
+        if face_of.keys() != seen.keys() or sum(map(len, faces)) != len(seen) or not all(faces):
             raise InternalInvariant("handed-over faces do not partition the darts")
         # Seeds the `faces` cache, as the first trace would.
-        self.__dict__["faces"] = faces
+        self.__dict__["faces"] = FaceSet(faces, face_of)
 
     def _connected(self) -> bool:
         darts = list(self._vertex_of)
@@ -251,27 +246,6 @@ class CutPiece(namedtuple("CutPiece", "vertices chi_capped disc")):
     __slots__ = ()
 
 
-def components_of(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> list[set[int]]:
-    """Connected components of the graph on `nodes` with edges `pairs`,
-    in order of each component's first node."""
-    parent = {x: x for x in nodes}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x, y in pairs:
-        a, b = find(x), find(y)
-        if a != b:
-            parent[a] = b
-    groups: dict[int, set[int]] = {}
-    for x in parent:
-        groups.setdefault(find(x), set()).add(x)
-    return list(groups.values())
-
-
 def cycle_space_labels(m: CombinatorialMap) -> dict[int, int]:
     """Cut label of every edge, keyed by edge id, as a Python-int bitset.
 
@@ -320,11 +294,21 @@ def cut_along_two_cut(
 
     The curve crosses e1, runs through f_corridor_a, crosses e2, and returns
     through f_corridor_b.  Both corridor faces must be the two faces flanking
-    each edge.  Returns the two complementary pieces with the Euler
-    characteristics they have after capping the cut circle with a disc; a
-    piece is flagged as a disc when that capped characteristic is 2.  For a
-    non-separating curve the single piece is returned twice with both flags
-    false.
+    each edge.  Returns the two complementary pieces, the side of e1's
+    smaller dart first, with the Euler characteristics they have after
+    capping the cut circle with a disc; a piece is flagged as a disc when
+    that capped characteristic is 2.  For a non-separating curve the single
+    piece is returned twice with both flags false.
+
+    The uncut graph has at most two pieces.  An edge flanked by two
+    distinct faces is not a bridge, so removing e1 leaves the graph
+    connected, and removing e2 from a connected graph leaves at most two
+    pieces.  So one walk from the vertex of e1's smaller dart, skipping the
+    four cut darts, finds that dart's side, and the curve separates exactly
+    when the walk misses a vertex.  Then each cut edge has one dart on each
+    side, since otherwise the other cut edge would be a bridge, and the
+    side's degree sum counts each of its uncut edges twice and each cut
+    edge once.
     """
     e1 = m.edge_of(e1)
     e2 = m.edge_of(e2)
@@ -339,50 +323,35 @@ def cut_along_two_cut(
         if flanks != corridor:
             raise InvalidCorridor(f"edge {e} is not flanked by the two corridor faces")
 
-    inner = [d for d in m.edges() if d not in (e1, e2)]
-    components = components_of(
-        range(m.vertex_count), ((m.vertex_of(d), m.vertex_of(m.opposite[d])) for d in inner)
-    )
+    cut = {e1, e2, m.opposite[e1], m.opposite[e2]}
+    vertex_of, opp = m._vertex_of, m.opposite
+    side = {vertex_of[e1]}
+    todo = list(side)
+    while todo:
+        for d in m.rotation[todo.pop()]:
+            if d not in cut:
+                u = vertex_of[opp[d]]
+                if u not in side:
+                    side.add(u)
+                    todo.append(u)
     chi_surface = 2 - 2 * genus(m)
-    if len(components) == 1:
-        piece = CutPiece(frozenset(components[0]), chi_surface + 2, False)
+    if len(side) == m.vertex_count:
+        piece = CutPiece(frozenset(side), chi_surface + 2, False)
         return piece, piece, False, False
-    if len(components) != 2:
-        raise InvalidCorridor("cut curve crosses a disconnecting pair of bridges")
 
-    # Side of e1's smaller dart first, for determinism.
-    first = m.vertex_of(e1)
-    components.sort(key=lambda comp: (first not in comp, min(comp)))
-    comp_a, comp_b = components
-    n_edges = sum(1 for d in inner if m.vertex_of(d) in comp_a)
+    n_edges = (sum(len(m.rotation[v]) for v in side) - 2) // 2
     n_faces = sum(
         1
         for i, cycle in enumerate(fs.faces)
-        if i not in corridor and m.vertex_of(cycle[0]) in comp_a
+        if i not in corridor and vertex_of[cycle[0]] in side
     )
     # Capping both sides gives chi_a + chi_b = chi(S) + 2: the two pieces
     # share out every vertex, every uncut edge and every non-corridor face.
-    chi_a = len(comp_a) - n_edges + n_faces + 1
+    chi_a = len(side) - n_edges + n_faces + 1
     chi_b = chi_surface + 2 - chi_a
-    a = CutPiece(frozenset(comp_a), chi_a, chi_a == 2)
-    b = CutPiece(frozenset(comp_b), chi_b, chi_b == 2)
+    a = CutPiece(frozenset(side), chi_a, chi_a == 2)
+    b = CutPiece(frozenset(range(m.vertex_count)) - a.vertices, chi_b, chi_b == 2)
     return a, b, a.disc, b.disc
-
-
-def map_from_json_dict(data: dict) -> CombinatorialMap:
-    """Build a map from the shared JSON structure (see cli module)."""
-    rotation = tuple(tuple(cycle) for cycle in data["vertices"])
-    opposite: dict[int, int] = {}
-    for pair in data["opposite"]:
-        a, b = pair
-        opposite[a] = b
-        opposite[b] = a
-    return CombinatorialMap(rotation, opposite)
-
-
-def map_to_json_dict(m: CombinatorialMap) -> dict:
-    pairs = [[d, m.opposite[d]] for d in m.edges()]
-    return {"vertices": [list(c) for c in m.rotation], "opposite": pairs}
 
 
 def canonical_form(m: CombinatorialMap, dart_label=None) -> tuple:

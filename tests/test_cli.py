@@ -125,6 +125,32 @@ class TestValidateCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            # Every dart is type-checked before any pair is unpacked.
+            ("opposite", [[0, 1, 2], [3, "x"]], "field 'opposite': 'x' is not an integer"),
+            ("opposite", [[0, 1, 2]], "malformed diagram object: too many values to unpack (expected 2)"),
+            ("vertices", [[0, 1.5]], "field 'vertices': 1.5 is not an integer"),
+            ("opposite", None, "malformed diagram object: 'opposite'"),
+        ],
+        ids=["three-dart-pair-then-string", "three-dart-pair", "float-dart", "missing-opposite"],
+    )
+    def test_malformed_map_field_message(self, field, value, message, diagram_file, tmp_path, capsys):
+        _, source = diagram_file
+        with open(source) as fh:
+            data = json.load(fh)
+        if value is None:
+            del data[field]
+        else:
+            data[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 # (g, c, seed) -> sha256 of `surflink generate` stdout at --half-twist-probability 0.3.
 GOLDEN_GENERATE_STDOUT = {
@@ -881,6 +907,26 @@ class TestCurvesCommand:
 
     def test_zero_budget_accepted(self, capsys):
         assert cli.main(["curves", "reduce", "a1", "--genus", "2", "--budget", "0"]) == 0
+
+    @pytest.mark.parametrize(
+        "action,word,other,default,message",
+        [
+            ("intersect", "a1b1" * 8 + "a1", "b1", 16, "words of length 17, 1 exceed budget 16"),
+            ("conjugate", "a1b1" * 32 + "a1", "a1", 64, "word of length 65 exceeds budget 64"),
+        ],
+        ids=["intersect", "conjugate"],
+    )
+    def test_default_budget_is_the_library_default(self, action, word, other, default, message, capsys):
+        """Without --budget the library's default applies, and giving that
+        default explicitly prints the same."""
+        outputs = []
+        for extra in ([], ["--budget", str(default)]):
+            code = cli.main(["curves", action, word, other, "--genus", "2", *extra])
+            outputs.append((code, capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        code, captured = outputs[0]
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: LengthBudgetExceeded: {message}\n"
 
     def test_bad_word_exit_two(self, capsys):
         assert cli.main(["curves", "reduce", "z9", "--genus", "2"]) == 2

@@ -37,11 +37,10 @@ from surflink.io import diagram_from_json_dict
 from surflink.surface_map import (
     CombinatorialMap,
     checkerboard_coloring,
-    components_of,
     genus,
     trace_faces,
 )
-from test_surface_map import check_value_record
+from test_surface_map import check_value_record, reference_components
 
 
 def ladder_data(n, shift=0):
@@ -541,7 +540,7 @@ def reference_strand_components(diagram):
     for cycle in m.rotation:
         half = len(cycle) // 2
         pairs.extend(zip(cycle[:half], cycle[half:]))
-    return sorted((frozenset(g) for g in components_of(m.darts, pairs)), key=min)
+    return sorted((frozenset(g) for g in reference_components(m.darts, pairs)), key=min)
 
 
 def reference_check_alternating(diagram):

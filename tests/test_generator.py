@@ -430,7 +430,7 @@ def test_faces_of_an_earlier_step_raise():
     assert _insert_circle(rng, state)
     grown = traced_map(state.opp)
     with pytest.raises(InternalInvariant, match="handed-over faces do not partition the darts"):
-        CombinatorialMap(grown.rotation, grown.opposite, stale)
+        CombinatorialMap(grown.rotation, grown.opposite, stale.faces)
 
 
 @pytest.mark.parametrize("g,c", [(2, 3), (2, 40), (3, 25)])

@@ -15,10 +15,9 @@ from surflink.surface_map import (
     checkerboard_coloring,
     cut_along_two_cut,
     genus,
-    map_from_json_dict,
-    map_to_json_dict,
     trace_faces,
 )
+from surflink.io import map_from_json_dict, map_to_json_dict
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "surflink"
 
@@ -118,7 +117,7 @@ def test_handed_over_faces_keep_the_structural_checks(rotation, opposite, messag
     """Faces spare a builder only the connectivity walk and the trace: the
     structural faults raise the same MalformedMap before the faces are read."""
     darts = sorted({d for cycle in rotation for d in cycle})
-    faces = FaceSet(tuple((d,) for d in darts), {d: i for i, d in enumerate(darts)})
+    faces = tuple((d,) for d in darts)
     with pytest.raises(MalformedMap, match=f"^{re.escape(message)}$"):
         CombinatorialMap(rotation, opposite, faces)
 
@@ -194,6 +193,73 @@ def loop_cluster():
         rotation=((0, 2, 3, 4), (5, 7, 6, 1)),
         opposite={0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4, 6: 7, 7: 6},
     )
+
+
+def reference_components(nodes, pairs):
+    """Connected components of the graph on `nodes` with edges `pairs`, in
+    order of each component's first node, by union-find: the reference the
+    map core's own walks are checked against."""
+    parent = {x: x for x in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in pairs:
+        a, b = find(x), find(y)
+        if a != b:
+            parent[a] = b
+    groups = {}
+    for x in parent:
+        groups.setdefault(find(x), set()).add(x)
+    return list(groups.values())
+
+
+def reference_cut_along_two_cut(m, e1, e2, fa, fb):
+    """The union-find cut: the uncut graph's components, which must be at
+    most two, the side holding e1's smaller dart first, each side's uncut
+    edges counted by the vertex of their smaller dart."""
+    e1, e2 = m.edge_of(e1), m.edge_of(e2)
+    fs = trace_faces(m)
+    inner = [d for d in m.edges() if d not in (e1, e2)]
+    pairs = ((m.vertex_of(d), m.vertex_of(m.opposite[d])) for d in inner)
+    components = reference_components(range(m.vertex_count), pairs)
+    chi_surface = 2 - 2 * genus(m)
+    if len(components) == 1:
+        piece = CutPiece(frozenset(components[0]), chi_surface + 2, False)
+        return piece, piece, False, False
+    assert len(components) == 2
+    first = m.vertex_of(e1)
+    components.sort(key=lambda comp: (first not in comp, min(comp)))
+    comp_a, comp_b = components
+    n_edges = sum(1 for d in inner if m.vertex_of(d) in comp_a)
+    n_faces = sum(
+        1 for i, cycle in enumerate(fs.faces) if i not in (fa, fb) and m.vertex_of(cycle[0]) in comp_a
+    )
+    chi_a = len(comp_a) - n_edges + n_faces + 1
+    chi_b = chi_surface + 2 - chi_a
+    a = CutPiece(frozenset(comp_a), chi_a, chi_a == 2)
+    b = CutPiece(frozenset(comp_b), chi_b, chi_b == 2)
+    return a, b, a.disc, b.disc
+
+
+def flank_valid_pairs(m):
+    """Every (e1, e2, fa, fb) that `cut_along_two_cut` accepts, each edge
+    pair in both orders: distinct edges flanked by the same two faces."""
+    fs = trace_faces(m)
+    by_corridor = {}
+    for d in m.edges():
+        key = frozenset((fs.face_of[d], fs.face_of[m.opposite[d]]))
+        if len(key) == 2:
+            by_corridor.setdefault(key, []).append(d)
+    for key, group in by_corridor.items():
+        fa, fb = sorted(key)
+        for e1 in group:
+            for e2 in group:
+                if e1 != e2:
+                    yield e1, e2, fa, fb
 
 
 class TestTwoCut:
@@ -361,43 +427,38 @@ class TestFaceCache:
 def test_handed_over_faces_become_the_face_cache(build):
     m = build()
     fs = uncached_faces(m)
-    handed = CombinatorialMap(m.rotation, m.opposite, fs)
+    handed = CombinatorialMap(m.rotation, m.opposite, fs.faces)
     assert handed == m
-    assert trace_faces(handed) is fs
-    assert fs == trace_faces(m)
+    assert "faces" in vars(handed)
+    assert trace_faces(handed).faces is fs.faces
+    assert trace_faces(handed) == fs == trace_faces(m)
     assert "_pos_of" not in vars(handed) and "_succ" not in vars(handed)
     assert (handed._vertex_of, handed._pos_of, handed._succ) == (m._vertex_of, m._pos_of, m._succ)
 
 
-def _drop_last_face(fs):
-    last = len(fs.faces) - 1
-    return FaceSet(fs.faces[:-1], {d: i for d, i in fs.face_of.items() if i != last})
+def _drop_last_face(faces):
+    return faces[:-1]
 
 
-def _stale_first_face(fs):
+def _stale_first_face(faces):
     # The first face listed again in place of the second, as a face list
     # left over from before a rebuild would.
-    faces = (fs.faces[0], fs.faces[0]) + fs.faces[2:]
-    return FaceSet(faces, {d: i for i, cycle in enumerate(faces) for d in cycle})
+    return (faces[0], faces[0]) + faces[2:]
 
 
-def _face_of_off_by_one(fs):
-    return FaceSet(fs.faces, {d: i + 1 for d, i in fs.face_of.items()})
-
-
-def _empty_face_added(fs):
-    return FaceSet(fs.faces + ((),), fs.face_of)
+def _empty_face_added(faces):
+    return faces + ((),)
 
 
 @pytest.mark.parametrize(
-    "corrupt", [_drop_last_face, _stale_first_face, _face_of_off_by_one, _empty_face_added],
+    "corrupt", [_drop_last_face, _stale_first_face, _empty_face_added],
     ids=lambda f: f.__name__.strip("_"),
 )
 @pytest.mark.parametrize("build", TestFaceCache.MAPS, ids=lambda b: b.__name__)
 def test_faces_that_do_not_partition_the_darts_raise(build, corrupt):
     m = build()
     with pytest.raises(InternalInvariant, match="handed-over faces do not partition the darts"):
-        CombinatorialMap(m.rotation, m.opposite, corrupt(uncached_faces(m)))
+        CombinatorialMap(m.rotation, m.opposite, corrupt(uncached_faces(m).faces))
 
 
 def check_value_record(record, hashable=True):

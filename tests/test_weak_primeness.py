@@ -2,13 +2,15 @@
 scan it replaced and against networkx connectivity."""
 
 import itertools
+import random
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from surflink import fal_diagram
-from surflink.fal_diagram import Crossing, FalDiagram, check_weakly_prime
+from surflink.errors import MalformedMap
+from surflink.fal_diagram import Crossing, FalDiagram, check_weakly_prime, fill_all
 from surflink.generator import generate_fal
 from surflink.surface_map import (
     CombinatorialMap,
@@ -18,7 +20,7 @@ from surflink.surface_map import (
     trace_faces,
 )
 from test_fal_diagram import connect_sum_of_trefoils, trefoil
-from test_surface_map import square_grid_torus
+from test_surface_map import flank_valid_pairs, reference_cut_along_two_cut, square_grid_torus
 
 
 def reference_check_weakly_prime(diagram):
@@ -185,3 +187,54 @@ def test_equal_labels_exactly_when_the_pair_disconnects(d):
     assert {e for e in m.edges() if labels[e] == 0} == bridges
     for e1, e2 in itertools.combinations(sorted(set(m.edges()) - bridges), 2):
         assert (labels[e1] == labels[e2]) == disconnects(graph, m, [e1, e2])
+
+
+def random_small_degree_map(rng):
+    """A connected map on 1-8 vertices of degree 1-5 with a random edge
+    pairing, or None when the draw is disconnected."""
+    degrees = [rng.randint(1, 5) for _ in range(rng.randint(1, 8))]
+    if sum(degrees) % 2:
+        degrees.append(1)
+    darts = list(range(sum(degrees)))
+    rotation, start = [], 0
+    for k in degrees:
+        rotation.append(tuple(darts[start : start + k]))
+        start += k
+    rng.shuffle(darts)
+    opposite = {}
+    for a, b in zip(darts[::2], darts[1::2]):
+        opposite[a], opposite[b] = b, a
+    try:
+        return CombinatorialMap(rotation, opposite)
+    except MalformedMap:
+        return None
+
+
+def differential_cut_maps():
+    rng = random.Random(20)
+    for _ in range(400):
+        m = random_small_degree_map(rng)
+        if m is not None:
+            yield m
+    for g, c, seed in ((2, 6, 0), (2, 12, 1), (3, 10, 2)):
+        d = generate_fal(g, c, seed=seed, half_twist_probability=0.3)
+        yield d.map
+        yield fill_all(d, {k: 1 + (k % 3) for k in d.circles}).map
+        spliced = connect_sum(d, torus_grid(), 0, 0)
+        if spliced is not None:
+            yield spliced.map
+
+
+def test_cut_matches_union_find_reference():
+    """The one-walk cut gives the pieces, characteristics and flags of the
+    union-find cut on every flank-valid pair, and no such pair leaves the
+    uncut graph in three pieces (the reference asserts it)."""
+    calls = separating = 0
+    for m in differential_cut_maps():
+        for e1, e2, fa, fb in flank_valid_pairs(m):
+            got = cut_along_two_cut(m, e1, e2, fa, fb)
+            assert got == reference_cut_along_two_cut(m, e1, e2, fa, fb)
+            calls += 1
+            separating += got[0] != got[1]
+    # Not vacuous: both outcomes are reached many times.
+    assert calls > 1000 and separating > 100
