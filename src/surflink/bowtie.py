@@ -22,10 +22,9 @@ from .errors import (
     GenusTooSmall,
     InternalInvariant,
     MalformedMap,
-    NotCellular,
 )
-from .fal_diagram import CrossingCircle, FalDiagram
-from .surface_map import CombinatorialMap, genus as map_genus, trace_faces
+from .fal_diagram import CrossingCircle, FalDiagram, require_cellular
+from .surface_map import CombinatorialMap, trace_faces
 
 __all__ = [
     "V_TET",
@@ -34,7 +33,6 @@ __all__ = [
     "SurfaceTriangulation",
     "PrismTriangulation",
     "VolumeBounds",
-    "require_cellular",
     "decompose",
     "reglue",
     "build_nerve",
@@ -76,18 +74,6 @@ class BowtieDecomposition(namedtuple("BowtieDecomposition", "genus c white circl
         return tuple(sorted(("arc", e) for e in sites)) + tuple(
             ("beta", k) for k in range(self.c)
         )
-
-
-def require_cellular(fal: FalDiagram) -> None:
-    """Raise unless every circle vertex is 4-valent and the map is cellular
-    on the surface of the declared genus."""
-    m = fal.map
-    for v in fal.circles:
-        if m.degree(v) != 4:
-            raise MalformedMap(f"circle vertex {v} has degree {m.degree(v)}, not 4")
-    genus = map_genus(m)
-    if genus != fal.genus:
-        raise NotCellular(f"map genus {genus} differs from declared genus {fal.genus}")
 
 
 def decompose(fal: FalDiagram) -> BowtieDecomposition:

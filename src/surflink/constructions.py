@@ -224,17 +224,11 @@ def annular_fill(link: ManifoldLink, t: Sequence[int]) -> ManifoldLink:
         raise NonPositiveCoefficient("annular coefficients must be >= 1")
     classes = (link.family.gamma_odd_class, link.family.gamma_even_class)
     twist_letters = tuple((classes[i % 2], ti) for i, ti in enumerate(t))
-    base_letters = link.monodromy.letters if link.monodromy is not None else ()
-    effective = (
-        MappingClassWord(base_letters + twist_letters, link.family.base.genus)
-        if twist_letters or base_letters
-        else None
-    )
-    return link._replace(
-        annular_coefficients=t,
-        cusp_count=link.cusp_count - 2 * m,
-        monodromy=effective if link.kind == "MappingTorus" or twist_letters else link.monodromy,
-    )
+    monodromy = link.monodromy
+    if twist_letters:
+        base_letters = monodromy.letters if monodromy is not None else ()
+        monodromy = MappingClassWord(base_letters + twist_letters, link.family.base.genus)
+    return link._replace(annular_coefficients=t, cusp_count=link.cusp_count - 2 * m, monodromy=monodromy)
 
 
 def fill_to_wga(link: ManifoldLink, s: Sequence[int]) -> ManifoldLink:

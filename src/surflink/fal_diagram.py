@@ -41,6 +41,7 @@ __all__ = [
     "WgaReport",
     "ValidationReport",
     "validate_fal",
+    "require_cellular",
     "detect_twist_regions",
     "augment",
     "fill_crossing_circle",
@@ -308,6 +309,19 @@ def validate_fal(diagram: FalDiagram) -> ValidationReport:
     return ValidationReport(four_valent, crossing_discs, anchored, meet, cellular)
 
 
+def require_cellular(diagram: FalDiagram) -> None:
+    """Raise unless every circle vertex is 4-valent and the map is cellular
+    on the surface of the declared genus: the FAL precondition, checked on
+    entry by every operation.  The genus reads the cached face trace."""
+    m = diagram.map
+    for v in diagram.circles:
+        if m.degree(v) != 4:
+            raise MalformedMap(f"circle vertex {v} has degree {m.degree(v)}, not 4")
+    g = map_genus(m)
+    if g != diagram.genus:
+        raise NotCellular(f"map genus {g} differs from declared genus {diagram.genus}")
+
+
 # -- twist regions ----------------------------------------------------------
 
 
@@ -337,16 +351,17 @@ def _walk_bigons(links, start: int, step):
 
 
 def _end_ports(m: CombinatorialMap, v: int, internal: set[int]) -> tuple[int, int]:
-    """The two non-bigon darts at a chain end, in rotation order."""
+    """The two non-bigon darts at a chain end, in rotation order.
+
+    The end's one bigon (p, q) has p at v, and faces are traced by
+    d -> succ(opp(d)), so its darts at v are exactly p and opp(q), with
+    p = succ(opp(q)).  Two ports besides them make v 4-valent, so the
+    ports are the other adjacent pair."""
     ports = [d for d in m.rotation[v] if d not in internal]
     if len(ports) != 2:
         raise MalformedMap(f"chain end {v} has {len(ports)} boundary darts")
     a, b = ports
-    if m.rotation_successor(a) == b:
-        return a, b
-    if m.rotation_successor(b) == a:
-        return b, a
-    raise MalformedMap(f"boundary darts at {v} are not adjacent in the rotation")
+    return (a, b) if m.rotation_successor(a) == b else (b, a)
 
 
 # -- augmentation and filling -----------------------------------------------
@@ -363,13 +378,10 @@ def _replace_tangles(diagram: FalDiagram, kinds, tangles) -> FalDiagram:
     another, and the ladders' vertices follow the kept ones, whose kinds
     come from `kinds`.  The partner of each of the four ports is glued to
     the matching end dart: a, b of the first ladder vertex, then c, d of
-    the last.  An input map not of the declared genus raises NotCellular;
+    the last.  The caller has checked the input with require_cellular;
     one map is built, and a genus the surgery changed is an InternalInvariant.
     """
     m = diagram.map
-    g = map_genus(m)
-    if g != diagram.genus:
-        raise NotCellular(f"map genus {g} differs from declared genus {diagram.genus}")
     cut = {v for tangle in tangles for v in tangle[0]}
     rotation = [m.rotation[v] for v in range(m.vertex_count) if v not in cut]
     out_kinds = [kinds[v] for v in range(m.vertex_count) if v not in cut]
@@ -401,12 +413,13 @@ def augment(diagram: FalDiagram) -> FalDiagram:
     the half-twist sign records the region's common crossing sign.  A lone
     crossing changes kind in place; each longer chain is cut out and a new
     circle vertex is glued to its four ports.
-    A crossing that is not 4-valent raises MalformedMap.
-    """
+    A crossing that is not 4-valent raises MalformedMap; then the input
+    must pass require_cellular, even with nothing to rewrite."""
     m = diagram.map
     for v in diagram.crossings:
         if m.degree(v) != 4:
             raise MalformedMap(f"crossing {v} has degree {m.degree(v)}, not 4")
+    require_cellular(diagram)
     regions = detect_twist_regions(diagram)
     if not regions:
         return diagram
@@ -441,6 +454,7 @@ def fill_all(diagram: FalDiagram, coefficients: dict[int, int]) -> FalDiagram:
     a half-twist merges in (2|t|+1) when its sign matches sgn(t) and
     cancels one crossing (2|t|-1) otherwise.
 
+    The input must pass require_cellular first, even with no coefficients.
     Keys are checked from the highest down, t before k, so the first bad
     key raises ZeroCoefficient or NotACrossingCircle.  The unfilled
     vertices keep their order; one ladder of crossings per filled circle
@@ -451,6 +465,7 @@ def fill_all(diagram: FalDiagram, coefficients: dict[int, int]) -> FalDiagram:
     MAX_FILL_CROSSINGS crossings in total raise FillTooLarge before any
     surgery.
     """
+    require_cellular(diagram)
     if not coefficients:
         return diagram
     m = diagram.map

@@ -240,7 +240,6 @@ def build_link_from_spec(spec: dict):
     """Assemble a ManifoldLink from a parsed family spec, applying any
     annular (t) and crossing-circle (s) fillings it requests.  Each base
     diagram must be cellular on its declared surface."""
-    from .bowtie import require_cellular
     from .constructions import (
         annular_fill,
         build_doubled,
@@ -249,6 +248,7 @@ def build_link_from_spec(spec: dict):
         build_trivial_torus,
         fill_to_wga,
     )
+    from .fal_diagram import require_cellular
 
     spec_dir = spec.get("_dir", ".")
     base = _resolve_diagram(spec["base"], spec_dir)

@@ -17,7 +17,8 @@ from surflink.io import (
     dumps_json,
     load_diagram,
 )
-from test_fal_diagram import THREE_BIGON_CROSSING
+from test_fal_diagram import THREE_BIGON_CROSSING, trefoil
+from test_weak_primeness import connect_sum
 
 
 @pytest.fixture
@@ -334,6 +335,24 @@ class TestFillAndAugmentCommands:
         assert out.out == ""
         assert out.err == "error: NotCellular: map genus 2 differs from declared genus 5\n"
 
+    @pytest.mark.parametrize("command", ["fill", "augment"])
+    def test_wrong_declared_genus_with_nothing_to_rewrite_exit_two(self, command, diagram_file, tmp_path, capsys):
+        """`fill --t ""` on a diagram without circles and augment on one
+        without crossings used to exit 0 and write the wrong genus back."""
+        d, path = diagram_file
+        if command == "fill":
+            path = str(tmp_path / "filled.json")
+            dump_diagram(fill_all(d, {k: 1 for k in d.circles}), path)
+        data = json.loads(open(path).read())
+        data["genus"] = 3
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        argv = [command, str(bad)] + (["--t", ""] if command == "fill" else [])
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: NotCellular: map genus 2 differs from declared genus 3\n"
+
     @pytest.mark.parametrize("g,c,seed", sorted(GOLDEN_FILL_STDOUT), ids=str)
     def test_stdout_golden_digest(self, g, c, seed, tmp_path, capsys):
         """sha256 of `fill` stdout on generated diagrams with half-twists,
@@ -435,7 +454,27 @@ def _one_circle(genus, vertex, pairs):
 ONE_CIRCLE_NOT_FOUR_VALENT = {
     "six_valent": _one_circle(1, [0, 1, 2, 3, 4, 5], [[0, 3], [1, 4], [2, 5]]),
     "two_valent": _one_circle(0, [0, 1], [[0, 1]]),
+    "eight_valent": _one_circle(2, list(range(8)), [[0, 2], [1, 3], [4, 6], [5, 7]]),
 }
+
+
+@pytest.mark.parametrize("command", ["fill", "augment", "decompose", "bounds", "family"])
+@pytest.mark.parametrize("name", sorted(ONE_CIRCLE_NOT_FOUR_VALENT))
+def test_every_operation_refuses_a_circle_not_four_valent(command, name, tmp_path, capsys):
+    """Each operation checks the FAL precondition on entry.  fill used to
+    exit 3 on the 8-valent circle and 2 with a message about its own
+    output on the others; augment used to exit 0."""
+    data = ONE_CIRCLE_NOT_FOUR_VALENT[name]
+    if command == "family":
+        data = {"kind": "TrivialMappingTorus", "base": data, "gamma_odd": "a1", "gamma_even": "b1", "m": 0}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    extra = {"fill": ["--t=1"], "bounds": ["--m", "2"]}.get(command, [])
+    assert cli.main([command, str(path)] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: MalformedMap: circle vertex 0 has degree ")
 
 
 class TestDecomposeCommand:
@@ -469,13 +508,6 @@ class TestDecomposeCommand:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         assert cli.main(["decompose", str(path)]) == 2
-
-    @pytest.mark.parametrize("name", sorted(ONE_CIRCLE_NOT_FOUR_VALENT))
-    def test_circle_not_four_valent_exit_two(self, name, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(ONE_CIRCLE_NOT_FOUR_VALENT[name]))
-        assert cli.main(["decompose", str(path)]) == 2
-        assert "MalformedMap: circle vertex 0 has degree" in capsys.readouterr().err
 
     def test_circle_not_four_valent_exit_two_under_optimize(self, tmp_path):
         # Under -O no assert runs, so the degree check itself must reject.
@@ -636,6 +668,24 @@ class TestFamilyCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["wga"]["twist_regions"] == 4
         assert report["wga"]["alternating"]
+
+    def test_null_homologous_pair_certified_by_the_oracle(self, diagram_file, tmp_path, capsys):
+        """a1b1A1B1 is a commutator, so the classes pair to zero on homology
+        and the certificate comes from the geometric oracle."""
+        _, path = diagram_file
+        spec = self._write_spec(tmp_path, path, {"gamma_odd": "a1b1A1B1", "gamma_even": "b1b2", "m": 3})
+        assert cli.main(["family", spec, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["certificates"]["intersection"] == ["oracle", 2]
+
+    def test_spliced_trefoil_is_not_weakly_prime_exit_one(self, tmp_path, capsys):
+        d = connect_sum(generate_fal(2, 4, seed=1, require_checkerboard=True), trefoil(), 1, 0)
+        path = tmp_path / "d.json"
+        dump_diagram(d, str(path))
+        spec = self._write_spec(tmp_path, str(path), {"m": 0, "s": [1, 1, 1, 1]})
+        assert cli.main(["family", spec, "--json"]) == 1
+        wga = json.loads(capsys.readouterr().out)["wga"]
+        assert wga["weakly_prime"] is False
+        assert wga["wga_positive"] is False
 
     @pytest.mark.parametrize(
         "extra,printed",

@@ -199,6 +199,21 @@ class TestAlternation:
                 filled = fill_crossing_circle(a, 0, s * t)
                 assert check_alternating(filled)
 
+    def test_signs_flipped_to_start_at_plus_one(self):
+        """Relabelling dart d as D - 1 - d puts the first circle's slot-0
+        corner face in colour class 1, so the signs are flipped as a whole."""
+        d = generate_fal(2, 4, seed=4, require_checkerboard=True)
+        top = max(d.map.darts)
+        m = CombinatorialMap(
+            tuple(tuple(top - x for x in cycle) for cycle in d.map.rotation),
+            {top - a: top - b for a, b in d.map.opposite.items()},
+        )
+        r = FalDiagram(m, d.genus, d.vertex_kind)
+        assert checkerboard_coloring(m)[trace_faces(m).face_of[m.rotation[r.circles[0]][0]]] == 1
+        signs = choose_alternating_signs(r)
+        assert signs == (1, 1, -1, 1)
+        assert check_alternating(fill_all(r, dict(zip(r.circles, signs))))
+
     def test_not_checkerboard_raises(self):
         d = generate_fal(2, 3, seed=0)  # one complementary face, self-adjacent
         with pytest.raises(NotCheckerboard):
