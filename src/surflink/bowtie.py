@@ -304,25 +304,34 @@ class VolumeBounds(namedtuple("VolumeBounds", "v_tet lower upper")):
     __slots__ = ()
 
 
-class PrismTriangulation(namedtuple("PrismTriangulation", "tetrahedron_count gluings")):
-    """gluings holds, per tet, four (neighbour, neighbour face, perm) entries."""
+# The 24 permutations of (0, 1, 2, 3) in lexicographic order, the index of
+# each one's inverse, and the printed tail ",face,digits)" of a table entry
+# at 24 * (neighbour face) + (perm index).
+_PERMS = tuple(permutations(range(4)))
+_PERM_INDEX = {p: i for i, p in enumerate(_PERMS)}
+_INVERSE = tuple(_PERM_INDEX[tuple(map(p.index, range(4)))] for p in _PERMS)
+_TAILS = tuple(f",{face},{''.join(map(str, p))})" for face in range(4) for p in _PERMS)
 
-    __slots__ = ()
+
+class PrismTriangulation(namedtuple("PrismTriangulation", "tetrahedron_count target perm")):
+    """Face slot 4 * tet + face glues to slot target[4 * tet + face] = 4 *
+    neighbour + neighbour's face, through _PERMS[perm[4 * tet + face]].
+    gluings, per tet four (neighbour, neighbour face, perm) entries, is
+    built on first use and cached in the instance ``__dict__``."""
+
+    @cached_property
+    def gluings(self) -> tuple:
+        it = iter([(t >> 2, t & 3, _PERMS[p]) for t, p in zip(self.target, self.perm)])
+        return tuple(zip(it, it, it, it))
 
     def export_gluing_table(self) -> str:
-        text = _perm_tables()[1]
-        return "\n".join(
-            f"{tet} : ({n0},{f0},{text[p0]}) ({n1},{f1},{text[p1]}) "
-            f"({n2},{f2},{text[p2]}) ({n3},{f3},{text[p3]})"
-            for tet, ((n0, f0, p0), (n1, f1, p1), (n2, f2, p2), (n3, f3, p3)) in enumerate(self.gluings)
-        ) + "\n"
-
-
-@lru_cache(maxsize=None)
-def _perm_tables() -> tuple[dict, dict]:
-    """Inverse and printed digits of each permutation of (0, 1, 2, 3)."""
-    perms = list(permutations(range(4)))
-    return {p: tuple(map(p.index, range(4))) for p in perms}, {p: "".join(map(str, p)) for p in perms}
+        ids = list(map(str, range(self.tetrahedron_count)))
+        t, p = iter(self.target), iter(self.perm)
+        return "".join([
+            f"{tet} : ({ids[a >> 2]}{_TAILS[24 * (a & 3) + pa]} ({ids[b >> 2]}{_TAILS[24 * (b & 3) + pb]} "
+            f"({ids[c >> 2]}{_TAILS[24 * (c & 3) + pc]} ({ids[d >> 2]}{_TAILS[24 * (d & 3) + pd]}\n"
+            for tet, a, b, c, d, pa, pb, pc, pd in zip(ids, t, t, t, t, p, p, p, p)
+        ])
 
 
 def _glue(labels_a, labels_b, label_map):
@@ -393,55 +402,56 @@ def _gluing_rules(labels: tuple) -> tuple:
 
 def prism_triangulation(d: BowtieDecomposition) -> PrismTriangulation:
     """Triangulate (surface) x S^1: one prism per boundary triangle, cut
-    into three tetrahedra along the staircase of its side diagonals.  Face
-    slot 4 * tet + face of the table holds (neighbour, its face, perm)."""
+    into three tetrahedra along the staircase of its side diagonals.
+    Prism t holds tets 3t..3t+2, so face slots 12t..12t+11."""
     surface = d.boundary
     tail_end = _orient_cells(surface)
     inside, across, sides = _gluing_rules(_TET_LABELS)
-    n_tets = 3 * surface.triangle_count
-    slots = [None] * (4 * n_tets)
-    first_side = [None] * len(surface.cells)  # cell -> (prism's first tet, side name)
-    for t, ((cell0, flip0), (cell1, flip1), (cell2, flip2)) in enumerate(surface.triangles):
-        base = 3 * t
-        for a, b, face_a, face_b, perm, inverse in inside:
-            slots[4 * (base + a) + face_a] = (base + b, face_b, perm)
-            slots[4 * (base + b) + face_b] = (base + a, face_a, inverse)
+
+    def offsets(rule):  # (slot a, slot b, perm index, inverse index) within 12 slots
+        return tuple((4 * a + fa, 4 * b + fb, _PERM_INDEX[p], _PERM_INDEX[q]) for a, b, fa, fb, p, q in rule)
+
+    prisms = surface.triangle_count
+    n = 12 * prisms
+    target, perm = [-1] * n, [0] * n
+    # Every prism glues its own tets alike, at the same slots of its twelve.
+    for i, j, p, inverse in offsets(inside):
+        target[i::12], perm[i::12] = range(j, n, 12), [p] * prisms
+        target[j::12], perm[j::12] = range(i, n, 12), [inverse] * prisms
+    rules = list(map(offsets, across))
+    # cell -> first prism's slot base plus its side name; bases are
+    # multiples of 12, so the name is the remainder mod 3.
+    first = [-1] * len(surface.cells)
+    for base, ((cell0, flip0), (cell1, flip1), (cell2, flip2)) in zip(range(0, n, 12), surface.triangles):
         up = (flip0 == tail_end[cell0]) + 2 * (flip1 == tail_end[cell1]) + 4 * (flip2 == tail_end[cell2])
         names = sides[up]
         if names is None:
             raise MalformedMap("no diagonal orientation triangulates all prisms")
         for cell, side in zip((cell0, cell1, cell2), names):
-            if first_side[cell] is None:
-                first_side[cell] = (base, side)
+            other = first[cell]
+            if other < 0:
+                first[cell] = base + side
                 continue
-            base_a, side_a = first_side[cell]
-            for a, b, face_a, face_b, perm, inverse in across[3 * side_a + side]:
-                i, j = 4 * (base_a + a) + face_a, 4 * (base + b) + face_b
-                if slots[i] is not None or slots[j] is not None:
+            side_a = other % 3
+            for i, j, p, inverse in rules[3 * side_a + side]:
+                i += other - side_a
+                j += base
+                if target[i] >= 0 or target[j] >= 0:
                     raise InternalInvariant(
                         f"tetrahedron face glued twice: ({i >> 2}, {i & 3}) or ({j >> 2}, {j & 3})"
                     )
-                slots[i] = (base + b, face_b, perm)
-                slots[j] = (base_a + a, face_a, inverse)
+                target[i], perm[i] = j, p
+                target[j], perm[j] = i, inverse
 
-    if None in slots:
+    if -1 in target:
         raise InternalInvariant("a tetrahedron face is left unglued")
-    inverse_of = _perm_tables()[0]
-    for i, (nbr, nf, perm) in enumerate(slots):
-        back = slots[4 * nbr + nf]
-        if back[0] != i >> 2 or back[1] != i & 3 or back[2] != inverse_of.get(perm):
-            raise InternalInvariant(
-                f"gluing of tetrahedron {i >> 2} face {i & 3} is not an involution"
-            )
-
-    it = iter(slots)
-    out = PrismTriangulation(n_tets, tuple(zip(it, it, it, it)))
-    if out.tetrahedron_count != 6 * (3 * d.c + 2 * d.genus - 2):
-        raise InternalInvariant(
-            f"{out.tetrahedron_count} tetrahedra, expected 6(3c + 2g - 2) = "
-            f"{6 * (3 * d.c + 2 * d.genus - 2)}"
-        )
-    return out
+    if [target[t] for t in target] != list(range(n)) or [perm[t] for t in target] != [_INVERSE[p] for p in perm]:
+        i = next(i for i, t in enumerate(target) if target[t] != i or perm[t] != _INVERSE[perm[i]])
+        raise InternalInvariant(f"gluing of tetrahedron {i >> 2} face {i & 3} is not an involution")
+    expected = 6 * (3 * d.c + 2 * d.genus - 2)
+    if 3 * prisms != expected:
+        raise InternalInvariant(f"{3 * prisms} tetrahedra, expected 6(3c + 2g - 2) = {expected}")
+    return PrismTriangulation(3 * prisms, tuple(target), tuple(perm))
 
 
 def volume_bounds(c: int, g: int, l: int, m: int, kind: str, filled: bool = False) -> VolumeBounds:

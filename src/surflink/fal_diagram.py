@@ -310,10 +310,14 @@ def validate_fal(diagram: FalDiagram) -> ValidationReport:
 
 
 def require_cellular(diagram: FalDiagram) -> None:
-    """Raise unless every circle vertex is 4-valent and the map is cellular
-    on the surface of the declared genus: the FAL precondition, checked on
-    entry by every operation.  The genus reads the cached face trace."""
+    """Raise unless every crossing and every circle vertex is 4-valent, in
+    that order, and the map is cellular on the surface of the declared
+    genus: the FAL precondition, checked on entry by every operation.  The
+    genus reads the cached face trace."""
     m = diagram.map
+    for v in diagram.crossings:
+        if m.degree(v) != 4:
+            raise MalformedMap(f"crossing {v} has degree {m.degree(v)}, not 4")
     for v in diagram.circles:
         if m.degree(v) != 4:
             raise MalformedMap(f"circle vertex {v} has degree {m.degree(v)}, not 4")
@@ -413,12 +417,7 @@ def augment(diagram: FalDiagram) -> FalDiagram:
     the half-twist sign records the region's common crossing sign.  A lone
     crossing changes kind in place; each longer chain is cut out and a new
     circle vertex is glued to its four ports.
-    A crossing that is not 4-valent raises MalformedMap; then the input
-    must pass require_cellular, even with nothing to rewrite."""
-    m = diagram.map
-    for v in diagram.crossings:
-        if m.degree(v) != 4:
-            raise MalformedMap(f"crossing {v} has degree {m.degree(v)}, not 4")
+    The input must pass require_cellular, even with nothing to rewrite."""
     require_cellular(diagram)
     regions = detect_twist_regions(diagram)
     if not regions:

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import random
+from itertools import permutations
 from types import SimpleNamespace
 
 import pytest
@@ -320,6 +322,17 @@ def reference_prism_triangulation(d):
     return gluings, "\n".join(lines) + "\n"
 
 
+def reference_export(gluings):
+    """The per-row f-string export that export_gluing_table replaced, from
+    per-tet (neighbour, neighbour face, perm) entries."""
+    text = {p: "".join(map(str, p)) for p in permutations(range(4))}
+    return "\n".join(
+        f"{tet} : ({n0},{f0},{text[p0]}) ({n1},{f1},{text[p1]}) "
+        f"({n2},{f2},{text[p2]}) ({n3},{f3},{text[p3]})"
+        for tet, ((n0, f0, p0), (n1, f1, p1), (n2, f2, p2), (n3, f3, p3)) in enumerate(gluings)
+    ) + "\n"
+
+
 def _assert_matches_reference(d):
     pt = prism_triangulation(d)
     gluings, text = reference_prism_triangulation(d)
@@ -339,12 +352,29 @@ def test_equal_site_prisms_match_reference(g, c, seed):
     _assert_matches_reference(decompose(generate_fal(g, c, seed=seed)))
 
 
+# Three seeded (c, seed) draws per genus with c up to 400, plus c = 400 itself.
+_draw = random.Random(400)
+EXPORT_CASES = [
+    (g, c, _draw.randrange(2**16))
+    for g in (2, 3, 4)
+    for c in sorted(_draw.sample(range(2 * g - 1, 400), 3)) + [400]
+]
+
+
+@pytest.mark.parametrize("g,c,seed", EXPORT_CASES)
+def test_export_matches_reference_export(g, c, seed):
+    pt = prism_triangulation(decompose(generate_fal(g, c, seed=seed, half_twist_probability=0.5)))
+    assert pt.export_gluing_table() == reference_export(pt.gluings)
+
+
 # sha256 of export_gluing_table() for generate_fal(g, c, seed=seed), taken
 # from the per-face routine above.
 GOLDEN_TABLE_DIGESTS = {
     (3, 12, 5): "9bf95a5308d91ab7fd67553eb14b4325850b154f1ebb399230e38b9c809b2557",
     (2, 25, 1): "875c7ec08c0fe089d76c3861795dc9d415e3e5357fb17f9f3f6d1f8c7628920b",
     (3, 50, 2): "4a7fae77c6ba44154baa5f02df80d88bc4c0a0a8786d5e39e3df60c37edfef7a",
+    (2, 400, 1): "2bb564d1a6d7419ee9ca95fd949822b99b291575f95d3cb58747ef7eb630ae69",
+    (3, 400, 2): "9b16e1f12edaee69a1ad1345786cda7031d8084f6c3924f698a1fb1a86798a15",
 }
 
 

@@ -429,14 +429,7 @@ def test_augment_crossing_in_three_bigons_exits_two(tmp_path):
 def test_augment_six_valent_crossing_exits_two(tmp_path):
     """augment used to exit 0 here and write a 6-valent crossing circle,
     which decompose then rejected."""
-    data = {
-        **_one_circle(1, [0, 1, 2, 3, 4, 5], [[0, 3], [1, 4], [2, 5]]),
-        "vertex_kind": ["crossing"],
-        "over_pair": [0],
-        "half_twist": [None],
-        "half_twist_sign": [None],
-    }
-    _augment_refused(tmp_path, data)
+    _augment_refused(tmp_path, ONE_CROSSING_NOT_FOUR_VALENT["six_valent"])
 
 
 def _one_circle(genus, vertex, pairs):
@@ -449,6 +442,37 @@ def _one_circle(genus, vertex, pairs):
         "half_twist": [False],
         "half_twist_sign": [1],
     }
+
+
+def _one_crossing(genus, vertex, pairs):
+    kinds = {"vertex_kind": ["crossing"], "over_pair": [0], "half_twist": [None], "half_twist_sign": [None]}
+    return {**_one_circle(genus, vertex, pairs), **kinds}
+
+
+ONE_CROSSING_NOT_FOUR_VALENT = {
+    "six_valent": _one_crossing(1, [0, 1, 2, 3, 4, 5], [[0, 3], [1, 4], [2, 5]]),
+    "eight_valent": _one_crossing(2, list(range(8)), [[0, 2], [1, 3], [4, 6], [5, 7]]),
+}
+
+
+@pytest.mark.parametrize("command", ["fill", "augment", "bounds", "family"])
+@pytest.mark.parametrize("name", sorted(ONE_CROSSING_NOT_FOUR_VALENT))
+def test_every_operation_refuses_a_crossing_not_four_valent(command, name, tmp_path, capsys):
+    """The FAL precondition checks crossings before circles.  fill used to
+    exit 0 and write these crossings back; bounds and family used to print
+    a certificate for the genus-2 one and refuse the genus-1 one for its
+    genus.  decompose refuses any crossing before the precondition."""
+    data = ONE_CROSSING_NOT_FOUR_VALENT[name]
+    if command == "family":
+        data = {"kind": "TrivialMappingTorus", "base": data, "gamma_odd": "a1", "gamma_even": "b1", "m": 0}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    extra = {"fill": ["--t="], "bounds": ["--m", "2"]}.get(command, [])
+    assert cli.main([command, str(path)] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    degree = {"six_valent": 6, "eight_valent": 8}[name]
+    assert captured.err == f"error: MalformedMap: crossing 0 has degree {degree}, not 4\n"
 
 
 ONE_CIRCLE_NOT_FOUR_VALENT = {

@@ -26,7 +26,7 @@ from surflink import cli
 from surflink.fal_diagram import fill_all
 from surflink.generator import generate_fal
 from surflink.io import diagram_to_json_dict
-from test_cli import ONE_CIRCLE_NOT_FOUR_VALENT
+from test_cli import ONE_CIRCLE_NOT_FOUR_VALENT, ONE_CROSSING_NOT_FOUR_VALENT
 
 
 def _bases():
@@ -78,6 +78,7 @@ def mutants(draw, pool=BASES):
 @example(dict(BASES[0], genus=BASES[0]["genus"] + 1))  # fill meets a wrong genus
 @example(dict(BASES[1], genus=BASES[1]["genus"] + 3))  # augment meets a wrong genus
 @example(ONE_CIRCLE_NOT_FOUR_VALENT["eight_valent"])  # fill used to exit 3
+@example(ONE_CROSSING_NOT_FOUR_VALENT["six_valent"])  # fill used to write it back
 @settings(max_examples=100, deadline=5000)
 def test_mutated_diagrams_exit_zero_one_or_two(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("fuzz") / "d.json"
