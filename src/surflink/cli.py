@@ -16,7 +16,7 @@ import argparse
 import os
 import sys
 
-from .errors import InternalInvariant, ParseError, SurflinkError
+from .errors import InternalInvariant, MonodromyActsTrivially, ParseError, SurflinkError
 
 EXIT_PASS = 0
 EXIT_PROPERTY = 1
@@ -193,7 +193,7 @@ def cmd_family(args) -> int:
             "l": base.l,
             "m": link.family.m,
         },
-        "bounds": {"lower": vb.lower, "upper": vb.upper},
+        "bounds": {"lower": link.cusp_count * vb.v_tet, "upper": vb.upper},
         "certificates": {
             "intersection": [link.family.certificate.kind, link.family.certificate.value],
             "monodromy": list(link.certificates),
@@ -371,7 +371,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except SurflinkError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        if type(exc).__name__ == "MonodromyActsTrivially":
+        if isinstance(exc, MonodromyActsTrivially):
             print(INCONCLUSIVE_NOTE, file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

@@ -85,7 +85,7 @@ class LayeredFamily(
 class ManifoldLink(
     namedtuple(
         "ManifoldLink",
-        "kind family cusp_count monodromy annular_coefficients circle_coefficients "
+        "kind family monodromy annular_coefficients circle_coefficients "
         "hyperbolic_assumed certificates filled_diagram wga_report twist_region_count",
         defaults=(None, None, None, True, (), None, None, None),
     )
@@ -99,6 +99,19 @@ class ManifoldLink(
     """
 
     __slots__ = ()
+
+    @property
+    def cusp_count(self) -> int:
+        """Components of the link as built: strands and circles of the base
+        (or its filled diagram) and base2, plus 2m layer curves until annular_fill."""
+        family = self.family
+        base = family.base if self.filled_diagram is None else self.filled_diagram
+        total = base.l + base.c
+        if family.base2 is not None:
+            total += family.base2.l + family.base2.c
+        if self.annular_coefficients is None:
+            total += 2 * family.m
+        return total
 
 
 def build_layered(
@@ -144,13 +157,6 @@ def build_layered(
     return LayeredFamily(base, odd_class, even_class, m, certificate)
 
 
-def _base_cusps(family: LayeredFamily) -> int:
-    total = family.base.l + family.base.c
-    if family.base2 is not None:
-        total += family.base2.l + family.base2.c
-    return total
-
-
 def build_doubled(
     base: FalDiagram,
     base2: FalDiagram,
@@ -162,11 +168,7 @@ def build_doubled(
             f"cannot glue genus {base.genus} to genus {base2.genus}"
         )
     family = family._replace(base=base, base2=base2)
-    return ManifoldLink(
-        kind="DoubledThickenedSurface",
-        family=family,
-        cusp_count=_base_cusps(family) + 2 * family.m,
-    )
+    return ManifoldLink(kind="DoubledThickenedSurface", family=family)
 
 
 def build_mapping_torus(
@@ -188,7 +190,6 @@ def build_mapping_torus(
     return ManifoldLink(
         kind="MappingTorus",
         family=family,
-        cusp_count=_base_cusps(family) + 2 * family.m,
         monodromy=phi,
         certificates=tuple((name, "CertifiedNontrivial") for name in names),
     )
@@ -201,7 +202,6 @@ def build_trivial_torus(base: FalDiagram, family: LayeredFamily) -> ManifoldLink
     return ManifoldLink(
         kind="TrivialMappingTorus",
         family=family,
-        cusp_count=_base_cusps(family) + 2 * family.m,
         hyperbolic_assumed=False,
     )
 
@@ -212,7 +212,7 @@ def annular_fill(link: ManifoldLink, t: Sequence[int]) -> ManifoldLink:
     Each filled pair spins transverse curves t_i times, so the effective
     relative monodromy gains a twist with exponent +t_i about the layer's
     curve class.  The base diagram and its crossing-circle count are
-    untouched; the cusp count drops by exactly 2m.
+    untouched; the layer curves are no longer cusps.
     """
     t = tuple(t)
     m = link.family.m
@@ -228,7 +228,7 @@ def annular_fill(link: ManifoldLink, t: Sequence[int]) -> ManifoldLink:
     if twist_letters:
         base_letters = monodromy.letters if monodromy is not None else ()
         monodromy = MappingClassWord(base_letters + twist_letters, link.family.base.genus)
-    return link._replace(annular_coefficients=t, cusp_count=link.cusp_count - 2 * m, monodromy=monodromy)
+    return link._replace(annular_coefficients=t, monodromy=monodromy)
 
 
 def fill_to_wga(link: ManifoldLink, s: Sequence[int]) -> ManifoldLink:

@@ -325,7 +325,7 @@ def _axes_linked(u: CurveWord, v: CurveWord, pos: dict) -> bool:
     iu, iv = _inverse_word(u), _inverse_word(v)
     for x in (u, iu):
         for y in (v, iv):
-            if x * len(y) == y * len(x):
+            if x + y == y + x:
                 return False  # shared endpoint: same axis, no transverse crossing
     return _orient(u, v, iu, pos) != _orient(u, iv, iu, pos)
 

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import surflink
 from surflink import bowtie, cli, fal_diagram, generator, surface_map
@@ -857,6 +860,51 @@ class TestFamilyCommand:
         else:
             assert captured.out == ""
             assert captured.err.startswith("error: ")
+
+
+FAMILY_BASE = generate_fal(2, 4, seed=1, require_checkerboard=True)
+FAMILY_BASE2 = generate_fal(2, 3, seed=1)  # l + c = 4, against 5 for FAMILY_BASE
+
+
+@pytest.mark.parametrize("kind", ["TrivialMappingTorus", "MappingTorus", "DoubledThickenedSurface"])
+@given(
+    t=st.lists(st.integers(1, 3), min_size=3, max_size=3),
+    s=st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=4, max_size=4),
+)
+@settings(max_examples=10, deadline=None)
+def test_family_lower_bound_reads_the_cusp_count(tmp_path_factory, kind, t, s):
+    """`family` prints Adams's bound cusp_count * v_tet for m = 0..3, with
+    and without each filling.  With crossing circles filled the count is
+    the filled diagram's strands, plus base2's strands and circles, plus
+    2m layer curves unless annularly filled."""
+    signs = fal_diagram.choose_alternating_signs(FAMILY_BASE)
+    coefficients = {k: e * abs(sk) for k, e, sk in zip(FAMILY_BASE.circles, signs, s)}
+    filled_l = fill_all(FAMILY_BASE, coefficients).l
+    spec_dir = tmp_path_factory.mktemp("family")
+    for m in range(4):
+        for with_t in (False, True):
+            for with_s in (False, True):
+                spec = {"kind": kind, "base": diagram_to_json_dict(FAMILY_BASE), "m": m}
+                spec.update(gamma_odd="a1", gamma_even="b1", phi=[["a1", 1], ["b1", 1]])
+                if kind == "DoubledThickenedSurface":
+                    spec["base2"] = diagram_to_json_dict(FAMILY_BASE2)
+                if with_t:
+                    spec["t"] = t[:m]
+                if with_s:
+                    spec["s"] = s
+                path = spec_dir / "spec.json"
+                path.write_text(json.dumps(spec))
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert cli.main(["family", str(path), "--json"]) in (0, 1)
+                report = json.loads(out.getvalue())
+                lower = report["cusp_count"] * bowtie.V_TET
+                assert abs(report["bounds"]["lower"] - lower) <= 1e-9, spec
+                if with_s:
+                    expected = filled_l + (0 if with_t else 2 * m)
+                    if kind == "DoubledThickenedSurface":
+                        expected += FAMILY_BASE2.l + FAMILY_BASE2.c
+                    assert report["cusp_count"] == expected, spec
 
 
 @pytest.mark.parametrize("target", ["missing_dir", "directory"])

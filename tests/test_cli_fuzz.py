@@ -11,7 +11,9 @@ through ``family``.  The ``curves`` commands get short words with junk
 text mixed in, at genera from negative to far past the cap.  ``generate``
 gets genera and circle counts from negative to far past its caps, with
 seeds, half-twist probabilities and the checkerboard filter.  Every run
-must end in exit 0, 1 or 2; exit 3 means an internal error.
+must end in exit 0, 1 or 2; exit 3 means an internal error.  A diagram
+that ``validate`` reports as not four-valent or not cellular must also be
+refused, with exit 2 and empty stdout, by every other diagram command.
 """
 
 import contextlib
@@ -92,11 +94,19 @@ def test_mutated_diagrams_exit_zero_one_or_two(tmp_path_factory, data):
         ["fill", str(path), "--t=" + ",".join(["1"] * c)],
         ["bounds", str(path), "--m", "2", "--json"],
     ]
+    refused = False
     for argv in commands:
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
         assert code in (0, 1, 2), (argv[0], code, err.getvalue(), data)
+        if argv[0] == "validate" and code != 2:
+            # A map that validate reports as not four-valent or not cellular
+            # is a violated precondition for every other diagram command.
+            checks = json.loads(out.getvalue())["checks"]
+            refused = not (checks["four_valent"] and checks["cellular"])
+        elif refused:
+            assert (code, out.getvalue()) == (2, ""), (argv[0], code, err.getvalue(), data)
 
 
 def _specs():

@@ -287,11 +287,11 @@ def test_family_records_are_values():
     assert repr(family.certificate) == "IntersectionCertificate(kind='homology', value=1)"
     assert repr(link).startswith("ManifoldLink(kind='TrivialMappingTorus', family=LayeredFamily(base=FalDiagram(")
     assert repr(link).endswith(
-        "cusp_count=11, monodromy=None, annular_coefficients=None, circle_coefficients=None, "
+        "monodromy=None, annular_coefficients=None, circle_coefficients=None, "
         "hyperbolic_assumed=False, certificates=(), filled_diagram=None, wga_report=None, "
         "twist_region_count=None)"
     )
-    assert link == ManifoldLink("TrivialMappingTorus", family, 11, hyperbolic_assumed=False)
+    assert link == ManifoldLink("TrivialMappingTorus", family, hyperbolic_assumed=False)
     check_value_record(family.certificate)
     check_value_record(family, hashable=False)
     check_value_record(link, hashable=False)

@@ -1032,3 +1032,20 @@ def test_diagram_records_are_values():
 def test_record_checks_still_raise(build):
     with pytest.raises(MalformedMap):
         build()
+
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="an even ladder of 2|t| crossings joins ports 0-3 and 1-2 of the circle it "
+    "replaces, while FalDiagram.strands joins opposite slots 0-2 and 1-3 at every "
+    "vertex, circles included, so filling changes l (ROADMAP item 2)",
+)
+def test_fill_keeps_the_strand_count():
+    """Dehn filling a crossing circle removes that circle and keeps every
+    strand of the projection, so the strand count l is unchanged.  Filling
+    every circle with t = 1 takes l from 2 to 1 on the first diagram and
+    from 1 to 2 on the second."""
+    diagrams = [generate_fal(2, 4, seed=0), generate_fal(2, 4, seed=1, require_checkerboard=True)]
+    filled = [fill_all(d, {k: 1 for k in d.circles}) for d in diagrams]
+    assert [f.l for f in filled] == [d.l for d in diagrams]
