@@ -85,6 +85,7 @@ def cmd_validate(args) -> int:
     properties = {
         "checkerboard": checkerboard_coloring(diagram.map) is not None,
         "weakly_prime": weakly_prime,
+        "weakly_prime_witness": witness,
     }
     out = {
         "command": "validate",

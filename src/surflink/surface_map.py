@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 
-from .errors import InternalInvariant, InvalidCorridor, MalformedMap
+from .errors import InternalInvariant, InvalidCorridor, MalformedMap, NotCellular
 
 __all__ = [
     "CombinatorialMap",
@@ -77,7 +77,7 @@ class CombinatorialMap:
                 raise MalformedMap(f"opposite is not an involution at dart {d}")
         self._vertex_of = seen
         if faces is None:
-            if not self._connected():
+            if self.rotation and len(_spanning_walk(self, 0)) != len(self.rotation):
                 raise MalformedMap("map is disconnected")
             return
         faces = tuple(faces)
@@ -86,21 +86,6 @@ class CombinatorialMap:
             raise InternalInvariant("handed-over faces do not partition the darts")
         # Seeds the `faces` cache, as the first trace would.
         self.__dict__["faces"] = FaceSet(faces, face_of)
-
-    def _connected(self) -> bool:
-        darts = list(self._vertex_of)
-        if not darts:
-            return True
-        succ = self._succ
-        todo = [darts[0]]
-        seen = {darts[0]}
-        while todo:
-            d = todo.pop()
-            for e in (self.opposite[d], succ[d]):
-                if e not in seen:
-                    seen.add(e)
-                    todo.append(e)
-        return len(seen) == len(darts)
 
     # -- dart tables, derived on first use -------------------------------------
 
@@ -201,7 +186,11 @@ def trace_faces(m: CombinatorialMap) -> FaceSet:
 
 
 def genus(m: CombinatorialMap) -> int:
-    """Genus of the closed orientable surface the map is cellular in."""
+    """Genus of the closed orientable surface the map is cellular in.
+
+    The empty map is cellular on no surface, so it raises NotCellular."""
+    if not m.rotation:
+        raise NotCellular("map has no vertices")
     chi = m.vertex_count - m.edge_count + trace_faces(m).count
     if chi % 2 != 0:
         raise InternalInvariant(f"odd Euler characteristic {chi}")
@@ -246,6 +235,24 @@ class CutPiece(namedtuple("CutPiece", "vertices chi_capped disc")):
     __slots__ = ()
 
 
+def _spanning_walk(m: CombinatorialMap, root: int, skip=frozenset()) -> dict[int, int | None]:
+    """Breadth-first walk of the primal graph from `root`, never leaving a
+    vertex through a dart in `skip`.  Returns each reached vertex, in the
+    order reached, with the dart it was reached by: that dart sits at its
+    parent, and the root's entry is None."""
+    vertex_of, opp, rotation = m._vertex_of, m.opposite, m.rotation
+    via: dict[int, int | None] = {root: None}
+    order = [root]
+    for v in order:
+        for d in rotation[v]:
+            if d not in skip:
+                u = vertex_of[opp[d]]
+                if u not in via:
+                    via[u] = d
+                    order.append(u)
+    return via
+
+
 def cycle_space_labels(m: CombinatorialMap) -> dict[int, int]:
     """Cut label of every edge, keyed by edge id, as a Python-int bitset.
 
@@ -261,16 +268,10 @@ def cycle_space_labels(m: CombinatorialMap) -> dict[int, int]:
     """
     if not m.rotation:
         return {}
-    vertex_of = m._vertex_of
-    parent: dict[int, tuple[int, int]] = {}  # vertex -> (parent vertex, tree edge)
-    order = [0]
-    for v in order:
-        for d in m.rotation[v]:
-            u = vertex_of[m.opposite[d]]
-            if u != 0 and u not in parent:
-                parent[u] = (v, m.edge_of(d))
-                order.append(u)
-    tree = {e for _, e in parent.values()}
+    vertex_of, opp = m._vertex_of, m.opposite
+    via = _spanning_walk(m, 0)
+    del via[0]
+    tree = {min(d, opp[d]) for d in via.values()}
     labels: dict[int, int] = {}
     leaving = [0] * m.vertex_count  # XOR of the non-tree bits leaving each vertex's subtree
     bit = 1
@@ -278,12 +279,11 @@ def cycle_space_labels(m: CombinatorialMap) -> dict[int, int]:
         if e not in tree:
             labels[e] = bit
             leaving[vertex_of[e]] ^= bit
-            leaving[vertex_of[m.opposite[e]]] ^= bit
+            leaving[vertex_of[opp[e]]] ^= bit
             bit <<= 1
-    for v in reversed(order[1:]):
-        p, e = parent[v]
-        labels[e] = leaving[v]
-        leaving[p] ^= leaving[v]
+    for v, d in reversed(via.items()):
+        labels[min(d, opp[d])] = leaving[v]
+        leaving[vertex_of[d]] ^= leaving[v]
     return labels
 
 
@@ -323,17 +323,8 @@ def cut_along_two_cut(
         if flanks != corridor:
             raise InvalidCorridor(f"edge {e} is not flanked by the two corridor faces")
 
-    cut = {e1, e2, m.opposite[e1], m.opposite[e2]}
-    vertex_of, opp = m._vertex_of, m.opposite
-    side = {vertex_of[e1]}
-    todo = list(side)
-    while todo:
-        for d in m.rotation[todo.pop()]:
-            if d not in cut:
-                u = vertex_of[opp[d]]
-                if u not in side:
-                    side.add(u)
-                    todo.append(u)
+    vertex_of = m._vertex_of
+    side = _spanning_walk(m, vertex_of[e1], {e1, e2, m.opposite[e1], m.opposite[e2]})
     chi_surface = 2 - 2 * genus(m)
     if len(side) == m.vertex_count:
         piece = CutPiece(frozenset(side), chi_surface + 2, False)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -76,6 +77,26 @@ class TestValidateCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["checks"]["four_valent"]
         assert report["counts"]["c"] == 4
+        assert report["properties"]["weakly_prime_witness"] is None
+
+    def test_json_report_prints_the_weak_primeness_witness(self, tmp_path, capsys):
+        d = connect_sum(generate_fal(2, 4, seed=1, require_checkerboard=True), trefoil(), 1, 0)
+        path = tmp_path / "d.json"
+        dump_diagram(d, str(path))
+        # Exit 1: the trefoil's crossings meet no crossing circle.
+        assert cli.main(["validate", str(path), "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert not report["checks"]["crossings_anchored"]
+        properties = report["properties"]
+        assert properties["weakly_prime"] is False
+        e1, e2 = properties["weakly_prime_witness"]
+        m = d.map
+        fs = surface_map.trace_faces(m)
+        flanks = [{fs.face_of[e], fs.face_of[m.opposite[e]]} for e in (e1, e2)]
+        assert flanks[0] == flanks[1] and len(flanks[0]) == 2
+        fa, fb = sorted(flanks[0])
+        a, b, disc_a, disc_b = surface_map.cut_along_two_cut(m, e1, e2, fa, fb)
+        assert (disc_a and a.vertices) or (disc_b and b.vertices)
 
     def test_truncated_file_exit_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -328,7 +349,7 @@ class TestFillAndAugmentCommands:
         if command == "augment":
             path = str(tmp_path / "filled.json")
             dump_diagram(fill_all(d, {k: 1 for k in d.circles}), path)
-        data = json.loads(open(path).read())
+        data = json.loads(Path(path).read_text())
         data["genus"] = 5
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
@@ -346,7 +367,7 @@ class TestFillAndAugmentCommands:
         if command == "fill":
             path = str(tmp_path / "filled.json")
             dump_diagram(fill_all(d, {k: 1 for k in d.circles}), path)
-        data = json.loads(open(path).read())
+        data = json.loads(Path(path).read_text())
         data["genus"] = 3
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
@@ -502,6 +523,34 @@ def test_every_operation_refuses_a_circle_not_four_valent(command, name, tmp_pat
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("error: MalformedMap: circle vertex 0 has degree ")
+
+
+# Genus 1 is what chi = 0 gives, so only the empty-map guard refuses it.
+EMPTY_DIAGRAM = {
+    "vertices": [],
+    "opposite": [],
+    "genus": 1,
+    "vertex_kind": [],
+    "over_pair": [],
+    "half_twist": [],
+    "half_twist_sign": [],
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "decompose", "fill", "augment", "bounds", "family"])
+def test_every_command_refuses_the_empty_map(command, tmp_path, capsys):
+    """The empty map traces no faces, so chi = 0 read it as cellular on
+    the torus: validate, decompose, fill and augment used to exit 0."""
+    data = EMPTY_DIAGRAM
+    if command == "family":
+        data = {"kind": "TrivialMappingTorus", "base": data, "gamma_odd": "a1", "gamma_even": "b1", "m": 0}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    extra = {"fill": ["--t="]}.get(command, [])
+    assert cli.main([command, str(path), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: NotCellular: map has no vertices\n"
 
 
 class TestDecomposeCommand:

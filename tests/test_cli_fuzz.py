@@ -28,7 +28,7 @@ from surflink import cli
 from surflink.fal_diagram import fill_all
 from surflink.generator import generate_fal
 from surflink.io import diagram_to_json_dict
-from test_cli import ONE_CIRCLE_NOT_FOUR_VALENT, ONE_CROSSING_NOT_FOUR_VALENT
+from test_cli import EMPTY_DIAGRAM, ONE_CIRCLE_NOT_FOUR_VALENT, ONE_CROSSING_NOT_FOUR_VALENT
 
 
 def _bases():
@@ -81,6 +81,7 @@ def mutants(draw, pool=BASES):
 @example(dict(BASES[1], genus=BASES[1]["genus"] + 3))  # augment meets a wrong genus
 @example(ONE_CIRCLE_NOT_FOUR_VALENT["eight_valent"])  # fill used to exit 3
 @example(ONE_CROSSING_NOT_FOUR_VALENT["six_valent"])  # fill used to write it back
+@example(EMPTY_DIAGRAM)  # validate, decompose, fill and augment used to exit 0
 @settings(max_examples=100, deadline=5000)
 def test_mutated_diagrams_exit_zero_one_or_two(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("fuzz") / "d.json"

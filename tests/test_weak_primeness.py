@@ -16,6 +16,7 @@ from surflink.surface_map import (
     CombinatorialMap,
     cut_along_two_cut,
     cycle_space_labels,
+    _spanning_walk,
     genus,
     trace_faces,
 )
@@ -189,9 +190,9 @@ def test_equal_labels_exactly_when_the_pair_disconnects(d):
         assert (labels[e1] == labels[e2]) == disconnects(graph, m, [e1, e2])
 
 
-def random_small_degree_map(rng):
-    """A connected map on 1-8 vertices of degree 1-5 with a random edge
-    pairing, or None when the draw is disconnected."""
+def random_dart_pairing(rng):
+    """Rotation and opposite of 1-8 vertices of degree 1-5 with a random
+    edge pairing; the primal graph may be disconnected."""
     degrees = [rng.randint(1, 5) for _ in range(rng.randint(1, 8))]
     if sum(degrees) % 2:
         degrees.append(1)
@@ -204,10 +205,47 @@ def random_small_degree_map(rng):
     opposite = {}
     for a, b in zip(darts[::2], darts[1::2]):
         opposite[a], opposite[b] = b, a
+    return rotation, opposite
+
+
+def random_small_degree_map(rng):
+    """A connected map from `random_dart_pairing`, or None when the draw
+    is disconnected."""
     try:
-        return CombinatorialMap(rotation, opposite)
+        return CombinatorialMap(*random_dart_pairing(rng))
     except MalformedMap:
         return None
+
+
+def test_disconnected_exactly_when_networkx_says_so():
+    """Full validation refuses a draw exactly when networkx finds its
+    primal multigraph disconnected; on the others the spanning walk from
+    vertex 0 is a spanning tree whose every dart sits at a vertex reached
+    before the one it reaches."""
+    rng = random.Random(27)
+    outcomes = set()
+    for _ in range(400):
+        rotation, opposite = random_dart_pairing(rng)
+        vertex_of = {d: v for v, cycle in enumerate(rotation) for d in cycle}
+        graph = nx.MultiGraph()
+        graph.add_nodes_from(range(len(rotation)))
+        graph.add_edges_from((vertex_of[d], vertex_of[e]) for d, e in opposite.items() if d < e)
+        connected = nx.is_connected(graph)
+        outcomes.add(connected)
+        if not connected:
+            with pytest.raises(MalformedMap, match="^map is disconnected$"):
+                CombinatorialMap(rotation, opposite)
+            continue
+        m = CombinatorialMap(rotation, opposite)
+        via = _spanning_walk(m, 0)
+        assert sorted(via) == list(range(m.vertex_count))
+        order = {v: i for i, v in enumerate(via)}
+        tree = [(v, d) for v, d in via.items() if d is not None]
+        assert len({m.edge_of(d) for _, d in tree}) == len(tree) == m.vertex_count - 1
+        for v, d in tree:
+            assert m.vertex_of(m.opposite[d]) == v
+            assert order[m.vertex_of(d)] < order[v]
+    assert outcomes == {True, False}
 
 
 def differential_cut_maps():
