@@ -457,9 +457,11 @@ def prism_triangulation(d: BowtieDecomposition) -> PrismTriangulation:
 def volume_bounds(c: int, g: int, l: int, m: int, kind: str, filled: bool = False) -> VolumeBounds:
     """Cusp-count lower bound, and the prism upper bound when the manifold
     is the trivial mapping torus over the base diagram alone: m = 0 and no
-    fills.  The prisms triangulate Sigma x S^1 over the base; layer curves
-    and fillings are not in that triangulation, so no upper bound is
-    claimed for them."""
+    fills.  The prisms triangulate Sigma x S^1 minus a diagram of circles
+    only; layer curves and fillings are not in that triangulation, so no
+    upper bound is claimed for them.  A base with crossings is itself a
+    filling, of the diagram its twist regions augment to, and its caller
+    passes filled=True."""
     if g < 2:
         raise GenusTooSmall("volume bounds require an ambient surface of genus >= 2")
     if min(c, l, m) < 0:

@@ -32,17 +32,22 @@ INCONCLUSIVE_NOTE = (
 
 
 def _emit(report: dict, as_json: bool) -> None:
+    """Write the report as JSON, or as text: one `name: pass|FAIL` line per
+    check and one `key: value` line per other entry, the value as its JSON
+    text, or bare when it is a string."""
     if as_json:
         from . import io as sio
 
         sys.stdout.write(sio.dumps_json(report))
         return
+    import json
+
     for key, value in report.items():
         if key == "checks":
             for name, ok in value.items():
                 print(f"{name}: {'pass' if ok else 'FAIL'}")
         else:
-            print(f"{key}: {value}")
+            print(f"{key}: {value if isinstance(value, str) else json.dumps(value)}")
 
 
 def _write_diagram(diagram, output) -> int:
@@ -161,7 +166,8 @@ def cmd_bounds(args) -> int:
 
     diagram = sio.load_diagram(args.path)
     require_cellular(diagram)
-    vb = volume_bounds(diagram.c, diagram.genus, diagram.l, args.m, args.kind)
+    # A diagram with crossings is a filling: no prism bound is claimed for it.
+    vb = volume_bounds(diagram.c, diagram.genus, diagram.l, args.m, args.kind, bool(diagram.crossings))
     out = {
         "command": "bounds",
         "input_digest": sio.file_digest(args.path),
@@ -181,7 +187,7 @@ def cmd_family(args) -> int:
     spec = sio.load_family_spec(args.path)
     link = sio.build_link_from_spec(spec)
     base = link.family.base
-    filled = bool(link.annular_coefficients or link.circle_coefficients)
+    filled = bool(link.annular_coefficients or link.circle_coefficients or base.crossings)
     vb = volume_bounds(base.c, base.genus, base.l, link.family.m, link.kind, filled)
     out = {
         "command": "family",
@@ -207,6 +213,7 @@ def cmd_family(args) -> int:
             "alternating": link.wga_report.alternating,
             "checkerboard": link.wga_report.checkerboard,
             "weakly_prime": link.wga_report.weakly_prime,
+            "weakly_prime_witness": link.wga_report.weakly_prime_witness,
             "wga_positive": link.wga_report.wga_positive,
             "twist_regions": link.twist_region_count,
         }

@@ -47,6 +47,8 @@ __all__ = [
     "split_curve",
     "parse_curve_word",
     "format_curve_word",
+    "MAX_CURVE_WORD_LETTERS",
+    "require_word_length",
 ]
 
 HomologyClass = tuple  # length 2g, integer entries
@@ -431,15 +433,31 @@ def _count_orbits(linked, u: CurveWord, v: CurveWord, g: int) -> int:
 
 _TOKEN = re.compile(r"([aAbB])(\d+)")
 
+# Dehn reduction rescans the word after each replacement, so its time grows
+# with the square of the word's length: `curves reduce` of (a1b1A1B1a2)^2000,
+# 10^4 letters, takes about 7 s on a shared 2-core x86-64 host, and `curves
+# intersect` spends as long on that word before its budget refuses it.
+MAX_CURVE_WORD_LETTERS = 10**4
+
+
+def require_word_length(letters: int) -> None:
+    """Raise ParseError when a curve word read from input has more than
+    MAX_CURVE_WORD_LETTERS letters."""
+    if letters > MAX_CURVE_WORD_LETTERS:
+        raise ParseError(f"curve word has more than the cap of {MAX_CURVE_WORD_LETTERS} letters")
+
 
 def parse_curve_word(text: str, g: int) -> CurveWord:
-    """Parse ``a1B2``-style words; uppercase letters are inverses."""
+    """Parse ``a1B2``-style words; uppercase letters are inverses.  A word
+    of more than MAX_CURVE_WORD_LETTERS letters raises ParseError as soon
+    as its next letter is read."""
     stripped = re.sub(r"\s+", "", text)
     out = []
     position = 0
     for match in _TOKEN.finditer(stripped):
         if match.start() != position:
             raise ParseError(f"unexpected text in curve word: {stripped[position:]!r}")
+        require_word_length(len(out) + 1)
         position = match.end()
         kind, index = match.group(1), int(match.group(2))
         if not (1 <= index <= g):

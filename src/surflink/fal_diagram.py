@@ -263,12 +263,13 @@ class ValidationReport(
 class WgaReport(
     namedtuple(
         "WgaReport",
-        "weakly_prime components_on_all_surfaces crossing_per_component "
-        "checkerboard alternating representativity",
+        "weakly_prime weakly_prime_witness components_on_all_surfaces "
+        "crossing_per_component checkerboard alternating representativity",
     )
 ):
-    """The WGA conditions as flags; representativity reads
-    "InfiniteIncompressible" or "NotChecked"."""
+    """The WGA conditions as flags; weakly_prime_witness is None or the
+    edge pair (e1, e2) that `check_weakly_prime` returned, and
+    representativity reads "InfiniteIncompressible" or "NotChecked"."""
 
     __slots__ = ()
 
@@ -285,26 +286,28 @@ class WgaReport(
 
 
 def validate_fal(diagram: FalDiagram) -> ValidationReport:
+    """The FAL conditions as flags.  A condition the vertex kinds settle is
+    read from them: the strands are walked only when the diagram has both
+    circles and crossings."""
     m = diagram.map
     four_valent = all(m.degree(v) == 4 for v in range(m.vertex_count))
     # A crossing disc is met exactly twice iff its circle vertex carries
     # exactly the two strand passages, i.e. is 4-valent.
     circles = set(diagram.circles)
     crossings = set(diagram.crossings)
-    crossing_discs = all(m.degree(v) == 4 for v in circles)
+    crossing_discs = four_valent or all(m.degree(v) == 4 for v in circles)
     if circles and crossings:
         anchored = all(
             any(m.vertex_of(m.opposite[d]) in circles for d in m.rotation[v])
             for v in crossings
         )
+        # Every strand component meets a circle.
+        meet = all(any(m.vertex_of(d) in circles for d in comp) for comp in diagram.strands)
     else:
-        anchored = True
-    # Every strand component meets a circle, or a crossing when none exists.
-    anchors = circles or crossings
-    meet = all(
-        any(m.vertex_of(d) in anchors for d in comp)
-        for comp in diagram.strands
-    )
+        # The anchors are the circles, or the crossings when no circle
+        # exists: every vertex.  Every strand holds a dart, and every dart
+        # sits at a vertex, so every strand meets an anchor.
+        anchored = meet = True
     cellular = four_valent and map_genus(m) == diagram.genus
     return ValidationReport(four_valent, crossing_discs, anchored, meet, cellular)
 
@@ -540,45 +543,52 @@ def check_weakly_prime(diagram: FalDiagram):
     weak-primeness witness: on a disc any vertex-free strand would be
     unknotted, so only vertex-carrying disc sides disqualify the diagram.
     A candidate separates exactly when its two edges have equal cycle-space
-    labels, so only those pairs are cut and tested for a disc side; the
-    scan order is by corridor, then by edge pair.
+    labels, so one pass over the edges in sorted order groups them by
+    corridor (the flanking faces, smaller first) and label, and only pairs
+    within a group are cut and tested for a disc side.  The scan order is
+    by corridor, then by edge pair.
     Returns (True, None) or (False, (e1, e2)).
     """
     m = diagram.map
-    fs = trace_faces(m)
-    by_corridor: dict[frozenset[int], list[int]] = {}
-    for d in m.edges():
-        key = frozenset((fs.face_of[d], fs.face_of[m.opposite[d]]))
-        if len(key) == 2:
-            by_corridor.setdefault(key, []).append(d)
+    face_of, opp = trace_faces(m).face_of, m.opposite
     labels = cycle_space_labels(m)
-    for key in sorted(by_corridor, key=sorted):
-        group = by_corridor[key]
-        fa, fb = sorted(key)
-        for i, e1 in enumerate(group):
-            for e2 in group[i + 1 :]:
-                if labels[e2] != labels[e1]:
-                    continue
-                a, b, disc_a, disc_b = cut_along_two_cut(m, e1, e2, fa, fb)
-                if (disc_a and a.vertices) or (disc_b and b.vertices):
-                    return False, (e1, e2)
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for e in m.edges():
+        fa, fb = face_of[e], face_of[opp[e]]
+        if fa != fb:
+            key = (fa, fb, labels[e]) if fa < fb else (fb, fa, labels[e])
+            groups.setdefault(key, []).append(e)
+    candidates = sorted(
+        (fa, fb, e1, e2)
+        for (fa, fb, _), group in groups.items()
+        if len(group) > 1
+        for i, e1 in enumerate(group)
+        for e2 in group[i + 1 :]
+    )
+    for fa, fb, e1, e2 in candidates:
+        a, b, disc_a, disc_b = cut_along_two_cut(m, e1, e2, fa, fb)
+        if (disc_a and a.vertices) or (disc_b and b.vertices):
+            return False, (e1, e2)
     return True, None
 
 
 def check_wga(diagram: FalDiagram, surface_incompressible: bool) -> WgaReport:
+    """The WGA conditions as flags, with the weak-primeness witness.  Every
+    strand meets a crossing when every vertex is one; otherwise the strands
+    are walked."""
     m = diagram.map
     crossings = set(diagram.crossings)
     try:
         alternating = check_alternating(diagram)
     except UnfilledCircle:
         alternating = False
-    weakly_prime, _ = check_weakly_prime(diagram)
-    per_component = all(
-        any(m.vertex_of(d) in crossings for d in comp)
-        for comp in diagram.strands
+    weakly_prime, witness = check_weakly_prime(diagram)
+    per_component = len(crossings) == m.vertex_count or all(
+        any(m.vertex_of(d) in crossings for d in comp) for comp in diagram.strands
     )
     return WgaReport(
         weakly_prime=weakly_prime,
+        weakly_prime_witness=witness,
         components_on_all_surfaces=map_genus(m) == diagram.genus,
         crossing_per_component=per_component,
         checkerboard=checkerboard_coloring(m) is not None,

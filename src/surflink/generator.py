@@ -216,7 +216,8 @@ def _build_map(state: _Growth, g: int) -> CombinatorialMap:
     faces = tuple(map(state.face_at.__getitem__, mins))
     if min(map(len, faces)) < 3:
         raise InternalInvariant("grown map has a face of fewer than 3 darts")
-    rotation = tuple(tuple(range(4 * v, 4 * v + 4)) for v in range(c))
+    darts = iter(range(4 * c))
+    rotation = tuple(zip(darts, darts, darts, darts))
     return CombinatorialMap(rotation, dict(enumerate(opp)), faces)
 
 

@@ -45,7 +45,7 @@ class CombinatorialMap:
     """
 
     def __init__(self, rotation, opposite, faces: "tuple[tuple[int, ...], ...] | None" = None) -> None:
-        self.rotation: tuple[tuple[int, ...], ...] = tuple(tuple(cycle) for cycle in rotation)
+        self.rotation: tuple[tuple[int, ...], ...] = tuple(map(tuple, rotation))
         self.opposite: dict[int, int] = dict(opposite)
         self._validate(faces)
 

@@ -179,6 +179,22 @@ class TestVolumeBounds:
         assert (vb.upper is not None) == (kind == "TrivialMappingTorus" and m == 0 and not filled)
         assert vb.upper is None or vb.lower <= vb.upper
 
+    @given(
+        st.integers(0, 300),
+        st.integers(2, 8),
+        st.integers(0, 10**4),
+        st.integers(0, 60),
+        st.sampled_from(["TrivialMappingTorus", "MappingTorus", "DoubledThickenedSurface"]),
+    )
+    def test_a_base_with_crossings_prints_no_upper(self, c, g, l, m, kind):
+        """Strands can outnumber 2c once crossings exist: filling every
+        circle of generate_fal(2, 25, seed=3) with t = 1 leaves c = 0 and
+        l = 13.  Such a base is a filling, so no upper bound is claimed
+        and no strand count raises."""
+        vb = volume_bounds(c, g, l, m, kind, True)
+        assert vb.upper is None
+        assert vb.lower == (l + c + 2 * m) * V_TET
+
     def test_lower_above_upper_is_an_internal_error(self):
         with pytest.raises(InternalInvariant, match="exceeds"):
             volume_bounds(0, 2, 100, 0, "TrivialMappingTorus")

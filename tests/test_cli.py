@@ -11,15 +11,18 @@ from hypothesis import given, settings, strategies as st
 
 import surflink
 from surflink import bowtie, cli, fal_diagram, generator, surface_map
+from surflink.curves_mcg import MAX_CURVE_WORD_LETTERS
 from surflink.errors import ParseError
 from surflink.fal_diagram import diagrams_isomorphic, fill_all
 from surflink.generator import generate_fal
 from surflink.io import (
+    build_link_from_spec,
     diagram_from_json_dict,
     diagram_to_json_dict,
     dump_diagram,
     dumps_json,
     load_diagram,
+    load_family_spec,
 )
 from test_fal_diagram import THREE_BIGON_CROSSING, trefoil
 from test_weak_primeness import connect_sum
@@ -31,6 +34,15 @@ def diagram_file(tmp_path):
     path = tmp_path / "d.json"
     dump_diagram(d, str(path))
     return d, str(path)
+
+
+def filled_by_cli(tmp_path, circles, seed):
+    """`generate --genus 2` with the given circles and seed, then `fill`
+    with t = 1 on every circle; the filled diagram's path."""
+    d, filled = tmp_path / "d.json", tmp_path / "filled.json"
+    assert cli.main(["generate", "--genus", "2", "--circles", str(circles), "--seed", str(seed), "-o", str(d)]) == 0
+    assert cli.main(["fill", str(d), "--t=" + ",".join(["1"] * circles), "-o", str(filled)]) == 0
+    return str(filled)
 
 
 class TestSerialization:
@@ -669,6 +681,26 @@ class TestBoundsCommand:
         assert cli.main(["bounds", path, "--m", "0", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["counts"]["m"] == 0
 
+    @pytest.mark.parametrize("circles,seed,l", [(25, 3, 13), (4, 1, 2)], ids=["c25", "c4"])
+    def test_no_upper_for_a_diagram_with_crossings(self, circles, seed, l, tmp_path, capsys):
+        """The prism bound triangulates Sigma x S^1 minus a diagram of
+        circles only.  Filled with t = 1, the c = 25 diagram has l = 13
+        strands, so it used to exit 3 with lower 13.19 above upper 12.18;
+        the c = 4 one printed that unproved upper with exit 0."""
+        path = filled_by_cli(tmp_path, circles, seed)
+        assert cli.main(["validate", path]) == 0
+        capsys.readouterr()
+        assert cli.main(["bounds", path, "--m", "0", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["counts"] == {"g": 2, "c": 0, "l": l, "m": 0}
+        assert report["upper"] is None
+        assert report["lower"] == l * bowtie.V_TET
+        spec = {"kind": "TrivialMappingTorus", "base": path, "gamma_odd": "a1", "gamma_even": "b1", "m": 0}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        assert cli.main(["family", str(tmp_path / "spec.json"), "--json"]) == 0
+        bounds = json.loads(capsys.readouterr().out)["bounds"]
+        assert bounds == {"lower": l * bowtie.V_TET, "upper": None}
+
 
 class TestFamilyCommand:
     def _write_spec(self, tmp_path, diagram_path, extra):
@@ -762,6 +794,24 @@ class TestFamilyCommand:
         wga = json.loads(capsys.readouterr().out)["wga"]
         assert wga["weakly_prime"] is False
         assert wga["wga_positive"] is False
+        # The witness is a pair of edges of the filled diagram that share
+        # both flanking faces and cut off a disc holding vertices.
+        e1, e2 = wga["weakly_prime_witness"]
+        m = build_link_from_spec(load_family_spec(spec)).filled_diagram.map
+        fs = surface_map.trace_faces(m)
+        flanks = [{fs.face_of[e], fs.face_of[m.opposite[e]]} for e in (e1, e2)]
+        assert flanks[0] == flanks[1] and len(flanks[0]) == 2
+        fa, fb = sorted(flanks[0])
+        a, b, disc_a, disc_b = surface_map.cut_along_two_cut(m, e1, e2, fa, fb)
+        assert (disc_a and a.vertices) or (disc_b and b.vertices)
+
+    def test_weakly_prime_filling_prints_a_null_witness(self, diagram_file, tmp_path, capsys):
+        _, path = diagram_file
+        spec = self._write_spec(tmp_path, path, {"m": 0, "s": [1, 1, 1, 1]})
+        assert cli.main(["family", spec, "--json"]) == 0
+        wga = json.loads(capsys.readouterr().out)["wga"]
+        assert wga["weakly_prime"] is True
+        assert wga["weakly_prime_witness"] is None
 
     @pytest.mark.parametrize(
         "extra,printed",
@@ -1132,3 +1182,102 @@ class TestCurvesCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: GenusTooSmall: surface-group reduction needs genus >= 2\n"
+
+
+# -- the cap on curve-word length ------------------------------------------
+
+OVER_CAP = "a1" * (MAX_CURVE_WORD_LETTERS + 1)
+CAP_MESSAGE = f"error: curve word has more than the cap of {MAX_CURVE_WORD_LETTERS} letters\n"
+
+
+@pytest.mark.parametrize(
+    "words",
+    [["reduce", OVER_CAP], ["intersect", OVER_CAP, "b1"], ["intersect", "b1", OVER_CAP], ["conjugate", "a1", OVER_CAP]],
+    ids=["reduce", "intersect-first", "intersect-second", "conjugate"],
+)
+def test_curve_word_above_cap_exit_two(words, capsys):
+    """A word of more than MAX_CURVE_WORD_LETTERS letters is refused before
+    any reduction: `reduce` of 10^4 letters used to take about 7 s."""
+    assert cli.main(["curves", *words, "--genus", "2", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == CAP_MESSAGE
+
+
+def test_curve_word_at_cap_accepted(capsys):
+    assert cli.main(["curves", "reduce", "a1" * MAX_CURVE_WORD_LETTERS, "--genus", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["reduced"] == "a1" * MAX_CURVE_WORD_LETTERS
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"gamma_odd": OVER_CAP},
+        {"gamma_even": [1] * (MAX_CURVE_WORD_LETTERS + 1)},
+        {"kind": "MappingTorus", "phi": [[OVER_CAP, 1]]},
+        {"kind": "MappingTorus", "phi": [["a1", 1], [[2] * (MAX_CURVE_WORD_LETTERS + 1), 1]]},
+    ],
+    ids=["gamma-text", "gamma-list", "phi-text", "phi-list"],
+)
+def test_spec_curve_word_above_cap_exit_two(extra, diagram_file, tmp_path, capsys):
+    _, path = diagram_file
+    spec = {"kind": "TrivialMappingTorus", "base": path, "gamma_odd": "a1", "gamma_even": "b1", "m": 1}
+    spec.update(extra)
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert cli.main(["family", str(tmp_path / "spec.json"), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == CAP_MESSAGE
+
+
+# -- text reports ------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def text_inputs(tmp_path_factory):
+    path = tmp_path_factory.mktemp("text")
+    base = generate_fal(2, 4, seed=1, require_checkerboard=True)
+    dump_diagram(base, str(path / "d.json"))
+    dump_diagram(connect_sum(base, trefoil(), 1, 0), str(path / "spliced.json"))
+    spec = {"kind": "TrivialMappingTorus", "base": "spliced.json", "gamma_odd": "a1", "gamma_even": "b1"}
+    (path / "spec.json").write_text(json.dumps(dict(spec, m=0, s=[1, 1, 1, 1])))
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "d.json"],
+        ["validate", "spliced.json"],
+        ["decompose", "d.json"],
+        ["bounds", "d.json", "--m", "0"],
+        ["bounds", "d.json", "--m", "2"],
+        ["family", "spec.json"],
+        ["curves", "intersect", "a1", "b1", "--genus", "2"],
+        ["curves", "reduce", "a1b1A1B1a2b2A2B2", "--genus", "2"],
+        ["curves", "reduce", "a1b1a1", "--genus", "2"],
+        ["curves", "conjugate", "a1", "b1a1B1", "--genus", "2"],
+    ],
+    ids=str,
+)
+def test_text_lines_match_the_json_report(argv, text_inputs, capsys, monkeypatch):
+    """Each text line reads `name: pass|FAIL` for a check, and `key: value`
+    for any other entry, the value as its JSON text, bare when a string."""
+    monkeypatch.chdir(text_inputs)
+    code = cli.main(argv)
+    text = capsys.readouterr().out
+    assert cli.main([*argv, "--json"]) == code
+    report = json.loads(capsys.readouterr().out)
+    lines = dict(line.partition(": ")[::2] for line in text.splitlines())
+    expected = {}
+    for key, value in report.items():
+        if key == "checks":
+            expected.update((name, "pass" if ok else "FAIL") for name, ok in value.items())
+        else:
+            expected[key] = value
+    assert lines.keys() == expected.keys() and len(text.splitlines()) == len(lines)
+    for key, value in expected.items():
+        if isinstance(value, str):
+            assert lines[key] == value
+        else:
+            assert json.loads(lines[key]) == value

@@ -14,6 +14,10 @@ seeds, half-twist probabilities and the checkerboard filter.  Every run
 must end in exit 0, 1 or 2; exit 3 means an internal error.  A diagram
 that ``validate`` reports as not four-valent or not cellular must also be
 refused, with exit 2 and empty stdout, by every other diagram command.
+A diagram that passes every check of ``validate`` is held to more: its
+weak-primeness verdict and witness equal the all-pairs reference scan's,
+``decompose`` obeys the white-face law on circles only and refuses
+crossings, and ``bounds --m 0`` prints no upper bound below its lower one.
 """
 
 import contextlib
@@ -27,8 +31,9 @@ from hypothesis import example, given, settings, strategies as st
 from surflink import cli
 from surflink.fal_diagram import fill_all
 from surflink.generator import generate_fal
-from surflink.io import diagram_to_json_dict
+from surflink.io import diagram_from_json_dict, diagram_to_json_dict
 from test_cli import EMPTY_DIAGRAM, ONE_CIRCLE_NOT_FOUR_VALENT, ONE_CROSSING_NOT_FOUR_VALENT
+from test_weak_primeness import reference_check_weakly_prime, two_spliced_trefoils
 
 
 def _bases():
@@ -41,6 +46,20 @@ def _bases():
 
 
 BASES = _bases()
+
+
+def _filled(g, c, seed):
+    """`generate` with the given size and seed, then `fill` with t = 1 on
+    every circle."""
+    d = generate_fal(g, c, seed=seed)
+    return fill_all(d, {k: 1 for k in d.circles})
+
+
+# c = 0 and l = 13 strands: bounds used to exit 3 on lower 13.19 above upper 12.18.
+FILLED_C25 = diagram_to_json_dict(_filled(2, 25, 3))
+# Every check of validate passes on it, and a weak-primeness scan that visits
+# the corridors in another order returns another witness.
+SPLICED_TREFOILS = diagram_to_json_dict(two_spliced_trefoils())
 ODD_VALUES = [None, "x", 1.5, True, [], {}, [[]], [None]]
 BIG = [-1, -(2**40), 2**40, 10**30]
 
@@ -82,6 +101,12 @@ def mutants(draw, pool=BASES):
 @example(ONE_CIRCLE_NOT_FOUR_VALENT["eight_valent"])  # fill used to exit 3
 @example(ONE_CROSSING_NOT_FOUR_VALENT["six_valent"])  # fill used to write it back
 @example(EMPTY_DIAGRAM)  # validate, decompose, fill and augment used to exit 0
+@example(BASES[0])  # the bases unmutated pass every check of validate
+@example(BASES[1])
+@example(BASES[2])
+@example(BASES[3])
+@example(FILLED_C25)  # bounds --m 0 used to exit 3
+@example(SPLICED_TREFOILS)  # not weakly prime, two witnesses
 @settings(max_examples=100, deadline=5000)
 def test_mutated_diagrams_exit_zero_one_or_two(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("fuzz") / "d.json"
@@ -94,8 +119,10 @@ def test_mutated_diagrams_exit_zero_one_or_two(tmp_path_factory, data):
         ["augment", str(path)],
         ["fill", str(path), "--t=" + ",".join(["1"] * c)],
         ["bounds", str(path), "--m", "2", "--json"],
+        ["bounds", str(path), "--m", "0", "--json"],
     ]
     refused = False
+    valid = None  # validate's report, when every check passes
     for argv in commands:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -104,10 +131,28 @@ def test_mutated_diagrams_exit_zero_one_or_two(tmp_path_factory, data):
         if argv[0] == "validate" and code != 2:
             # A map that validate reports as not four-valent or not cellular
             # is a violated precondition for every other diagram command.
-            checks = json.loads(out.getvalue())["checks"]
+            report = json.loads(out.getvalue())
+            checks = report["checks"]
             refused = not (checks["four_valent"] and checks["cellular"])
+            if code == 0:
+                valid = report
+                weakly_prime, witness = reference_check_weakly_prime(diagram_from_json_dict(data))
+                properties = report["properties"]
+                assert properties["weakly_prime"] == weakly_prime, data
+                assert properties["weakly_prime_witness"] == (witness and list(witness)), data
         elif refused:
             assert (code, out.getvalue()) == (2, ""), (argv[0], code, err.getvalue(), data)
+        elif valid is not None and argv[0] == "decompose":
+            g, c = valid["counts"]["g"], valid["counts"]["c"]
+            if c == len(data["vertices"]):
+                assert code == 0, (err.getvalue(), data)
+                assert json.loads(out.getvalue())["counts"]["white_faces"] == c + 2 - 2 * g, data
+            else:
+                assert (code, out.getvalue()) == (2, ""), (err.getvalue(), data)
+        elif valid is not None and argv[0] == "bounds":
+            assert code == 0, (argv, err.getvalue(), data)
+            bounds = json.loads(out.getvalue())
+            assert bounds["upper"] is None or bounds["upper"] >= bounds["lower"], data
 
 
 def _specs():

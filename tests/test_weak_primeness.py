@@ -101,7 +101,17 @@ def test_label_scan_matches_all_pairs_scan(d):
     assert check_weakly_prime(d) == reference_check_weakly_prime(d)
 
 
-@pytest.mark.parametrize("build", [connect_sum_of_trefoils, trefoil, kink, torus_grid])
+def two_spliced_trefoils():
+    """Two trefoils spliced into a filled diagram.  Each gives a witness in
+    its own corridor, and the one in the corridor of smaller faces holds
+    the larger edges, so only a scan in corridor order finds the reference's
+    witness."""
+    d = generate_fal(2, 4, seed=1)
+    d = fill_all(d, {k: 1 for k in d.circles})
+    return connect_sum(connect_sum(d, trefoil(), 2, 0), trefoil(), 5, 0)
+
+
+@pytest.mark.parametrize("build", [connect_sum_of_trefoils, trefoil, kink, torus_grid, two_spliced_trefoils])
 def test_fixtures_match_all_pairs_scan(build):
     d = build()
     assert check_weakly_prime(d) == reference_check_weakly_prime(d)
