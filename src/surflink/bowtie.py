@@ -13,6 +13,7 @@ circles, 3c sites in all.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import permutations, product
@@ -84,9 +85,8 @@ def decompose(fal: FalDiagram) -> BowtieDecomposition:
     ideal vertices; the map faces survive as the white polygons.
     """
     m = fal.map
-    for v, kind in enumerate(fal.vertex_kind):
-        if not isinstance(kind, CrossingCircle):
-            raise MalformedMap(f"vertex {v} is not a crossing circle; augment first")
+    if fal.crossings:
+        raise MalformedMap(f"vertex {fal.crossings[0]} is not a crossing circle; augment first")
     require_cellular(fal)
 
     c = m.vertex_count
@@ -98,12 +98,12 @@ def decompose(fal: FalDiagram) -> BowtieDecomposition:
         for d in cycle:
             x = m.opposite[d]
             k = m.vertex_of(x)
-            q = m.position_of(x)
+            q = m.rotation[k].index(x)
             # Slot q is corner 1 + q % 2 of triangle t, which the polygon
             # leaves along side 1 + q % 2.  Side 2 ends at the beta corner,
             # left along side 0 of the circle's other triangle.
             t = 2 * k + (q >> 1)
-            poly.append((("arc", arc(m.rotation[k][q])), 3 * t + 1 + (q & 1)))
+            poly.append((("arc", arc(x)), 3 * t + 1 + (q & 1)))
             if q & 1:
                 poly.append((("beta", k), 3 * (t ^ 1)))
         white.append(tuple(poly))
@@ -461,12 +461,18 @@ def volume_bounds(c: int, g: int, l: int, m: int, kind: str, filled: bool = Fals
     only; layer curves and fillings are not in that triangulation, so no
     upper bound is claimed for them.  A base with crossings is itself a
     filling, of the diagram its twist regions augment to, and its caller
-    passes filled=True."""
+    passes filled=True.  Counts whose lower bound is past the largest
+    float raise MalformedMap."""
     if g < 2:
         raise GenusTooSmall("volume bounds require an ambient surface of genus >= 2")
     if min(c, l, m) < 0:
         raise MalformedMap("counts must be nonnegative")
-    lower = (l + c + 2 * m) * V_TET
+    try:
+        lower = (l + c + 2 * m) * V_TET
+    except OverflowError:  # the count itself is past the largest float
+        lower = math.inf
+    if not math.isfinite(lower):
+        raise MalformedMap("counts too large: the lower bound (l + c + 2m) * v_tet is not a finite float")
     upper = None
     if kind == "TrivialMappingTorus" and m == 0 and not filled:
         upper = 6 * (3 * c + 2 * g - 2) * V_TET

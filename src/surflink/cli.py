@@ -265,24 +265,22 @@ def cmd_curves(args) -> int:
         raise ParseError(
             f"curves {args.action} takes {expected} word(s), got {len(args.words)}"
         )
+    words = [parse_curve_word(w, g) for w in args.words]
     # The library functions own the default budgets.
     budget = {} if args.budget is None else {"budget": args.budget}
     if args.action == "intersect":
-        w1 = parse_curve_word(args.words[0], g)
-        w2 = parse_curve_word(args.words[1], g)
+        w1, w2 = words
         alg = algebraic_intersection(word_to_homology(w1, g), word_to_homology(w2, g))
         geo = geometric_intersection_oracle(w1, w2, g, **budget)
         out = {"command": "curves intersect", "algebraic": alg, "geometric": geo}
         _emit(out, args.json)
         return EXIT_PASS if geo >= abs(alg) else EXIT_PROPERTY
     if args.action == "reduce":
-        reduced = dehn_reduce(parse_curve_word(args.words[0], g), g)
+        reduced = dehn_reduce(words[0], g)
         out = {"command": "curves reduce", "reduced": format_curve_word(reduced)}
         _emit(out, args.json)
         return EXIT_PASS
-    w1 = parse_curve_word(args.words[0], g)
-    w2 = parse_curve_word(args.words[1], g)
-    equal = conjugacy_equal(w1, w2, g, up_to_inverse=args.up_to_inverse, **budget)
+    equal = conjugacy_equal(*words, g, up_to_inverse=args.up_to_inverse, **budget)
     _emit({"command": "curves conjugate", "equal": equal}, args.json)
     return EXIT_PASS if equal else EXIT_PROPERTY
 

@@ -182,23 +182,22 @@ class FalDiagram(namedtuple("FalDiagram", "map genus vertex_kind")):
         """
         m = self.map
         over = self.over_ends
-        crossings = set(self.crossings)
-        # links[v]: (u, p, q) per bigon (p, q) with p at v and q at u.
-        links: dict[int, list[tuple[int, int, int]]] = {v: [] for v in crossings}
+        # links[v]: (u, p, q) per bigon (p, q) with p at v and q at u, for
+        # each crossing v in vertex order.
+        links: dict[int, list[tuple[int, int, int]]] = {v: [] for v in self.crossings}
         for cycle in trace_faces(m).faces:
             if len(cycle) != 2:
                 continue
             p, q = cycle
             vp, vq = m.vertex_of(p), m.vertex_of(q)
-            if vp == vq or vp not in crossings or vq not in crossings:
+            if vp == vq or vp not in links or vq not in links:
                 continue
             links[vp].append((vq, p, q))
             links[vq].append((vp, q, p))
-        internal = {d for steps in links.values() for _, p, _ in steps for d in (p, m.opposite[p])}
 
         regions: list[TwistRegion] = []
         seen: set[int] = set()
-        for start in sorted(crossings):
+        for start in links:
             if start in seen:
                 continue
             if not links[start]:
@@ -223,8 +222,10 @@ class FalDiagram(namedtuple("FalDiagram", "map genus vertex_kind")):
                         raise NonAlternatingTwistRegion(
                             f"bigon edge at dart {d} has two over-ends or two under-ends"
                         )
-            x, y = _end_ports(m, first, internal)
-            z, w = _end_ports(m, chain[-1], internal)
+            # The bigon dart at the first end is the first step's p, at the
+            # last end the last step's q.
+            x, y = _end_ports(m, steps[0][1])
+            z, w = _end_ports(m, steps[-1][2])
             regions.append(TwistRegion(chain, (x, y, z, w), 1 if x in over else -1))
         return tuple(regions)
 
@@ -249,15 +250,7 @@ class ValidationReport(
 
     @property
     def ok(self) -> bool:
-        return all(
-            (
-                self.four_valent,
-                self.crossing_discs,
-                self.crossings_anchored,
-                self.components_meet_circles,
-                self.cellular,
-            )
-        )
+        return all(self)
 
 
 class WgaReport(
@@ -285,10 +278,20 @@ class WgaReport(
         )
 
 
+def _strands_meet(diagram: FalDiagram, anchors: set[int]) -> bool:
+    """Whether every strand meets a vertex of `anchors`.  When every vertex
+    is an anchor the strands are not walked: every strand holds a dart, and
+    every dart sits at a vertex."""
+    m = diagram.map
+    return len(anchors) == m.vertex_count or all(
+        any(m.vertex_of(d) in anchors for d in comp) for comp in diagram.strands
+    )
+
+
 def validate_fal(diagram: FalDiagram) -> ValidationReport:
-    """The FAL conditions as flags.  A condition the vertex kinds settle is
-    read from them: the strands are walked only when the diagram has both
-    circles and crossings."""
+    """The FAL conditions as flags.  Every strand must meet a circle, or a
+    crossing when the diagram has no circle, so the strands are walked only
+    when the diagram has both kinds."""
     m = diagram.map
     four_valent = all(m.degree(v) == 4 for v in range(m.vertex_count))
     # A crossing disc is met exactly twice iff its circle vertex carries
@@ -296,18 +299,10 @@ def validate_fal(diagram: FalDiagram) -> ValidationReport:
     circles = set(diagram.circles)
     crossings = set(diagram.crossings)
     crossing_discs = four_valent or all(m.degree(v) == 4 for v in circles)
-    if circles and crossings:
-        anchored = all(
-            any(m.vertex_of(m.opposite[d]) in circles for d in m.rotation[v])
-            for v in crossings
-        )
-        # Every strand component meets a circle.
-        meet = all(any(m.vertex_of(d) in circles for d in comp) for comp in diagram.strands)
-    else:
-        # The anchors are the circles, or the crossings when no circle
-        # exists: every vertex.  Every strand holds a dart, and every dart
-        # sits at a vertex, so every strand meets an anchor.
-        anchored = meet = True
+    anchored = not circles or all(
+        any(m.vertex_of(m.opposite[d]) in circles for d in m.rotation[v]) for v in crossings
+    )
+    meet = _strands_meet(diagram, circles or crossings)
     cellular = four_valent and map_genus(m) == diagram.genus
     return ValidationReport(four_valent, crossing_discs, anchored, meet, cellular)
 
@@ -357,18 +352,19 @@ def _walk_bigons(links, start: int, step):
         steps.append(b if a[1] == q else a)
 
 
-def _end_ports(m: CombinatorialMap, v: int, internal: set[int]) -> tuple[int, int]:
-    """The two non-bigon darts at a chain end, in rotation order.
+def _end_ports(m: CombinatorialMap, p: int) -> tuple[int, int]:
+    """The two non-bigon darts at the chain end v of bigon dart p, in
+    rotation order.
 
     The end's one bigon (p, q) has p at v, and faces are traced by
     d -> succ(opp(d)), so its darts at v are exactly p and opp(q), with
     p = succ(opp(q)).  Two ports besides them make v 4-valent, so the
-    ports are the other adjacent pair."""
-    ports = [d for d in m.rotation[v] if d not in internal]
-    if len(ports) != 2:
-        raise MalformedMap(f"chain end {v} has {len(ports)} boundary darts")
-    a, b = ports
-    return (a, b) if m.rotation_successor(a) == b else (b, a)
+    ports are the two darts that follow p."""
+    v = m.vertex_of(p)
+    if m.degree(v) != 4:
+        raise MalformedMap(f"chain end {v} has {m.degree(v) - 2} boundary darts")
+    x = m.rotation_successor(p)
+    return x, m.rotation_successor(x)
 
 
 # -- augmentation and filling -----------------------------------------------
@@ -504,9 +500,8 @@ def check_alternating(diagram: FalDiagram) -> bool:
     Equivalent to over/under alternation along every face boundary.
     """
     m = diagram.map
-    for v, kind in enumerate(diagram.vertex_kind):
-        if isinstance(kind, CrossingCircle):
-            raise UnfilledCircle(f"vertex {v} is still a crossing circle")
+    if diagram.circles:
+        raise UnfilledCircle(f"vertex {diagram.circles[0]} is still a crossing circle")
     over = diagram.over_ends
     return all((d in over) != (m.opposite[d] in over) for d in m.edges())
 
@@ -573,24 +568,19 @@ def check_weakly_prime(diagram: FalDiagram):
 
 
 def check_wga(diagram: FalDiagram, surface_incompressible: bool) -> WgaReport:
-    """The WGA conditions as flags, with the weak-primeness witness.  Every
-    strand meets a crossing when every vertex is one; otherwise the strands
-    are walked."""
+    """The WGA conditions as flags, with the weak-primeness witness; every
+    strand must meet a crossing."""
     m = diagram.map
-    crossings = set(diagram.crossings)
     try:
         alternating = check_alternating(diagram)
     except UnfilledCircle:
         alternating = False
     weakly_prime, witness = check_weakly_prime(diagram)
-    per_component = len(crossings) == m.vertex_count or all(
-        any(m.vertex_of(d) in crossings for d in comp) for comp in diagram.strands
-    )
     return WgaReport(
         weakly_prime=weakly_prime,
         weakly_prime_witness=witness,
         components_on_all_surfaces=map_genus(m) == diagram.genus,
-        crossing_per_component=per_component,
+        crossing_per_component=_strands_meet(diagram, set(diagram.crossings)),
         checkerboard=checkerboard_coloring(m) is not None,
         alternating=alternating,
         representativity="InfiniteIncompressible" if surface_incompressible else "NotChecked",

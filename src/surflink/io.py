@@ -133,10 +133,14 @@ def dump_diagram(diagram, path: str) -> None:
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    # Not UTF-8, nested past the recursion limit, or an integer literal
+    # past the interpreter's digit limit.
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

@@ -90,8 +90,9 @@ class CombinatorialMap:
     # -- dart tables, derived on first use -------------------------------------
 
     @cached_property
-    def _pos_of(self) -> dict[int, int]:
-        return {d: i for cycle in self.rotation for i, d in enumerate(cycle)}
+    def darts(self) -> tuple[int, ...]:
+        """The darts in sorted order, the one order every walk starts from."""
+        return tuple(sorted(self._vertex_of))
 
     @cached_property
     def _succ(self) -> dict[int, int]:
@@ -101,10 +102,6 @@ class CombinatorialMap:
         return succ
 
     # -- basic accessors -----------------------------------------------------
-
-    @property
-    def darts(self) -> tuple[int, ...]:
-        return tuple(sorted(self._vertex_of))
 
     @property
     def vertex_count(self) -> int:
@@ -118,7 +115,7 @@ class CombinatorialMap:
         return self._vertex_of[dart]
 
     def position_of(self, dart: int) -> int:
-        return self._pos_of[dart]
+        return self.rotation[self._vertex_of[dart]].index(dart)
 
     def degree(self, vertex: int) -> int:
         return len(self.rotation[vertex])
@@ -131,7 +128,8 @@ class CombinatorialMap:
         return min(dart, self.opposite[dart])
 
     def edges(self) -> list[int]:
-        return sorted(d for d in self._vertex_of if d < self.opposite[d])
+        opp = self.opposite
+        return [d for d in self.darts if d < opp[d]]
 
     @cached_property
     def faces(self) -> "FaceSet":
@@ -144,7 +142,7 @@ class CombinatorialMap:
         opp = self.opposite
         faces: list[tuple[int, ...]] = []
         face_of: dict[int, int] = {}
-        for start in sorted(nxt):
+        for start in self.darts:
             if start in face_of:
                 continue
             index = len(faces)
@@ -359,7 +357,7 @@ def canonical_form(m: CombinatorialMap, dart_label=None) -> tuple:
     carried into the colours and the encoding (used to compare decorated
     diagrams).
     """
-    darts = sorted(m._vertex_of)
+    darts = m.darts
     if not darts:
         return ()
     index = {d: i for i, d in enumerate(darts)}

@@ -203,6 +203,14 @@ class TestVolumeBounds:
         with pytest.raises(GenusTooSmall):
             volume_bounds(3, 1, 1, 0, "TrivialMappingTorus")
 
+    @pytest.mark.parametrize("m", [10**400, int(8.9e307)], ids=["past_float", "product_inf"])
+    def test_lower_bound_past_the_largest_float_refused(self, m):
+        """10**400 does not convert to a float; 8.9e307 does, but times
+        v_tet it overflows to infinity."""
+        with pytest.raises(MalformedMap, match="not a finite float"):
+            volume_bounds(3, 2, 1, m, "MappingTorus")
+        assert math.isfinite(volume_bounds(3, 2, 1, int(8.8e307), "MappingTorus").lower)
+
     def test_planning_lower_bound(self):
         vb = volume_bounds(3, 2, 1, 50, "MappingTorus")
         assert vb.lower > 2 * 50 * V_TET - 1e-9

@@ -565,6 +565,75 @@ def test_every_command_refuses_the_empty_map(command, tmp_path, capsys):
     assert captured.err == "error: NotCellular: map has no vertices\n"
 
 
+def _genus_literal(digits):
+    """A generated diagram's JSON text with its genus replaced by a literal
+    of `digits` nines."""
+    text = json.dumps(dict(diagram_to_json_dict(generate_fal(2, 4, seed=1)), genus=0))
+    return text.replace('"genus": 0', '"genus": ' + "9" * digits).encode()
+
+
+# Files that do not read as JSON values.  Each used to exit 3.
+MALFORMED_FILES = {
+    "not_utf8": b"\xff\xfe{",  # UnicodeDecodeError
+    "nested_1e5_deep": b"[" * 10**5 + b"]" * 10**5,  # RecursionError
+    "genus_5000_digits": _genus_literal(5000),  # ValueError past the digit limit
+}
+# Python 3.11+ refuses to read integers of more digits than this limit;
+# 0, or an interpreter without the limit, reads any length.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+MALFORMED_CASES = [
+    pytest.param(
+        name,
+        marks=pytest.mark.skipif(
+            name == "genus_5000_digits" and not 0 < DIGIT_LIMIT < 5000,
+            reason="the interpreter reads integers of 5000 digits",
+        ),
+    )
+    for name in sorted(MALFORMED_FILES)
+]
+
+
+@pytest.mark.parametrize("name", MALFORMED_CASES)
+@pytest.mark.parametrize("role", ["diagram", "spec", "spec_base"])
+def test_malformed_file_exits_two(role, name, tmp_path, capsys):
+    """A file that is not UTF-8, is nested past the recursion limit or
+    holds an integer past the digit limit is bad input, read as a diagram
+    by validate, or by family as its spec or as the spec's base path."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(MALFORMED_FILES[name])
+    argv = ["validate", str(bad)]
+    if role == "spec":
+        argv = ["family", str(bad)]
+    elif role == "spec_base":
+        spec = {"kind": "TrivialMappingTorus", "base": "bad.json", "gamma_odd": "a1", "gamma_even": "b1", "m": 1}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        argv = ["family", str(tmp_path / "spec.json")]
+    assert cli.main([*argv, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: ")
+    assert captured.err.count("\n") == 1
+
+
+HUGE_BOUND_MESSAGE = "error: MalformedMap: counts too large: the lower bound (l + c + 2m) * v_tet is not a finite float\n"
+
+
+@pytest.mark.parametrize("command", ["bounds", "family"])
+def test_layer_count_past_a_finite_bound_exits_two(command, diagram_file, tmp_path, capsys):
+    """A layer count of 401 digits makes the lower bound too large for a
+    float: `bounds --m` and a spec's `m` used to exit 3 with OverflowError."""
+    _, path = diagram_file
+    m = 10**400
+    argv = ["bounds", path, "--m", str(m)]
+    if command == "family":
+        spec = {"kind": "TrivialMappingTorus", "base": path, "gamma_odd": "a1", "gamma_even": "b1", "m": m}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        argv = ["family", str(tmp_path / "spec.json")]
+    assert cli.main([*argv, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", HUGE_BOUND_MESSAGE)
+
+
 class TestDecomposeCommand:
     def test_counts_for_minimal_genus_two(self, tmp_path, capsys):
         d = generate_fal(2, 3, seed=0)

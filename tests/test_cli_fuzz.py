@@ -3,14 +3,18 @@ and curve words.
 
 Generated diagrams, unfilled and filled, are mutated as JSON: keys are
 dropped, values change type, integers move a little or jump to huge values
-and darts are duplicated.  Each mutant runs in-process through the diagram
-commands.  Family specs of all three kinds, with an inline base, list-form
-curves and every filling, get the same mutations; they reach list elements
-such as `s` and `t` entries, `phi` exponents and curve entries, and run
-through ``family``.  The ``curves`` commands get short words with junk
-text mixed in, at genera from negative to far past the cap.  ``generate``
-gets genera and circle counts from negative to far past its caps, with
-seeds, half-twist probabilities and the checkerboard filter.  Every run
+and darts are duplicated.  One mutant in four instead keeps its diagram
+valid: half-twist flags and signs and over_pair bits flip, and the darts
+are relabelled by a permutation.  Each mutant runs in-process through the
+diagram commands, as do files that do not read as JSON, which every
+command must refuse.  Family specs of all three kinds, with an inline
+base, list-form curves and every filling, get the same mutations; they
+reach list elements such as `s` and `t` entries, `phi` exponents and curve
+entries, and run through ``family``.  The ``curves`` commands get short
+words with junk text mixed in, at genera from negative to far past the
+cap.  ``generate`` gets genera and circle counts from negative to far past
+its caps, with seeds, half-twist probabilities and the checkerboard
+filter.  Every run
 must end in exit 0, 1 or 2; exit 3 means an internal error.  A diagram
 that ``validate`` reports as not four-valent or not cellular must also be
 refused, with exit 2 and empty stdout, by every other diagram command.
@@ -32,7 +36,7 @@ from surflink import cli
 from surflink.fal_diagram import fill_all
 from surflink.generator import generate_fal
 from surflink.io import diagram_from_json_dict, diagram_to_json_dict
-from test_cli import EMPTY_DIAGRAM, ONE_CIRCLE_NOT_FOUR_VALENT, ONE_CROSSING_NOT_FOUR_VALENT
+from test_cli import EMPTY_DIAGRAM, MALFORMED_FILES, ONE_CIRCLE_NOT_FOUR_VALENT, ONE_CROSSING_NOT_FOUR_VALENT
 from test_weak_primeness import reference_check_weakly_prime, two_spliced_trefoils
 
 
@@ -61,12 +65,33 @@ FILLED_C25 = diagram_to_json_dict(_filled(2, 25, 3))
 # the corridors in another order returns another witness.
 SPLICED_TREFOILS = diagram_to_json_dict(two_spliced_trefoils())
 ODD_VALUES = [None, "x", 1.5, True, [], {}, [[]], [None]]
-BIG = [-1, -(2**40), 2**40, 10**30]
+BIG = [-1, -(2**40), 2**40, 10**30, 10**400]
+
+
+def _redecorate(draw, data):
+    """Flip some half-twist flags and signs and some over_pair bits of a
+    diagram object, and relabel its darts by a permutation: a valid
+    diagram stays valid."""
+    for i, kind in enumerate(data["vertex_kind"]):
+        if kind == "circle":
+            if draw(st.booleans()):
+                data["half_twist"][i] = not data["half_twist"][i]
+            if draw(st.booleans()):
+                data["half_twist_sign"][i] = -data["half_twist_sign"][i]
+        elif draw(st.booleans()):
+            data["over_pair"][i] = 1 - data["over_pair"][i]
+    darts = sorted(d for group in data["vertices"] for d in group)
+    relabel = dict(zip(darts, draw(st.permutations(darts))))
+    data["vertices"] = [[relabel[d] for d in group] for group in data["vertices"]]
+    data["opposite"] = [[relabel[a], relabel[b]] for a, b in data["opposite"]]
 
 
 @st.composite
 def mutants(draw, pool=BASES):
     data = copy.deepcopy(draw(st.sampled_from(pool)))
+    if draw(st.integers(0, 3)) == 0:
+        _redecorate(draw, data.get("base", data))
+        return data
     for _ in range(draw(st.integers(1, 3))):
         if not data:
             break
@@ -107,12 +132,21 @@ def mutants(draw, pool=BASES):
 @example(BASES[3])
 @example(FILLED_C25)  # bounds --m 0 used to exit 3
 @example(SPLICED_TREFOILS)  # not weakly prime, two witnesses
+@example(MALFORMED_FILES["not_utf8"])  # these three used to exit 3
+@example(MALFORMED_FILES["nested_1e5_deep"])
+@example(MALFORMED_FILES["genus_5000_digits"])
 @settings(max_examples=100, deadline=5000)
 def test_mutated_diagrams_exit_zero_one_or_two(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("fuzz") / "d.json"
-    path.write_text(json.dumps(data))
-    kinds = data.get("vertex_kind")
-    c = kinds.count("circle") if isinstance(kinds, list) else 0
+    # A file that does not read as JSON must be refused by every command.
+    refused = isinstance(data, bytes)
+    if refused:
+        path.write_bytes(data)
+        c = 0
+    else:
+        path.write_text(json.dumps(data))
+        kinds = data.get("vertex_kind")
+        c = kinds.count("circle") if isinstance(kinds, list) else 0
     commands = [
         ["validate", str(path), "--json"],
         ["decompose", str(path), "--json"],
@@ -121,7 +155,6 @@ def test_mutated_diagrams_exit_zero_one_or_two(tmp_path_factory, data):
         ["bounds", str(path), "--m", "2", "--json"],
         ["bounds", str(path), "--m", "0", "--json"],
     ]
-    refused = False
     valid = None  # validate's report, when every check passes
     for argv in commands:
         out, err = io.StringIO(), io.StringIO()

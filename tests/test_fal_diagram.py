@@ -593,6 +593,16 @@ def reference_walk_chain(links, first):
         chain.append(cur)
 
 
+def reference_end_ports(m, v, internal):
+    """The two darts at chain end v outside every bigon, ordered so that
+    the second is the rotation successor of the first."""
+    ports = [d for d in m.rotation[v] if d not in internal]
+    if len(ports) != 2:
+        raise MalformedMap(f"chain end {v} has {len(ports)} boundary darts")
+    a, b = ports
+    return (a, b) if m.rotation_successor(a) == b else (b, a)
+
+
 def reference_detect_twist_regions(diagram):
     """The former region finder: a component search, then a walk from the
     least end, then the bigon-count and alternation checks."""
@@ -644,8 +654,8 @@ def reference_detect_twist_regions(diagram):
                 for d in (p, q):
                     if reference_is_over_end(diagram, d) == reference_is_over_end(diagram, m.opposite[d]):
                         raise NonAlternatingTwistRegion(f"bigon edge at dart {d}")
-        x, y = fal_diagram._end_ports(m, chain[0], internal)
-        z, w = fal_diagram._end_ports(m, chain[-1], internal)
+        x, y = reference_end_ports(m, chain[0], internal)
+        z, w = reference_end_ports(m, chain[-1], internal)
         sign = 1 if reference_is_over_end(diagram, x) else -1
         regions.append(TwistRegion(tuple(chain), (x, y, z, w), sign))
     return regions

@@ -388,12 +388,11 @@ def _assert_handed_over_map_is_traced_map(state, g):
     handed-over map builds its rotation tables only when read."""
     built = _build_map(state, g)
     assert "faces" in vars(built)
-    assert "_pos_of" not in vars(built) and "_succ" not in vars(built)
+    assert "_succ" not in vars(built)
     reference = traced_map(state.opp)
     assert built == reference
     assert trace_faces(built) == trace_faces(reference)
     assert built._vertex_of == reference._vertex_of == {d: d // 4 for d in range(len(state.opp))}
-    assert built._pos_of == reference._pos_of == {d: d % 4 for d in range(len(state.opp))}
     assert built._succ == reference._succ == {d: d - d % 4 + (d + 1) % 4 for d in range(len(state.opp))}
 
 

@@ -432,8 +432,8 @@ def test_handed_over_faces_become_the_face_cache(build):
     assert "faces" in vars(handed)
     assert trace_faces(handed).faces is fs.faces
     assert trace_faces(handed) == fs == trace_faces(m)
-    assert "_pos_of" not in vars(handed) and "_succ" not in vars(handed)
-    assert (handed._vertex_of, handed._pos_of, handed._succ) == (m._vertex_of, m._pos_of, m._succ)
+    assert "_succ" not in vars(handed)
+    assert (handed._vertex_of, handed._succ) == (m._vertex_of, m._succ)
 
 
 def _drop_last_face(faces):
