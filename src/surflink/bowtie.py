@@ -40,6 +40,7 @@ __all__ = [
     "triangulate_white_faces",
     "prism_triangulation",
     "volume_bounds",
+    "cusp_lower_bound",
 ]
 
 # Volume of the regular ideal hyperbolic tetrahedron, 3 * Lobachevsky(pi/3).
@@ -467,15 +468,23 @@ def volume_bounds(c: int, g: int, l: int, m: int, kind: str, filled: bool = Fals
         raise GenusTooSmall("volume bounds require an ambient surface of genus >= 2")
     if min(c, l, m) < 0:
         raise MalformedMap("counts must be nonnegative")
-    try:
-        lower = (l + c + 2 * m) * V_TET
-    except OverflowError:  # the count itself is past the largest float
-        lower = math.inf
-    if not math.isfinite(lower):
-        raise MalformedMap("counts too large: the lower bound (l + c + 2m) * v_tet is not a finite float")
+    lower = cusp_lower_bound(l + c + 2 * m, "(l + c + 2m)")
     upper = None
     if kind == "TrivialMappingTorus" and m == 0 and not filled:
         upper = 6 * (3 * c + 2 * g - 2) * V_TET
         if lower > upper:
             raise InternalInvariant(f"volume lower bound {lower} exceeds upper bound {upper}")
     return VolumeBounds(v_tet=V_TET, lower=lower, upper=upper)
+
+
+def cusp_lower_bound(cusps: int, counted: str) -> float:
+    """cusps * v_tet, the volume lower bound of a link with that many
+    components; MalformedMap, naming the count as `counted`, when the
+    product is not a finite float."""
+    try:
+        lower = cusps * V_TET
+    except OverflowError:  # the count itself is past the largest float
+        lower = math.inf
+    if not math.isfinite(lower):
+        raise MalformedMap(f"counts too large: the lower bound {counted} * v_tet is not a finite float")
+    return lower

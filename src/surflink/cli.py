@@ -35,19 +35,19 @@ def _emit(report: dict, as_json: bool) -> None:
     """Write the report as JSON, or as text: one `name: pass|FAIL` line per
     check and one `key: value` line per other entry, the value as its JSON
     text, or bare when it is a string."""
-    if as_json:
-        from . import io as sio
+    from . import io as sio
 
+    if as_json:
         sys.stdout.write(sio.dumps_json(report))
         return
-    import json
-
+    lines = []
     for key, value in report.items():
         if key == "checks":
-            for name, ok in value.items():
-                print(f"{name}: {'pass' if ok else 'FAIL'}")
+            lines += (f"{name}: {'pass' if ok else 'FAIL'}" for name, ok in value.items())
         else:
-            print(f"{key}: {value if isinstance(value, str) else json.dumps(value)}")
+            lines.append(f"{key}: {value if isinstance(value, str) else sio.json_text(value)}")
+    # Every line is made before any is written, so a refusal leaves stdout empty.
+    sys.stdout.write("".join(line + "\n" for line in lines))
 
 
 def _write_diagram(diagram, output) -> int:
@@ -182,13 +182,15 @@ def cmd_bounds(args) -> int:
 
 def cmd_family(args) -> int:
     from . import io as sio
-    from .bowtie import volume_bounds
+    from .bowtie import cusp_lower_bound, volume_bounds
 
     spec = sio.load_family_spec(args.path)
     link = sio.build_link_from_spec(spec)
     base = link.family.base
     filled = bool(link.annular_coefficients or link.circle_coefficients or base.crossings)
     vb = volume_bounds(base.c, base.genus, base.l, link.family.m, link.kind, filled)
+    # The cusp count can exceed l + c + 2m (a doubled base adds base2's l + c).
+    lower = cusp_lower_bound(link.cusp_count, "cusp_count")
     out = {
         "command": "family",
         "input_digest": sio.file_digest(args.path),
@@ -200,7 +202,7 @@ def cmd_family(args) -> int:
             "l": base.l,
             "m": link.family.m,
         },
-        "bounds": {"lower": link.cusp_count * vb.v_tet, "upper": vb.upper},
+        "bounds": {"lower": lower, "upper": vb.upper},
         "certificates": {
             "intersection": [link.family.certificate.kind, link.family.certificate.value],
             "monodromy": list(link.certificates),

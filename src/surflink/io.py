@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import os
 
-from .errors import ParseError
+from .errors import InternalInvariant, ParseError
 
 __all__ = [
     "diagram_to_json_dict",
@@ -25,6 +25,7 @@ __all__ = [
     "write_text",
     "load_diagram",
     "dumps_json",
+    "json_text",
     "file_digest",
     "load_family_spec",
     "build_link_from_spec",
@@ -114,8 +115,17 @@ def diagram_from_json_dict(data: dict):
         raise ParseError(f"malformed diagram object: {exc}") from exc
 
 
+def json_text(data, **options) -> str:
+    """json.dumps(data, **options), except that a NaN or infinite float,
+    which JSON cannot hold, raises InternalInvariant."""
+    try:
+        return json.dumps(data, allow_nan=False, **options)
+    except ValueError as exc:
+        raise InternalInvariant(f"a report value is not JSON: {exc}") from exc
+
+
 def dumps_json(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    return json_text(data, sort_keys=True, indent=2) + "\n"
 
 
 def write_text(path: str, text: str) -> None:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import surflink
 from surflink import bowtie, cli, fal_diagram, generator, surface_map
 from surflink.curves_mcg import MAX_CURVE_WORD_LETTERS
-from surflink.errors import ParseError
+from surflink.errors import InternalInvariant, ParseError
 from surflink.fal_diagram import diagrams_isomorphic, fill_all
 from surflink.generator import generate_fal
 from surflink.io import (
@@ -632,6 +633,49 @@ def test_layer_count_past_a_finite_bound_exits_two(command, diagram_file, tmp_pa
     assert cli.main([*argv, "--json"]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", HUGE_BOUND_MESSAGE)
+
+
+def float_edge_layer_count(d):
+    """m at which (l + c + 2m) * v_tet is a finite float but a doubled
+    family's cusp count, base2's l + c more, rounds up past the last float
+    whose product with v_tet is finite: m = (mid - l - c - 1) // 2, for mid
+    halfway between that float and the next."""
+    edge = sys.float_info.max / bowtie.V_TET
+    while math.isfinite(math.nextafter(edge, math.inf) * bowtie.V_TET):
+        edge = math.nextafter(edge, math.inf)
+    while not math.isfinite(edge * bowtie.V_TET):
+        edge = math.nextafter(edge, 0)
+    mid = (int(edge) + int(math.nextafter(edge, math.inf))) // 2
+    return (mid - d.l - d.c - 1) // 2
+
+
+@pytest.mark.parametrize("as_json", [True, False])
+def test_doubled_cusp_count_past_a_finite_bound_exits_two(as_json, diagram_file, tmp_path, capsys):
+    """`family` checked only (l + c + 2m) * v_tet, then printed the cusp
+    count times v_tet: here that was "lower": Infinity, which is not JSON,
+    with exit 0."""
+    d, path = diagram_file
+    m = float_edge_layer_count(d)
+    assert math.isfinite((d.l + d.c + 2 * m) * bowtie.V_TET)
+    assert not math.isfinite((2 * (d.l + d.c) + 2 * m) * bowtie.V_TET)
+    spec = {"kind": "DoubledThickenedSurface", "base": path, "gamma_odd": "a1", "gamma_even": "b1", "m": m}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert cli.main(["family", str(tmp_path / "spec.json"), *(["--json"] if as_json else [])]) == 2
+    captured = capsys.readouterr()
+    message = "error: MalformedMap: counts too large: the lower bound cusp_count * v_tet is not a finite float\n"
+    assert (captured.out, captured.err) == ("", message)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_report_value_is_internal(value, capsys):
+    """JSON holds no NaN or Infinity, so no report may print one, in JSON or
+    in text, and nothing of the report is written."""
+    with pytest.raises(InternalInvariant):
+        dumps_json({"bounds": {"lower": value}})
+    for as_json in (True, False):
+        with pytest.raises(InternalInvariant):
+            cli._emit({"command": "family", "bounds": {"lower": value, "upper": None}}, as_json)
+        assert capsys.readouterr().out == ""
 
 
 class TestDecomposeCommand:

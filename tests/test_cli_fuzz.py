@@ -20,8 +20,9 @@ that ``validate`` reports as not four-valent or not cellular must also be
 refused, with exit 2 and empty stdout, by every other diagram command.
 A diagram that passes every check of ``validate`` is held to more: its
 weak-primeness verdict and witness equal the all-pairs reference scan's,
-``decompose`` obeys the white-face law on circles only and refuses
-crossings, and ``bounds --m 0`` prints no upper bound below its lower one.
+``decompose`` obeys the white-face law on circles only, exports
+6(3c + 2g - 2) tetrahedra there and refuses crossings, and ``bounds --m 0``
+prints no upper bound below its lower one.
 """
 
 import contextlib
@@ -149,7 +150,7 @@ def test_mutated_diagrams_exit_zero_one_or_two(tmp_path_factory, data):
         c = kinds.count("circle") if isinstance(kinds, list) else 0
     commands = [
         ["validate", str(path), "--json"],
-        ["decompose", str(path), "--json"],
+        ["decompose", str(path), "--json", "--export-gluing", str(path.with_name("gluing.txt"))],
         ["augment", str(path)],
         ["fill", str(path), "--t=" + ",".join(["1"] * c)],
         ["bounds", str(path), "--m", "2", "--json"],
@@ -179,7 +180,9 @@ def test_mutated_diagrams_exit_zero_one_or_two(tmp_path_factory, data):
             g, c = valid["counts"]["g"], valid["counts"]["c"]
             if c == len(data["vertices"]):
                 assert code == 0, (err.getvalue(), data)
-                assert json.loads(out.getvalue())["counts"]["white_faces"] == c + 2 - 2 * g, data
+                counts = json.loads(out.getvalue())["counts"]
+                assert counts["white_faces"] == c + 2 - 2 * g, data
+                assert counts["tetrahedra"] == 6 * (3 * c + 2 * g - 2), data
             else:
                 assert (code, out.getvalue()) == (2, ""), (err.getvalue(), data)
         elif valid is not None and argv[0] == "bounds":

@@ -31,6 +31,7 @@ from surflink.curves_mcg import (
     word_to_homology,
 )
 from surflink.errors import (
+    GenusTooSmall,
     InternalInvariant,
     LengthBudgetExceeded,
     LengthMismatch,
@@ -201,6 +202,113 @@ class TestDehnReduce:
         once = dehn_reduce(tuple(letters), g)
         assert len(once) <= len(letters)
         assert dehn_reduce(once, g) == once
+
+
+def reference_dehn_reduce(w, g):
+    """The former dehn_reduce, unchanged: after every replacement it
+    rescans the whole word with _relator_swaps, once for each piece length
+    from 4g down to 2g + 1."""
+    if g < 2:
+        raise GenusTooSmall("surface-group reduction needs genus >= 2")
+    curves_mcg._check_letters(w, g)
+    word = curves_mcg._cyclic_reduce(w)
+    while word:
+        lengths = range(min(len(word), 4 * g), 2 * g, -1)
+        shorter = next(
+            (x for length in lengths for x in _relator_swaps(word, g, length)), None
+        )
+        if shorter is None:
+            break
+        word = shorter
+    return word
+
+
+@st.composite
+def relator_piece_words(draw, g):
+    """Up to 6 chunks, each a letter or a cyclic piece of R or R^-1 of up to
+    4g letters, so that pieces of every length meet, overlap and cancel."""
+    R = surface_relator(g)
+    letters = [s * x for x in range(1, 2 * g + 1) for s in (1, -1)]
+    word = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            rel = draw(st.sampled_from([R, _inverse_word(R)]))
+            start = draw(st.integers(0, 4 * g - 1))
+            word += (rel + rel)[start : start + draw(st.integers(1, 4 * g))]
+        else:
+            word.append(draw(st.sampled_from(letters)))
+    return tuple(word)
+
+
+def _relator_conjugates(rng, g, count):
+    """A product of count conjugates of rotations of R or R^-1: a word equal
+    to the identity."""
+    R = surface_relator(g)
+    word = ()
+    for _ in range(count):
+        x = _seeded_word(rng, g, rng.randint(0, 3))
+        rel = R if rng.random() < 0.5 else _inverse_word(R)
+        start = rng.randrange(4 * g)
+        word += x + rel[start:] + rel[:start] + _inverse_word(x)
+    return word
+
+
+class TestDehnReduceMatchesReference:
+    """The piece search by byte scans against the former rescanning loop.
+    At g = 70, 4g = 280 positions need numbers wider than a byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3, 4, 5, 70]).flatmap(lambda g: st.tuples(st.just(g), relator_piece_words(g))))
+    def test_hypothesis_words(self, case):
+        g, word = case
+        assert dehn_reduce(word, g) == reference_dehn_reduce(word, g)
+
+    @pytest.mark.parametrize("g", [2, 3, 4, 5, 70])
+    def test_seeded_words(self, g):
+        rng = random.Random(g)
+        for _ in range(400 if g < 70 else 15):
+            word = _seeded_word(rng, g, rng.randint(1, 12 if g < 70 else 6))
+            assert dehn_reduce(word, g) == reference_dehn_reduce(word, g), word
+
+    def test_powers_of_a_relator_piece(self):
+        """(a1b1A1B1a2)^k: each replacement leaves a new piece at a junction.
+        The reference is quadratic, so k runs to 40 and then by 50 to 200."""
+        piece = parse_curve_word("a1b1A1B1a2", 2)
+        for k in [*range(1, 41), 50, 100, 150, 200]:
+            assert dehn_reduce(piece * k, 2) == reference_dehn_reduce(piece * k, 2), k
+
+    @pytest.mark.parametrize("g", [2, 3, 5, 70])
+    def test_words_equal_to_the_identity(self, g):
+        rng = random.Random(100 + g)
+        for _ in range(100 if g < 70 else 10):
+            word = _relator_conjugates(rng, g, rng.randint(1, 4))
+            assert dehn_reduce(word, g) == reference_dehn_reduce(word, g) == (), word
+
+    @pytest.mark.parametrize("g", [2, 3, 5, 70])
+    def test_pieces_across_the_end(self, g):
+        """Rotations of a word that holds a piece of 2g + 1 to 4g letters,
+        so that the piece is split between the word's end and its start."""
+        rng = random.Random(200 + g)
+        R = surface_relator(g)
+        for _ in range(40 if g < 70 else 2):
+            rel = R if rng.random() < 0.5 else _inverse_word(R)
+            start = rng.randrange(4 * g)
+            piece = (rel + rel)[start : start + rng.randint(2 * g + 1, 4 * g)]
+            word = piece + _seeded_word(rng, g, rng.randint(1, 4))
+            for cut in range(1, len(piece), 1 if g < 70 else 29):
+                rotated = word[cut:] + word[:cut]
+                assert dehn_reduce(rotated, g) == reference_dehn_reduce(rotated, g), rotated
+
+    @pytest.mark.parametrize(
+        "word, g",
+        [((1,), 1), ((1, 2, -1, -2, 3), 1), ((5,), 2), ((0,), 2), ((1, 2, -1, -2, 3, 9), 2), ((1,) * 9 + (-9,), 2)],
+    )
+    def test_same_refusals(self, word, g):
+        with pytest.raises((GenusTooSmall, ParseError)) as expected:
+            reference_dehn_reduce(word, g)
+        with pytest.raises(expected.type) as got:
+            dehn_reduce(word, g)
+        assert str(got.value) == str(expected.value)
 
 
 class TestConjugacy:
