@@ -186,31 +186,15 @@ def surface_relator(g: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _relator_table(g: int) -> dict:
-    """Map each pair of cyclically consecutive letters of R or R^-1 to that
-    relator doubled and the pair's position in it.
-
-    A subword of two or more letters occurs at only one position among all
-    rotations of R and R^-1, so its first two letters fix that position: a
-    cyclic subword of 2g..4g letters is the doubled relator's slice from
-    there, and the inverse of its complement, an equal element no longer
-    than 2g letters, is the slice after it up to 4g letters from the start,
-    inverted.  The table has 8g entries and shares two doubled relators,
-    so it takes O(g) memory.  The cached dict is shared by every caller
-    and must not be modified."""
-    table: dict = {}
-    R = surface_relator(g)
-    for rel in (R, _inverse_word(R)):
-        doubled = rel + rel
-        for start in range(len(rel)):
-            table[doubled[start : start + 2]] = (doubled, start)
-    return table
+def _direction_order(g: int) -> dict:
+    """Each letter's position in R: p in the letter code, and the oracle's direction order."""
+    return {letter: pos for pos, letter in enumerate(surface_relator(g))}
 
 
 @functools.lru_cache(maxsize=None)
 def _piece_units(g: int) -> tuple:
     """(width, fmt, R, code, doubled): the letter code that Dehn reduction
-    holds its words in, at genus g.
+    and the conjugacy closure's swaps hold their words in, at genus g.
 
     A letter x has four numbers mod 4g: its position p in R, the position q
     of its inverse, p + 1 and q - 1.  Each is a native unsigned integer of
@@ -223,7 +207,7 @@ def _piece_units(g: int) -> tuple:
     n = 4 * g
     width, fmt = next((w, f) for w, f in ((1, "B"), (2, "H"), (4, "I")) if n <= 256**w)
     R = surface_relator(g)
-    pos = {x: i for i, x in enumerate(R)}
+    pos = _direction_order(g)
     code = {}
     for x in R:
         numbers = (pos[x], pos[-x], pos[x] + 1, pos[-x] - 1)
@@ -231,6 +215,12 @@ def _piece_units(g: int) -> tuple:
         code[x] = bytes(b for digit in digits for b in digit)
     doubled = tuple(b"".join(map(code.__getitem__, rel + rel)) for rel in (R, _inverse_word(R)))
     return width, fmt, R, code, doubled
+
+
+def _decode(code: bytes, g: int) -> CurveWord:
+    """The word that a letter code of _piece_units holds."""
+    _, fmt, R, _, _ = _piece_units(g)
+    return tuple(map(R.__getitem__, memoryview(code[::4]).cast(fmt)))
 
 
 def dehn_reduce(w: CurveWord, g: int) -> CurveWord:
@@ -241,47 +231,55 @@ def dehn_reduce(w: CurveWord, g: int) -> CurveWord:
     letters, at the least cyclic start counted from the word's first
     letter, replaces it by the inverse of its complement, and starts the
     new word right after the piece, cyclically reduced.  The word is held
-    in the letter code of _piece_units, so each step finds its piece with
-    bytes.find (_find_piece)."""
+    in the letter code of _piece_units while _reduce_code runs the steps."""
     if g < 2:
         raise GenusTooSmall("surface-group reduction needs genus >= 2")
     _check_letters(w, g)
     word = _cyclic_reduce(w)
     if len(word) <= 2 * g:
         return word
-    width, fmt, R, code_of, doubled = _piece_units(g)
+    width, _, _, code_of, doubled = _piece_units(g)
     code = b"".join(map(code_of.__getitem__, word))
-    piece = _find_piece(code, g, width)
-    if piece is None:
-        return word
-    while piece is not None:
-        code = _replace_piece(code, g, width, doubled, *piece)
-        piece = _find_piece(code, g, width)
-    return tuple(map(R.__getitem__, memoryview(code[::4]).cast(fmt)))
+    reduced = _reduce_code(code, g, width, doubled)
+    return word if reduced is code else _decode(reduced, g)
+
+
+def _reduce_code(code: bytes, g: int, w: int, doubled: tuple) -> bytes:
+    """Dehn's algorithm on a letter code of number width w: replace the
+    piece of _find_piece until there is none (code itself if it has none)."""
+    while (piece := _find_piece(code, g, w)) is not None:
+        code = _replace_piece(code, g, w, doubled, *piece)
+    return code
+
+
+def _links(code: bytes, w: int, wrap: int) -> tuple:
+    """Two strings of one number per letter pair of the code, extended
+    cyclically by wrap letters.  A pair (x, y) follows R when p(y) = p(x) + 1
+    and R^-1 when q(y) = q(x) - 1; its number is zero in the first string
+    when it follows R, and in the second when it follows R^-1.  So a piece
+    of L letters is a run of L - 1 zero numbers in one of the two.
+
+    XORing the code with itself 4w - 2 bytes on, w the width of a number,
+    puts each letter's p + 1 and q - 1 against the next letter's p and q, in
+    bytes 2::4 and 3::4 of the XOR."""
+    r = 4 * w
+    ext = code + code[: wrap * r]
+    size = len(ext) - r + 2
+    xor = int.from_bytes(ext[:size], "little") ^ int.from_bytes(ext[r - 2 :], "little")
+    links = xor.to_bytes(size, "little")
+    return links[2::4], links[3::4]
 
 
 def _find_piece(code: bytes, g: int, w: int):
     """(length, start, orientation) of the piece that the next Dehn step
-    replaces, orientation 0 for R and 1 for R^-1, or None.
-
-    A letter pair (x, y) follows R when p(y) = p(x) + 1, and follows R^-1
-    when q(y) = q(x) - 1.  The code, extended cyclically, is XORed with
-    itself 4w - 2 bytes on, w the width of a number, which puts each
-    letter's p + 1 and q - 1 against the next letter's p and q: bytes 2::4
-    of the XOR hold one number per letter pair that is zero when the pair
-    follows R, and bytes 3::4 one that is zero when it follows R^-1.  A
-    piece of L letters is a run of L - 1 zero numbers in one of the two,
-    and the first run of 2g bounds the search for longer ones."""
-    r = 4 * w
-    n = len(code) // r
+    replaces, orientation 0 for R and 1 for R^-1, or None.  The first run
+    of 2g zero numbers in the strings of _links bounds the search for
+    longer ones."""
+    n = len(code) // (4 * w)
     if n <= 2 * g:
         return None
     top = min(n, 4 * g)
-    ext = code + code[: (top - 1) * r]
-    size = len(ext) - r + 2
-    xor = int.from_bytes(ext[:size], "little") ^ int.from_bytes(ext[r - 2 :], "little")
-    links = xor.to_bytes(size, "little")
-    kinds = (links[2::4], links[3::4])
+    kinds = _links(code, w, top - 1)
     length = 2 * g + 1
     zeros = bytes((length - 1) * w)
     hi = (n + length - 2) * w
@@ -319,8 +317,10 @@ def _replace_piece(code: bytes, g: int, w: int, doubled: tuple, length: int, sta
     of R + R from q + 1.  No letter cancels where the rest meets the
     replacement: the letter before the piece cancelling the replacement's
     first letter, or the letter after it cancelling its last, would extend
-    the piece to a longer one at most min(n, 4g) letters long, which
-    _find_piece takes first.  So only the two ends of the new word cancel,
+    the piece by a letter.  For Dehn reduction that longer piece has at
+    most min(n, 4g) letters, and _find_piece takes it first; the 2g-letter
+    pieces of _half_relator_swaps lie in a Dehn-reduced word, which has no
+    piece of 2g + 1 letters.  So only the two ends of the new word cancel,
     when the rest or the replacement is empty."""
     r = 4 * w
     n = len(code) // r
@@ -338,34 +338,33 @@ def _replace_piece(code: bytes, g: int, w: int, doubled: tuple, length: int, sta
     return word[trim * r : (size - trim) * r] if trim else word
 
 
-def _relator_swaps(word: tuple, g: int, length: int):
-    """Cyclic reductions of word with one cyclic subword of the given length,
-    a piece of 2g to 4g letters of R or R^-1, replaced through the relator
-    table by the inverse of its complement, in order of position."""
-    n = len(word)
-    if not 2 * g <= length <= min(n, 4 * g):
-        return
-    table = _relator_table(g)
-    doubled = word + word
-    for start in range(n):
-        hit = table.get(doubled[start : start + 2])
-        if hit is None:
-            continue
-        rel, at = hit
-        if doubled[start : start + length] == rel[at : at + length]:
-            replacement = _inverse_word(rel[at + length : at + 4 * g])
-            yield _cyclic_reduce(doubled[start + length : start + n] + replacement)
+def _half_relator_swaps(word: CurveWord, g: int) -> set:
+    """The Dehn reductions of the half-relator swaps of a Dehn-reduced
+    cyclic word: for each cyclic position of a piece of exactly 2g letters
+    of R or R^-1, a run of 2g - 1 zero numbers of _links, the word that
+    _replace_piece makes of it, reduced by _reduce_code."""
+    if len(word) < 2 * g:
+        return set()
+    width, _, _, code_of, doubled = _piece_units(g)
+    code = b"".join(map(code_of.__getitem__, word))
+    zeros = bytes((2 * g - 1) * width)
+    swaps = set()
+    for kind, pairs in enumerate(_links(code, width, 2 * g - 1)):
+        at = _zero_run(pairs, zeros, 0, len(pairs), width)
+        while at >= 0:
+            swaps.add(_replace_piece(code, g, width, doubled, 2 * g, at // width, kind))
+            at = _zero_run(pairs, zeros, at + width, len(pairs), width)
+    return {_decode(_reduce_code(swap, g, width, doubled), g) for swap in swaps}
 
 
 def _conjugacy_key(w: CurveWord, g: int, budget: int) -> tuple:
     """The least word in the closure of w's Dehn reduction under rotation
     and Dehn-reduced half-relator swaps (2g letters to the inverse of the
     other half), closed over cyclic words: each is stored once, keyed by
-    its least rotation, and expanded once.  This is exact.  For each cyclic
-    position of a 2g-letter relator piece, _relator_swaps yields the rest
-    of the cyclic word after the piece followed by the piece's replacement,
-    and that linear word does not depend on the rotation the input starts
-    at.  So every rotation has the same swaps, the closure reaches the same
+    its least rotation, and expanded once.  This is exact: a swap is the
+    rest of the cyclic word after the piece followed by the piece's
+    replacement, which does not depend on the rotation the word starts at.
+    So every rotation has the same swaps, the closure reaches the same
     cyclic words as one over every rotation, and the least of their least
     rotations is the least word of the rotation-closed class."""
     if len(w) > budget:
@@ -377,7 +376,7 @@ def _conjugacy_key(w: CurveWord, g: int, budget: int) -> tuple:
         key = min((word[i:] + word[:i] for i in range(len(word))), default=word)
         if key not in seen:
             seen.add(key)
-            frontier += (dehn_reduce(s, g) for s in set(_relator_swaps(key, g, 2 * g)))
+            frontier += _half_relator_swaps(key, g)
     return min(seen)
 
 
@@ -404,11 +403,6 @@ def conjugacy_equal(
 # by a power of one word, right by a power of the other, applied to the
 # prefix element connecting the two lifts) are the same surface point and
 # are merged before counting.
-
-
-@functools.lru_cache(maxsize=None)
-def _direction_order(g: int) -> dict:
-    return {letter: pos for pos, letter in enumerate(surface_relator(g))}
 
 
 def _orient(x: CurveWord, y: CurveWord, z: CurveWord, pos: dict) -> int:

@@ -1,9 +1,10 @@
+import functools
 import hashlib
 import json
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from surflink import curves_mcg
@@ -12,10 +13,9 @@ from surflink.curves_mcg import (
     _axes_linked,
     _conjugacy_key,
     _direction_order,
+    _half_relator_swaps,
     _inverse_word,
     _orient,
-    _relator_swaps,
-    _relator_table,
     MappingClassWord,
     acts_nontrivially,
     algebraic_intersection,
@@ -204,6 +204,47 @@ class TestDehnReduce:
         assert dehn_reduce(once, g) == once
 
 
+@functools.lru_cache(maxsize=None)
+def _relator_table(g: int) -> dict:
+    """Map each pair of cyclically consecutive letters of R or R^-1 to that
+    relator doubled and the pair's position in it.
+
+    A subword of two or more letters occurs at only one position among all
+    rotations of R and R^-1, so its first two letters fix that position: a
+    cyclic subword of 2g..4g letters is the doubled relator's slice from
+    there, and the inverse of its complement, an equal element no longer
+    than 2g letters, is the slice after it up to 4g letters from the start,
+    inverted.  The table has 8g entries and shares two doubled relators,
+    so it takes O(g) memory.  The cached dict is shared by every caller
+    and must not be modified."""
+    table: dict = {}
+    R = surface_relator(g)
+    for rel in (R, _inverse_word(R)):
+        doubled = rel + rel
+        for start in range(len(rel)):
+            table[doubled[start : start + 2]] = (doubled, start)
+    return table
+
+
+def _relator_swaps(word: tuple, g: int, length: int):
+    """Cyclic reductions of word with one cyclic subword of the given length,
+    a piece of 2g to 4g letters of R or R^-1, replaced through the relator
+    table by the inverse of its complement, in order of position."""
+    n = len(word)
+    if not 2 * g <= length <= min(n, 4 * g):
+        return
+    table = _relator_table(g)
+    doubled = word + word
+    for start in range(n):
+        hit = table.get(doubled[start : start + 2])
+        if hit is None:
+            continue
+        rel, at = hit
+        if doubled[start : start + length] == rel[at : at + length]:
+            replacement = _inverse_word(rel[at + length : at + 4 * g])
+            yield curves_mcg._cyclic_reduce(doubled[start + length : start + n] + replacement)
+
+
 def reference_dehn_reduce(w, g):
     """The former dehn_reduce, unchanged: after every replacement it
     rescans the whole word with _relator_swaps, once for each piece length
@@ -363,12 +404,12 @@ def reference_class_forms(w, g, budget):
     return frozenset(seen)
 
 
-def reference_conjugacy_equal(w1, w2, g, up_to_inverse):
-    forms1 = reference_class_forms(tuple(w1), g, 64)
-    if min(forms1) == min(reference_class_forms(tuple(w2), g, 64)):
+def reference_conjugacy_equal(w1, w2, g, up_to_inverse, budget=64):
+    forms1 = reference_class_forms(tuple(w1), g, budget)
+    if min(forms1) == min(reference_class_forms(tuple(w2), g, budget)):
         return True
     if up_to_inverse:
-        return min(forms1) == min(reference_class_forms(_inverse_word(tuple(w2)), g, 64))
+        return min(forms1) == min(reference_class_forms(_inverse_word(tuple(w2)), g, budget))
     return False
 
 
@@ -389,10 +430,10 @@ def words_with_relator_pieces(draw, g):
 
 
 @st.composite
-def conjugacy_cases(draw):
+def conjugacy_cases(draw, genera=(2, 3)):
     """A genus, a word, and a second word that is unrelated, a conjugate of
     the first, or a conjugate of its inverse."""
-    g = draw(st.sampled_from([2, 3]))
+    g = draw(st.sampled_from(genera))
     w1 = draw(words_with_relator_pieces(g))
     shape = draw(st.sampled_from(["unrelated", "conjugate", "inverse"]))
     if shape == "unrelated":
@@ -414,17 +455,32 @@ class TestConjugacyKey:
                 reference_conjugacy_equal(w1, w2, g, up_to_inverse)
             )
 
+    @settings(max_examples=25, deadline=None)
+    @given(conjugacy_cases(genera=(70,)))
+    @example(  # R[:2g] a3 a5 against a conjugate of the inverse of R[2g:], then a3 a5
+        (70, surface_relator(70)[:140] + (5, 9), (-9, 6) + _inverse_word(surface_relator(70)[140:]) + (5, 9, -6, 9))
+    )
+    def test_two_byte_swaps_match_the_former_rotation_closure(self, case):
+        """At g = 70 the letter code's numbers are 2 bytes wide; a budget of
+        200 letters admits the 2g-letter pieces that the cases insert."""
+        g, w1, w2 = case
+        for w in (w1, w2):
+            assert _conjugacy_key(w, g, 200) == min(reference_class_forms(w, g, 200))
+        for up_to_inverse in (False, True):
+            assert conjugacy_equal(w1, w2, g, budget=200, up_to_inverse=up_to_inverse) == (
+                reference_conjugacy_equal(w1, w2, g, up_to_inverse, budget=200)
+            )
+
     def test_each_cyclic_word_is_expanded_once(self, monkeypatch):
         """(a1b1A1B1)^8 a1: 256 cyclic words, none expanded as two rotations."""
         g = 2
         expanded = []
 
-        def spy(word, g, length):
-            if length == 2 * g:  # only the closure asks for 2g-letter swaps
-                expanded.append(word)
-            return _relator_swaps(word, g, length)
+        def spy(word, g):
+            expanded.append(word)
+            return _half_relator_swaps(word, g)
 
-        monkeypatch.setattr(curves_mcg, "_relator_swaps", spy)
+        monkeypatch.setattr(curves_mcg, "_half_relator_swaps", spy)
         _conjugacy_key(parse_curve_word("a1b1A1B1" * 8 + "a1", g), g, 64)
         cyclic = {min(w[i:] + w[:i] for i in range(len(w))) for w in expanded}
         assert len(expanded) == len(cyclic) == 256
@@ -815,15 +871,35 @@ class TestRelatorTable:
             complement = tuple(-x for x in reversed(replacement))
             assert piece + complement in rotations
 
-    @pytest.mark.parametrize("g", [2, 3, 4, 5])
-    def test_table_is_keyed_by_letter_pairs(self, g):
-        # 8g letter pairs, one per position of R and R^-1: linear in g.
-        assert len(_relator_table(g)) == 8 * g
+    @pytest.mark.parametrize("g", [2, 3, 4, 5, 70])
+    def test_swaps_match_reference_table(self, g):
+        """The byte-scan swap finder against the former pair table's 2g-letter
+        swaps, each Dehn-reduced, on Dehn-reduced words: every 2g-letter
+        piece of R and R^-1 alone, and rotations of reduced words built from
+        relator pieces, so that pieces wrap around the end."""
+        rng = random.Random(g)
+        R = surface_relator(g)
+        words = [(rel + rel)[start : start + 2 * g] for rel in (R, _inverse_word(R)) for start in range(4 * g)]
+        for _ in range(60 if g < 70 else 6):
+            start = rng.randrange(4 * g)
+            piece = (R + R)[start : start + 2 * g]
+            if rng.random() < 0.5:
+                piece = _inverse_word(piece)
+            word = dehn_reduce(piece + _seeded_word(rng, g, rng.randint(1, 4)), g)
+            words += [word[cut:] + word[:cut] for cut in range(0, len(word), 1 if g < 70 else 23)]
+        swapped = 0
+        for word in words:
+            expected = {dehn_reduce(s, g) for s in _relator_swaps(word, g, 2 * g)}
+            assert _half_relator_swaps(word, g) == expected, word
+            swapped += bool(expected)
+        assert swapped > len(words) // 2
 
     @pytest.mark.parametrize("g", [2, 3, 4, 5])
-    def test_swaps_match_reference_table(self, g):
-        """Every length, on words built from relator pieces, so that hits,
-        near misses (a matching first pair) and whole relators all occur."""
+    def test_pair_table_matches_the_full_table(self, g):
+        """The former pair table, the reference above, against the table of
+        every long piece, at every length, on words built from relator
+        pieces, so that hits, near misses (a matching first pair) and whole
+        relators all occur."""
         reference = reference_relator_table(g)
         rng = random.Random(g)
         R = surface_relator(g)
