@@ -240,76 +240,64 @@ def dehn_reduce(w: CurveWord, g: int) -> CurveWord:
         return word
     width, _, _, code_of, doubled = _piece_units(g)
     code = b"".join(map(code_of.__getitem__, word))
-    reduced = _reduce_code(code, g, width, doubled)
+    reduced = _reduce_code(code, len(word), g, width, doubled)
     return word if reduced is code else _decode(reduced, g)
 
 
-def _reduce_code(code: bytes, g: int, w: int, doubled: tuple) -> bytes:
-    """Dehn's algorithm on a letter code of number width w: replace the
-    piece of _find_piece until there is none (code itself if it has none)."""
-    while (piece := _find_piece(code, g, w)) is not None:
-        code = _replace_piece(code, g, w, doubled, *piece)
+def _reduce_code(code: bytes, n: int, g: int, w: int, doubled: tuple) -> bytes:
+    """Dehn's algorithm on a letter code of n letters: replace the piece of
+    _find_piece until there is none (code itself if it has none)."""
+    while (piece := _find_piece(code, n, g, w)) is not None:
+        code, n = _replace_piece(code, n, g, w, doubled, *piece)
     return code
 
 
 def _links(code: bytes, w: int, wrap: int) -> tuple:
-    """Two strings of one number per letter pair of the code, extended
+    """Two strings of one byte per letter pair of the code, extended
     cyclically by wrap letters.  A pair (x, y) follows R when p(y) = p(x) + 1
-    and R^-1 when q(y) = q(x) - 1; its number is zero in the first string
-    when it follows R, and in the second when it follows R^-1.  So a piece
-    of L letters is a run of L - 1 zero numbers in one of the two.
+    and R^-1 when q(y) = q(x) - 1; its byte is zero in the first string
+    when it follows R, and in the second when it follows R^-1, never both,
+    as q = p XOR 2.  So a piece of L letters is a run of L - 1 zero bytes in
+    one of the two at its first letter's offset, never in both at one offset.
 
     XORing the code with itself 4w - 2 bytes on, w the width of a number,
     puts each letter's p + 1 and q - 1 against the next letter's p and q, in
-    bytes 2::4 and 3::4 of the XOR."""
+    bytes 2::4 and 3::4 of the XOR.  ORing each number's w bytes onto its
+    first leaves one byte per pair in bytes 2::4w and 3::4w."""
     r = 4 * w
     ext = code + code[: wrap * r]
     size = len(ext) - r + 2
     xor = int.from_bytes(ext[:size], "little") ^ int.from_bytes(ext[r - 2 :], "little")
+    for k in range(w.bit_length() - 1):
+        xor |= xor >> (32 << k)
     links = xor.to_bytes(size, "little")
-    return links[2::4], links[3::4]
+    return links[2::r], links[3::r]
 
 
-def _find_piece(code: bytes, g: int, w: int):
-    """(length, start, orientation) of the piece that the next Dehn step
-    replaces, orientation 0 for R and 1 for R^-1, or None.  The first run
-    of 2g zero numbers in the strings of _links bounds the search for
-    longer ones."""
-    n = len(code) // (4 * w)
+def _find_piece(code: bytes, n: int, g: int, w: int):
+    """(length, start, orientation) of the next Dehn step's piece in a code
+    of n letters, orientation 0 for R and 1 for R^-1, or None.  The strings
+    of _links repeat every n letters, so a first run starts before n; the
+    first run of 2g zero bytes bounds the search for longer ones."""
     if n <= 2 * g:
         return None
     top = min(n, 4 * g)
     kinds = _links(code, w, top - 1)
-    length = 2 * g + 1
-    zeros = bytes((length - 1) * w)
-    hi = (n + length - 2) * w
-    found = [_zero_run(kinds[0], zeros, 0, hi, w), _zero_run(kinds[1], zeros, 0, hi, w)]
+    found = [kinds[0].find(bytes(2 * g)), kinds[1].find(bytes(2 * g))]
     if found == [-1, -1]:
         return None
-    for longer in range(top, length, -1):
-        zeros = bytes((longer - 1) * w)
-        hi = (n + longer - 2) * w
-        hits = [-1 if at < 0 else _zero_run(pairs, zeros, at, hi, w) for pairs, at in zip(kinds, found)]
+    for length in range(top, 2 * g, -1):
+        zeros = bytes(length - 1)
+        hits = [-1 if at < 0 else pairs.find(zeros, at) for pairs, at in zip(kinds, found)]
         if hits != [-1, -1]:
-            found, length = hits, longer
-            break
-    kind = 0 if found[1] < 0 or 0 <= found[0] < found[1] else 1
-    return length, found[kind] // w, kind
+            kind = 0 if hits[1] < 0 or 0 <= hits[0] < hits[1] else 1
+            return length, hits[kind], kind
 
 
-def _zero_run(pairs: bytes, zeros: bytes, lo: int, hi: int, width: int) -> int:
-    """Offset of the first run of zeros in pairs[lo:hi] that starts on a
-    number's first byte, or -1."""
-    at = pairs.find(zeros, lo, hi)
-    while at > 0 and at % width:
-        at = pairs.find(zeros, at + width - at % width, hi)
-    return at
-
-
-def _replace_piece(code: bytes, g: int, w: int, doubled: tuple, length: int, start: int, kind: int) -> bytes:
-    """The code of the word that follows the piece: the rest of the cyclic
-    word from the piece's end, then the inverse of the piece's complement,
-    cyclically reduced.
+def _replace_piece(code: bytes, n: int, g: int, w: int, doubled: tuple, length: int, start: int, kind: int):
+    """The code of the word that follows the piece, and its letter count:
+    the rest of the cyclic word from the piece's end, then the inverse of
+    the piece's complement, cyclically reduced.
 
     The inverted complement of a piece of R whose first letter sits at
     position p is the slice of R^-1 + R^-1 from -p; for a piece of R^-1
@@ -323,7 +311,6 @@ def _replace_piece(code: bytes, g: int, w: int, doubled: tuple, length: int, sta
     piece of 2g + 1 letters.  So only the two ends of the new word cancel,
     when the rest or the replacement is empty."""
     r = 4 * w
-    n = len(code) // r
     end = start + length
     rest = code[end * r :] + code[: start * r] if end <= n else code[(end - n) * r : start * r]
     first = int.from_bytes(code[start * r + kind : (start + 1) * r : 4], sys.byteorder)
@@ -335,26 +322,26 @@ def _replace_piece(code: bytes, g: int, w: int, doubled: tuple, length: int, sta
         word[trim * r : (trim + 1) * r : 4] == word[(size - 1 - trim) * r + 1 : (size - trim) * r : 4]
     ):
         trim += 1
-    return word[trim * r : (size - trim) * r] if trim else word
+    return word[trim * r : (size - trim) * r], size - 2 * trim
 
 
 def _half_relator_swaps(word: CurveWord, g: int) -> set:
     """The Dehn reductions of the half-relator swaps of a Dehn-reduced
     cyclic word: for each cyclic position of a piece of exactly 2g letters
-    of R or R^-1, a run of 2g - 1 zero numbers of _links, the word that
+    of R or R^-1, a run of 2g - 1 zero bytes of _links, the word that
     _replace_piece makes of it, reduced by _reduce_code."""
     if len(word) < 2 * g:
         return set()
     width, _, _, code_of, doubled = _piece_units(g)
     code = b"".join(map(code_of.__getitem__, word))
-    zeros = bytes((2 * g - 1) * width)
+    zeros = bytes(2 * g - 1)
     swaps = set()
     for kind, pairs in enumerate(_links(code, width, 2 * g - 1)):
-        at = _zero_run(pairs, zeros, 0, len(pairs), width)
+        at = pairs.find(zeros)
         while at >= 0:
-            swaps.add(_replace_piece(code, g, width, doubled, 2 * g, at // width, kind))
-            at = _zero_run(pairs, zeros, at + width, len(pairs), width)
-    return {_decode(_reduce_code(swap, g, width, doubled), g) for swap in swaps}
+            swaps.add(_replace_piece(code, len(word), g, width, doubled, 2 * g, at, kind))
+            at = pairs.find(zeros, at + 1)
+    return {_decode(_reduce_code(*swap, g, width, doubled), g) for swap in swaps}
 
 
 def _conjugacy_key(w: CurveWord, g: int, budget: int) -> tuple:
@@ -432,11 +419,12 @@ def _orient(x: CurveWord, y: CurveWord, z: CurveWord, pos: dict) -> int:
 
 
 def _axes_linked(u: CurveWord, v: CurveWord, pos: dict) -> bool:
+    """Whether the axes of u and v cross.  They share an endpoint when x y =
+    y x for some x in (u, u^-1) and y in (v, v^-1); inverting x y = y x makes
+    (u^-1, v^-1) the test of (u, v) and (u^-1, v) that of (u, v^-1)."""
     iu, iv = _inverse_word(u), _inverse_word(v)
-    for x in (u, iu):
-        for y in (v, iv):
-            if x + y == y + x:
-                return False  # shared endpoint: same axis, no transverse crossing
+    if u + v == v + u or u + iv == iv + u:
+        return False  # shared endpoint: same axis, no transverse crossing
     return _orient(u, v, iu, pos) != _orient(u, iv, iu, pos)
 
 
@@ -564,8 +552,9 @@ def parse_curve_word(text: str, g: int) -> CurveWord:
     stripped = re.sub(r"\s+", "", text)
     out = []
     position = 0
-    for match in _TOKEN.finditer(stripped):
-        if match.start() != position:
+    while position < len(stripped):
+        match = _TOKEN.match(stripped, position)
+        if match is None:
             raise ParseError(f"unexpected text in curve word: {stripped[position:]!r}")
         require_word_length(len(out) + 1)
         position = match.end()
@@ -576,8 +565,6 @@ def parse_curve_word(text: str, g: int) -> CurveWord:
         if kind.isupper():
             letter = -letter
         out.append(letter)
-    if position != len(stripped):
-        raise ParseError(f"unexpected text in curve word: {stripped[position:]!r}")
     return tuple(out)
 
 

@@ -1265,6 +1265,15 @@ class TestCurvesCommand:
     def test_bad_word_exit_two(self, capsys):
         assert cli.main(["curves", "reduce", "z9", "--genus", "2"]) == 2
 
+    @pytest.mark.parametrize("word, rest", [("xa1", "xa1"), ("a1xb1", "xb1"), ("a1x", "x")])
+    def test_unexpected_text_exit_two(self, word, rest, capsys):
+        """The message quotes the word from its first character that does
+        not start a letter token: at the start, between tokens or at the end."""
+        assert cli.main(["curves", "reduce", word, "--genus", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unexpected text in curve word: {rest!r}\n"
+
     @pytest.mark.parametrize(
         "words",
         [["intersect", "a1"], ["reduce", "a1", "b1"], ["conjugate", "a1", "b1", "a2"]],

@@ -22,7 +22,10 @@ A diagram that passes every check of ``validate`` is held to more: its
 weak-primeness verdict and witness equal the all-pairs reference scan's,
 ``decompose`` obeys the white-face law on circles only, exports
 6(3c + 2g - 2) tetrahedra there and refuses crossings, and ``bounds --m 0``
-prints no upper bound below its lower one.
+prints no upper bound below its lower one.  On circles only and with no
+half-twist, ``fill`` with a nonzero t on every circle, then ``augment``,
+gives back the diagram up to isomorphism, and so does ``reglue`` after
+``decompose``.
 """
 
 import contextlib
@@ -34,7 +37,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from surflink import cli
-from surflink.fal_diagram import fill_all
+from surflink.bowtie import decompose, reglue
+from surflink.fal_diagram import augment, diagrams_isomorphic, fill_all
 from surflink.generator import generate_fal
 from surflink.io import diagram_from_json_dict, diagram_to_json_dict
 from test_cli import EMPTY_DIAGRAM, MALFORMED_FILES, ONE_CIRCLE_NOT_FOUR_VALENT, ONE_CROSSING_NOT_FOUR_VALENT
@@ -47,6 +51,8 @@ def _bases():
         d = generate_fal(g, c, seed=seed, half_twist_probability=0.5)
         out.append(diagram_to_json_dict(d))
         out.append(diagram_to_json_dict(fill_all(d, {k: (-1) ** k for k in d.circles})))
+    # Circles only and no half-twist: the round trips apply.
+    out += [diagram_to_json_dict(generate_fal(g, c, seed=seed)) for g, c, seed in ((2, 4, 1), (3, 6, 2))]
     return out
 
 
@@ -72,10 +78,12 @@ BIG = [-1, -(2**40), 2**40, 10**30, 10**400]
 def _redecorate(draw, data):
     """Flip some half-twist flags and signs and some over_pair bits of a
     diagram object, and relabel its darts by a permutation: a valid
-    diagram stays valid."""
+    diagram stays valid.  Half the time no half-twist flag flips, so that
+    diagrams without half-twists stay so."""
+    twists = draw(st.booleans())
     for i, kind in enumerate(data["vertex_kind"]):
         if kind == "circle":
-            if draw(st.booleans()):
+            if twists and draw(st.booleans()):
                 data["half_twist"][i] = not data["half_twist"][i]
             if draw(st.booleans()):
                 data["half_twist_sign"][i] = -data["half_twist_sign"][i]
@@ -131,6 +139,8 @@ def mutants(draw, pool=BASES):
 @example(BASES[1])
 @example(BASES[2])
 @example(BASES[3])
+@example(BASES[4])  # circles only and no half-twist
+@example(BASES[5])
 @example(FILLED_C25)  # bounds --m 0 used to exit 3
 @example(SPLICED_TREFOILS)  # not weakly prime, two witnesses
 @example(MALFORMED_FILES["not_utf8"])  # these three used to exit 3
@@ -189,6 +199,11 @@ def test_mutated_diagrams_exit_zero_one_or_two(tmp_path_factory, data):
             assert code == 0, (argv, err.getvalue(), data)
             bounds = json.loads(out.getvalue())
             assert bounds["upper"] is None or bounds["upper"] >= bounds["lower"], data
+    if valid is not None and c == len(data["vertices"]) and not any(data["half_twist"]):
+        diagram = diagram_from_json_dict(data)
+        t = {k: (-1) ** i * (i % 3 + 1) for i, k in enumerate(diagram.circles)}
+        assert diagrams_isomorphic(augment(fill_all(diagram, t)), diagram), data
+        assert diagrams_isomorphic(reglue(decompose(diagram)), diagram), data
 
 
 def _specs():

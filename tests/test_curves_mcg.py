@@ -195,6 +195,27 @@ class TestDehnReduce:
         assert len(reduced) <= 3
         assert conjugacy_equal(word, reduced, g)
 
+    def test_four_byte_numbers(self):
+        """At g = 16385 the 4g positions need 4-byte numbers, a width that
+        the CLI's cap on word length never reaches."""
+        g = 16385
+        R = surface_relator(g)
+        for rel in (R, _inverse_word(R)):
+            piece, rest = rel[: 2 * g + 1], rel[2 * g + 1 :]
+            assert dehn_reduce(piece, g) == curves_mcg._cyclic_reduce(_inverse_word(rest))
+        assert dehn_reduce(R[2 * g + 1 :] + R[: 2 * g + 1] + (1,), g) == (1,)
+
+    @pytest.mark.parametrize("g", [65, 16385])
+    def test_numbers_that_differ_only_in_a_high_byte(self, g):
+        """(a1 bg A1 Bg)^k, longer than 2g letters, at the two genera where
+        4g - 4 is 256 and 65536.  In the pairs a1 bg, bg A1 and A1 Bg, p + 1
+        of the first letter and p of the second differ by 4g - 4, so only in
+        a high byte.  Only Bg a1 follows R, so the word is Dehn-reduced and
+        has no half-relator swaps."""
+        word = (1, 2 * g, -1, -2 * g) * (g // 2 + 1)
+        assert dehn_reduce(word, g) == word
+        assert _half_relator_swaps(word, g) == set()
+
     @given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3, 4, -4]), max_size=12))
     @settings(max_examples=150)
     def test_idempotent_and_nonincreasing(self, letters):
@@ -296,19 +317,20 @@ def _relator_conjugates(rng, g, count):
 
 class TestDehnReduceMatchesReference:
     """The piece search by byte scans against the former rescanning loop.
-    At g = 70, 4g = 280 positions need numbers wider than a byte."""
+    Up to g = 64 the 4g positions fit in a byte; from g = 65 the letter
+    code's numbers are 2 bytes wide."""
 
     @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from([2, 3, 4, 5, 70]).flatmap(lambda g: st.tuples(st.just(g), relator_piece_words(g))))
+    @given(st.sampled_from([2, 3, 4, 5, 64, 65, 70]).flatmap(lambda g: st.tuples(st.just(g), relator_piece_words(g))))
     def test_hypothesis_words(self, case):
         g, word = case
         assert dehn_reduce(word, g) == reference_dehn_reduce(word, g)
 
-    @pytest.mark.parametrize("g", [2, 3, 4, 5, 70])
+    @pytest.mark.parametrize("g", [2, 3, 4, 5, 64, 65, 70])
     def test_seeded_words(self, g):
         rng = random.Random(g)
-        for _ in range(400 if g < 70 else 15):
-            word = _seeded_word(rng, g, rng.randint(1, 12 if g < 70 else 6))
+        for _ in range(400 if g < 64 else 15):
+            word = _seeded_word(rng, g, rng.randint(1, 12 if g < 64 else 6))
             assert dehn_reduce(word, g) == reference_dehn_reduce(word, g), word
 
     def test_powers_of_a_relator_piece(self):
@@ -318,25 +340,25 @@ class TestDehnReduceMatchesReference:
         for k in [*range(1, 41), 50, 100, 150, 200]:
             assert dehn_reduce(piece * k, 2) == reference_dehn_reduce(piece * k, 2), k
 
-    @pytest.mark.parametrize("g", [2, 3, 5, 70])
+    @pytest.mark.parametrize("g", [2, 3, 5, 64, 65, 70])
     def test_words_equal_to_the_identity(self, g):
         rng = random.Random(100 + g)
-        for _ in range(100 if g < 70 else 10):
+        for _ in range(100 if g < 64 else 10):
             word = _relator_conjugates(rng, g, rng.randint(1, 4))
             assert dehn_reduce(word, g) == reference_dehn_reduce(word, g) == (), word
 
-    @pytest.mark.parametrize("g", [2, 3, 5, 70])
+    @pytest.mark.parametrize("g", [2, 3, 5, 64, 65, 70])
     def test_pieces_across_the_end(self, g):
         """Rotations of a word that holds a piece of 2g + 1 to 4g letters,
         so that the piece is split between the word's end and its start."""
         rng = random.Random(200 + g)
         R = surface_relator(g)
-        for _ in range(40 if g < 70 else 2):
+        for _ in range(40 if g < 64 else 2):
             rel = R if rng.random() < 0.5 else _inverse_word(R)
             start = rng.randrange(4 * g)
             piece = (rel + rel)[start : start + rng.randint(2 * g + 1, 4 * g)]
             word = piece + _seeded_word(rng, g, rng.randint(1, 4))
-            for cut in range(1, len(piece), 1 if g < 70 else 29):
+            for cut in range(1, len(piece), 1 if g < 64 else 29):
                 rotated = word[cut:] + word[:cut]
                 assert dehn_reduce(rotated, g) == reference_dehn_reduce(rotated, g), rotated
 
@@ -871,7 +893,7 @@ class TestRelatorTable:
             complement = tuple(-x for x in reversed(replacement))
             assert piece + complement in rotations
 
-    @pytest.mark.parametrize("g", [2, 3, 4, 5, 70])
+    @pytest.mark.parametrize("g", [2, 3, 4, 5, 64, 65, 70])
     def test_swaps_match_reference_table(self, g):
         """The byte-scan swap finder against the former pair table's 2g-letter
         swaps, each Dehn-reduced, on Dehn-reduced words: every 2g-letter
@@ -880,13 +902,13 @@ class TestRelatorTable:
         rng = random.Random(g)
         R = surface_relator(g)
         words = [(rel + rel)[start : start + 2 * g] for rel in (R, _inverse_word(R)) for start in range(4 * g)]
-        for _ in range(60 if g < 70 else 6):
+        for _ in range(60 if g < 64 else 6):
             start = rng.randrange(4 * g)
             piece = (R + R)[start : start + 2 * g]
             if rng.random() < 0.5:
                 piece = _inverse_word(piece)
             word = dehn_reduce(piece + _seeded_word(rng, g, rng.randint(1, 4)), g)
-            words += [word[cut:] + word[:cut] for cut in range(0, len(word), 1 if g < 70 else 23)]
+            words += [word[cut:] + word[:cut] for cut in range(0, len(word), 1 if g < 64 else 23)]
         swapped = 0
         for word in words:
             expected = {dehn_reduce(s, g) for s in _relator_swaps(word, g, 2 * g)}
