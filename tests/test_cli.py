@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -267,8 +268,6 @@ class TestGenerateCommand:
         assert "error: argument --half-twist-probability" in capsys.readouterr().err
 
     def test_golden_digest(self, tmp_path):
-        import hashlib
-
         out = tmp_path / "g.json"
         cli.main(
             ["generate", "--genus", "2", "--circles", "3", "--seed", "1", "-o", str(out)]
@@ -283,8 +282,6 @@ class TestGenerateCommand:
         """sha256 of `generate` stdout with half-twists sprinkled in, taken
         from the per-step-map generator before growth moved onto flat
         state; the rng stream and every byte of output must not drift."""
-        import hashlib
-
         args = ["generate", "--genus", str(g), "--circles", str(c), "--seed", str(seed)]
         assert cli.main(args + ["--half-twist-probability", "0.3"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
@@ -394,8 +391,6 @@ class TestFillAndAugmentCommands:
     def test_stdout_golden_digest(self, g, c, seed, tmp_path, capsys):
         """sha256 of `fill` stdout on generated diagrams with half-twists,
         taken when circles were filled one map build at a time."""
-        import hashlib
-
         args = ["generate", "--genus", str(g), "--circles", str(c), "--seed", str(seed)]
         assert cli.main(args + ["--half-twist-probability", "0.3"]) == 0
         path = tmp_path / "d.json"
@@ -424,8 +419,6 @@ GOLDEN_AUGMENT_STDOUT = {
 
 @pytest.mark.parametrize("g,c,seed", sorted(GOLDEN_AUGMENT_STDOUT), ids=str)
 def test_augment_stdout_golden_digest(g, c, seed, tmp_path, capsys):
-    import hashlib
-
     args = ["generate", "--genus", str(g), "--circles", str(c), "--seed", str(seed)]
     assert cli.main(args + ["--half-twist-probability", "0.3"]) == 0
     path = tmp_path / "d.json"
@@ -1403,3 +1396,102 @@ def test_text_lines_match_the_json_report(argv, text_inputs, capsys, monkeypatch
             assert lines[key] == value
         else:
             assert json.loads(lines[key]) == value
+
+
+# -- golden report digest ----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def report_inputs(tmp_path_factory):
+    path = tmp_path_factory.mktemp("reports")
+    base = generate_fal(2, 4, seed=1, require_checkerboard=True)
+    dump_diagram(base, str(path / "d.json"))
+    dump_diagram(generate_fal(2, 6, seed=2), str(path / "d6.json"))
+    dump_diagram(connect_sum(base, trefoil(), 1, 0), str(path / "spliced.json"))
+    dump_diagram(fill_all(base, dict(zip(base.circles, [1, -1, 2, 1]))), str(path / "filled.json"))
+    noncellular = diagram_to_json_dict(generate_fal(3, 6, seed=1))
+    noncellular["genus"] = 2
+    (path / "noncellular.json").write_text(json.dumps(noncellular))
+    phi = [["a1", 1], ["b1", 1]]
+    specs = {
+        "trivial_t": {"t": [2, 3]},
+        "trivial_s": {"s": [1, 1, 1, 1]},
+        "torus_t": {"kind": "MappingTorus", "phi": phi, "t": [2, 2]},
+        "torus_s": {"kind": "MappingTorus", "phi": phi, "s": [1, 2, 1, 1]},
+        "doubled_t": {"kind": "DoubledThickenedSurface", "t": [2, 2]},
+        "doubled_s": {"kind": "DoubledThickenedSurface", "base2": "d6.json", "s": [1, 1, 1, 1]},
+        "asserted": {"gamma_even": "a2", "assert_intersection": True},
+        "refused": {"kind": "MappingTorus", "phi": [["b1", 1]]},
+        "missing_base": {"base": "nowhere.json"},
+        "not_wga": {"base": "spliced.json", "m": 0, "s": [1, 1, 1, 1]},
+    }
+    for name, extra in specs.items():
+        spec = {"kind": "TrivialMappingTorus", "base": "d.json", "gamma_odd": "a1", "gamma_even": "b1", "m": 2}
+        (path / f"{name}.json").write_text(json.dumps(dict(spec, **extra)))
+    return path
+
+
+# Each report command with the exit code it gives, in text and in --json.
+REPORT_CASES = [
+    (["validate", "d.json"], 0),
+    (["validate", "filled.json"], 0),
+    (["validate", "spliced.json"], 1),
+    (["validate", "noncellular.json"], 1),
+    (["validate", "nowhere.json"], 2),
+    (["decompose", "d.json", "--export-gluing", "table.txt"], 0),
+    (["decompose", "d6.json", "--export-gluing", "table.txt"], 0),
+    (["decompose", "d.json"], 0),
+    (["decompose", "noncellular.json", "--export-gluing", "table.txt"], 2),
+    *(
+        (["bounds", "d.json", "--kind", kind, "--m", m], 0)
+        for kind in ("TrivialMappingTorus", "MappingTorus", "DoubledThickenedSurface")
+        for m in ("0", "3")
+    ),
+    (["bounds", "filled.json", "--m", "0"], 0),
+    (["bounds", "filled.json", "--m", "3", "--kind", "MappingTorus"], 0),
+    (["bounds", "noncellular.json"], 2),
+    *((["family", f"{name}.json"], 0) for name in (
+        "trivial_t", "trivial_s", "torus_t", "torus_s", "doubled_t", "doubled_s", "asserted"
+    )),
+    (["family", "not_wga.json"], 1),
+    (["family", "refused.json"], 2),
+    (["family", "missing_base.json"], 2),
+    (["curves", "intersect", "a1", "b1", "--genus", "2"], 0),
+    (["curves", "intersect", "a1", "a2", "--genus", "3"], 0),
+    (["curves", "intersect", "a1b1A1", "b1a2", "--genus", "2", "--budget", "8"], 0),
+    (["curves", "intersect", "a1b1" * 8 + "a1", "b1", "--genus", "2"], 2),
+    (["curves", "intersect", "a1", "--genus", "2"], 2),
+    (["curves", "reduce", "a1b1A1B1a2b2A2B2", "--genus", "2"], 0),
+    (["curves", "reduce", "a1b1A1B1a2b2a1", "--genus", "2"], 0),
+    (["curves", "reduce", "a3", "--genus", "2"], 2),
+    (["curves", "conjugate", "a1", "b1a1B1", "--genus", "2"], 0),
+    (["curves", "conjugate", "a1", "B1", "--genus", "2", "--up-to-inverse"], 1),
+    (["curves", "conjugate", "a1", "A1", "--genus", "2", "--up-to-inverse"], 0),
+    (["curves", "conjugate", "a1", "b1", "--genus", "2"], 1),
+    (["curves", "conjugate", "a1b1" * 20, "a1", "--genus", "2", "--budget", "8"], 2),
+]
+
+
+def test_report_outputs_digest(report_inputs, monkeypatch):
+    """Every report command's exit code, stdout, stderr and written gluing
+    table, in text and in --json, pinned in one digest, so that any change
+    to how a report is built or leaves the CLI shows."""
+    monkeypatch.chdir(report_inputs)
+    table = report_inputs / "table.txt"
+    results = []
+    for argv, code in REPORT_CASES:
+        for flags in ([], ["--json"]):
+            table.unlink(missing_ok=True)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                got = cli.main([*argv, *flags])
+            assert got == code, (argv, flags, err.getvalue())
+            written = table.read_text() if table.exists() else None
+            # A refused spec names its base by absolute path.
+            stderr = err.getvalue().replace(os.getcwd(), "<dir>")
+            results.append([argv, flags, got, out.getvalue(), stderr, written])
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert digest == REPORT_OUTPUTS_SHA256
+
+
+REPORT_OUTPUTS_SHA256 = "5c18a1d15cf443f4c7d47df44c942d9cdd6a178da6bb82a73073e023838a0dcc"
