@@ -50,6 +50,26 @@ def _emit(report: dict, as_json: bool) -> None:
     sys.stdout.write("".join(line + "\n" for line in lines))
 
 
+def _report(args, body: dict, holds: bool = True) -> int:
+    """Emit a report and return its exit code.
+
+    Every report starts with `command`, which for `curves` names the action
+    too, and, for a command that reads a file, `input_digest`, the file's
+    SHA-256. The exit code is 1 when `holds`, the property the command
+    checks, is false: a failed `validate` check, a `family` whose diagram
+    filled by `s` is not WGA, `curves intersect` with geometric below
+    |algebraic|, or `curves conjugate` on words that are not equal. It is 0
+    otherwise."""
+    from . import io as sio
+
+    if args.command == "curves":
+        head = {"command": f"curves {args.action}"}
+    else:
+        head = {"command": args.command, "input_digest": sio.file_digest(args.path)}
+    _emit({**head, **body}, args.json)
+    return EXIT_PASS if holds else EXIT_PROPERTY
+
+
 def _write_diagram(diagram, output) -> int:
     from . import io as sio
 
@@ -92,15 +112,9 @@ def cmd_validate(args) -> int:
         "weakly_prime": weakly_prime,
         "weakly_prime_witness": witness,
     }
-    out = {
-        "command": "validate",
-        "input_digest": sio.file_digest(args.path),
-        "checks": checks,
-        "properties": properties,
-        "counts": {"g": diagram.genus, "c": diagram.c, "l": diagram.l},
-    }
-    _emit(out, args.json)
-    return EXIT_PASS if all(checks.values()) else EXIT_PROPERTY
+    counts = {"g": diagram.genus, "c": diagram.c, "l": diagram.l}
+    body = {"checks": checks, "properties": properties, "counts": counts}
+    return _report(args, body, all(checks.values()))
 
 
 def cmd_augment(args) -> int:
@@ -134,9 +148,7 @@ def cmd_decompose(args) -> int:
     diagram = sio.load_diagram(args.path)
     d = decompose(diagram)
     nerve = build_nerve(d)
-    out = {
-        "command": "decompose",
-        "input_digest": sio.file_digest(args.path),
+    body = {
         "counts": {
             "g": d.genus,
             "c": d.c,
@@ -153,10 +165,9 @@ def cmd_decompose(args) -> int:
     if args.export_gluing:
         pt = prism_triangulation(d)
         sio.write_text(args.export_gluing, pt.export_gluing_table())
-        out["counts"]["tetrahedra"] = pt.tetrahedron_count
-        out["gluing_table"] = args.export_gluing
-    _emit(out, args.json)
-    return EXIT_PASS
+        body["counts"]["tetrahedra"] = pt.tetrahedron_count
+        body["gluing_table"] = args.export_gluing
+    return _report(args, body)
 
 
 def cmd_bounds(args) -> int:
@@ -168,16 +179,8 @@ def cmd_bounds(args) -> int:
     require_cellular(diagram)
     # A diagram with crossings is a filling: no prism bound is claimed for it.
     vb = volume_bounds(diagram.c, diagram.genus, diagram.l, args.m, args.kind, bool(diagram.crossings))
-    out = {
-        "command": "bounds",
-        "input_digest": sio.file_digest(args.path),
-        "counts": {"g": diagram.genus, "c": diagram.c, "l": diagram.l, "m": args.m},
-        "lower": vb.lower,
-        "upper": vb.upper,
-        "kind": args.kind,
-    }
-    _emit(out, args.json)
-    return EXIT_PASS
+    counts = {"g": diagram.genus, "c": diagram.c, "l": diagram.l, "m": args.m}
+    return _report(args, {"counts": counts, "lower": vb.lower, "upper": vb.upper, "kind": args.kind})
 
 
 def cmd_family(args) -> int:
@@ -191,17 +194,10 @@ def cmd_family(args) -> int:
     vb = volume_bounds(base.c, base.genus, base.l, link.family.m, link.kind, filled)
     # The cusp count can exceed l + c + 2m (a doubled base adds base2's l + c).
     lower = cusp_lower_bound(link.cusp_count, "cusp_count")
-    out = {
-        "command": "family",
-        "input_digest": sio.file_digest(args.path),
+    body = {
         "kind": link.kind,
         "cusp_count": link.cusp_count,
-        "counts": {
-            "g": base.genus,
-            "c": base.c,
-            "l": base.l,
-            "m": link.family.m,
-        },
+        "counts": {"g": base.genus, "c": base.c, "l": base.l, "m": link.family.m},
         "bounds": {"lower": lower, "upper": vb.upper},
         "certificates": {
             "intersection": [link.family.certificate.kind, link.family.certificate.value],
@@ -209,20 +205,17 @@ def cmd_family(args) -> int:
         },
         "hyperbolic_assumed": link.hyperbolic_assumed,
     }
-    status = EXIT_PASS
-    if link.wga_report is not None:
-        out["wga"] = {
-            "alternating": link.wga_report.alternating,
-            "checkerboard": link.wga_report.checkerboard,
-            "weakly_prime": link.wga_report.weakly_prime,
-            "weakly_prime_witness": link.wga_report.weakly_prime_witness,
-            "wga_positive": link.wga_report.wga_positive,
+    wga = link.wga_report
+    if wga is not None:
+        body["wga"] = {
+            "alternating": wga.alternating,
+            "checkerboard": wga.checkerboard,
+            "weakly_prime": wga.weakly_prime,
+            "weakly_prime_witness": wga.weakly_prime_witness,
+            "wga_positive": wga.wga_positive,
             "twist_regions": link.twist_region_count,
         }
-        if not link.wga_report.wga_positive:
-            status = EXIT_PROPERTY
-    _emit(out, args.json)
-    return status
+    return _report(args, body, wga is None or wga.wga_positive)
 
 
 def cmd_generate(args) -> int:
@@ -274,17 +267,11 @@ def cmd_curves(args) -> int:
         w1, w2 = words
         alg = algebraic_intersection(word_to_homology(w1, g), word_to_homology(w2, g))
         geo = geometric_intersection_oracle(w1, w2, g, **budget)
-        out = {"command": "curves intersect", "algebraic": alg, "geometric": geo}
-        _emit(out, args.json)
-        return EXIT_PASS if geo >= abs(alg) else EXIT_PROPERTY
+        return _report(args, {"algebraic": alg, "geometric": geo}, geo >= abs(alg))
     if args.action == "reduce":
-        reduced = dehn_reduce(words[0], g)
-        out = {"command": "curves reduce", "reduced": format_curve_word(reduced)}
-        _emit(out, args.json)
-        return EXIT_PASS
+        return _report(args, {"reduced": format_curve_word(dehn_reduce(words[0], g))})
     equal = conjugacy_equal(*words, g, up_to_inverse=args.up_to_inverse, **budget)
-    _emit({"command": "curves conjugate", "equal": equal}, args.json)
-    return EXIT_PASS if equal else EXIT_PROPERTY
+    return _report(args, {"equal": equal}, equal)
 
 
 def probability(text: str) -> float:
