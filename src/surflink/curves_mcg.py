@@ -360,7 +360,9 @@ def _conjugacy_key(w: CurveWord, g: int, budget: int) -> tuple:
     frontier = [dehn_reduce(w, g)]
     while frontier:
         word = frontier.pop()
-        key = min((word[i:] + word[:i] for i in range(len(word))), default=word)
+        # The least rotation starts at an occurrence of the least letter.
+        least = min(word, default=None)
+        key = min((word[i:] + word[:i] for i, x in enumerate(word) if x == least), default=word)
         if key not in seen:
             seen.add(key)
             frontier += _half_relator_swaps(key, g)
