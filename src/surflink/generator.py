@@ -344,6 +344,15 @@ def generate_fal(
     colorability; that needs at least two faces, i.e. c >= 2g.
     A genus above MAX_GENERATE_GENUS or more than MAX_GENERATE_CIRCLES
     circles raise GenerationTooLarge, before any draw.
+
+    The output is a strict subset of the diagrams validate_fal accepts. No
+    generated map has a same-parity loop (an edge joining two opposite
+    slots of one vertex): _random_base rejects every base with one, and
+    growth adds none, yet validate_fal accepts such diagrams. Of the rest
+    only part is reached. At genus 2 the 6 isomorphism classes of maps
+    with c = 3 (4-valent, connected, no face of degree below 3) include 2
+    without such a loop, and the generator reaches both; of the 75 with
+    c = 4, 39 have none, and it reaches 17 of them (ROADMAP item 14).
     """
     if g < 2:
         raise GenerationFailed("generator targets surfaces of genus >= 2")
