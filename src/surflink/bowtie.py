@@ -40,7 +40,6 @@ __all__ = [
     "triangulate_white_faces",
     "prism_triangulation",
     "volume_bounds",
-    "cusp_lower_bound",
 ]
 
 # Volume of the regular ideal hyperbolic tetrahedron, 3 * Lobachevsky(pi/3).
@@ -455,36 +454,29 @@ def prism_triangulation(d: BowtieDecomposition) -> PrismTriangulation:
     return PrismTriangulation(3 * prisms, tuple(target), tuple(perm))
 
 
-def volume_bounds(c: int, g: int, l: int, m: int, kind: str, filled: bool = False) -> VolumeBounds:
-    """Cusp-count lower bound, and the prism upper bound when the manifold
-    is the trivial mapping torus over the base diagram alone: m = 0 and no
+def volume_bounds(cusps: int, c: int, g: int, m: int, kind: str, filled: bool = False) -> VolumeBounds:
+    """Adams's lower bound cusps * v_tet for a link of that many components,
+    counted by the caller, and the prism upper bound when the manifold is
+    the trivial mapping torus over the base diagram alone: m = 0 and no
     fills.  The prisms triangulate Sigma x S^1 minus a diagram of circles
     only; layer curves and fillings are not in that triangulation, so no
     upper bound is claimed for them.  A base with crossings is itself a
     filling, of the diagram its twist regions augment to, and its caller
-    passes filled=True.  Counts whose lower bound is past the largest
-    float raise MalformedMap."""
+    passes filled=True.  A count whose bound is past the largest float
+    raises MalformedMap."""
     if g < 2:
         raise GenusTooSmall("volume bounds require an ambient surface of genus >= 2")
-    if min(c, l, m) < 0:
+    if min(cusps, c, m) < 0:
         raise MalformedMap("counts must be nonnegative")
-    lower = cusp_lower_bound(l + c + 2 * m, "(l + c + 2m)")
+    try:
+        lower = cusps * V_TET
+    except OverflowError:  # the count itself is past the largest float
+        lower = math.inf
+    if not math.isfinite(lower):
+        raise MalformedMap("counts too large: the lower bound cusp_count * v_tet is not a finite float")
     upper = None
     if kind == "TrivialMappingTorus" and m == 0 and not filled:
         upper = 6 * (3 * c + 2 * g - 2) * V_TET
         if lower > upper:
             raise InternalInvariant(f"volume lower bound {lower} exceeds upper bound {upper}")
     return VolumeBounds(v_tet=V_TET, lower=lower, upper=upper)
-
-
-def cusp_lower_bound(cusps: int, counted: str) -> float:
-    """cusps * v_tet, the volume lower bound of a link with that many
-    components; MalformedMap, naming the count as `counted`, when the
-    product is not a finite float."""
-    try:
-        lower = cusps * V_TET
-    except OverflowError:  # the count itself is past the largest float
-        lower = math.inf
-    if not math.isfinite(lower):
-        raise MalformedMap(f"counts too large: the lower bound {counted} * v_tet is not a finite float")
-    return lower

@@ -146,6 +146,9 @@ def cmd_decompose(args) -> int:
     from .bowtie import build_nerve, decompose, prism_triangulation
 
     diagram = sio.load_diagram(args.path)
+    table = args.export_gluing
+    if table and os.path.exists(table) and os.path.samefile(table, args.path):
+        raise ParseError(f"{table}: the gluing table would overwrite the input diagram")
     d = decompose(diagram)
     nerve = build_nerve(d)
     body = {
@@ -162,11 +165,11 @@ def cmd_decompose(args) -> int:
             "white_face_law": d.white_count == d.c + 2 - 2 * d.genus,
         },
     }
-    if args.export_gluing:
+    if table:
         pt = prism_triangulation(d)
-        sio.write_text(args.export_gluing, pt.export_gluing_table())
+        sio.write_text(table, pt.export_gluing_table())
         body["counts"]["tetrahedra"] = pt.tetrahedron_count
-        body["gluing_table"] = args.export_gluing
+        body["gluing_table"] = table
     return _report(args, body)
 
 
@@ -177,28 +180,27 @@ def cmd_bounds(args) -> int:
 
     diagram = sio.load_diagram(args.path)
     require_cellular(diagram)
+    cusps = diagram.l + diagram.c + 2 * args.m
     # A diagram with crossings is a filling: no prism bound is claimed for it.
-    vb = volume_bounds(diagram.c, diagram.genus, diagram.l, args.m, args.kind, bool(diagram.crossings))
+    vb = volume_bounds(cusps, diagram.c, diagram.genus, args.m, args.kind, bool(diagram.crossings))
     counts = {"g": diagram.genus, "c": diagram.c, "l": diagram.l, "m": args.m}
     return _report(args, {"counts": counts, "lower": vb.lower, "upper": vb.upper, "kind": args.kind})
 
 
 def cmd_family(args) -> int:
     from . import io as sio
-    from .bowtie import cusp_lower_bound, volume_bounds
+    from .bowtie import volume_bounds
 
     spec = sio.load_family_spec(args.path)
     link = sio.build_link_from_spec(spec)
     base = link.family.base
     filled = bool(link.annular_coefficients or link.circle_coefficients or base.crossings)
-    vb = volume_bounds(base.c, base.genus, base.l, link.family.m, link.kind, filled)
-    # The cusp count can exceed l + c + 2m (a doubled base adds base2's l + c).
-    lower = cusp_lower_bound(link.cusp_count, "cusp_count")
+    vb = volume_bounds(link.cusp_count, base.c, base.genus, link.family.m, link.kind, filled)
     body = {
         "kind": link.kind,
         "cusp_count": link.cusp_count,
         "counts": {"g": base.genus, "c": base.c, "l": base.l, "m": link.family.m},
-        "bounds": {"lower": lower, "upper": vb.upper},
+        "bounds": {"lower": vb.lower, "upper": vb.upper},
         "certificates": {
             "intersection": [link.family.certificate.kind, link.family.certificate.value],
             "monodromy": list(link.certificates),

@@ -124,8 +124,8 @@ def test_criterion_3_triangulation_counts_and_closure():
 
 def test_criterion_4_bound_values():
     ok = f"{V_TET:.5f}".startswith("1.01494")
-    vb1 = volume_bounds(3, 2, 1, 0, "TrivialMappingTorus")
-    vb2 = volume_bounds(6, 2, 1, 0, "TrivialMappingTorus")
+    vb1 = volume_bounds(1 + 3, 3, 2, 0, "TrivialMappingTorus")
+    vb2 = volume_bounds(1 + 6, 6, 2, 0, "TrivialMappingTorus")
     ok = ok and math.isclose(vb1.upper, 66 * V_TET, abs_tol=1e-9)
     ok = ok and math.isclose(vb2.upper, 120 * V_TET, abs_tol=1e-9)
     ok = ok and math.isclose(

@@ -155,15 +155,15 @@ class TestVolumeBounds:
         assert f"{V_TET:.5f}".startswith("1.01494")
 
     def test_spot_values(self):
-        vb = volume_bounds(3, 2, 1, 0, "TrivialMappingTorus")
+        vb = volume_bounds(1 + 3, 3, 2, 0, "TrivialMappingTorus")
         assert math.isclose(vb.lower, 4 * V_TET, abs_tol=1e-9)
         assert math.isclose(vb.upper, 66 * V_TET, abs_tol=1e-9)
-        vb = volume_bounds(6, 2, 1, 0, "TrivialMappingTorus")
+        vb = volume_bounds(1 + 6, 6, 2, 0, "TrivialMappingTorus")
         assert math.isclose(vb.upper, 120 * V_TET, abs_tol=1e-9)
 
     def test_upper_only_for_trivial_torus(self):
-        assert volume_bounds(3, 2, 1, 0, "MappingTorus").upper is None
-        assert volume_bounds(3, 2, 1, 2, "DoubledThickenedSurface").upper is None
+        assert volume_bounds(1 + 3, 3, 2, 0, "MappingTorus").upper is None
+        assert volume_bounds(1 + 3 + 2 * 2, 3, 2, 2, "DoubledThickenedSurface").upper is None
 
     @given(
         st.integers(0, 300),
@@ -175,7 +175,7 @@ class TestVolumeBounds:
     )
     def test_printed_lower_never_exceeds_printed_upper(self, c, g, l, m, kind, filled):
         l = min(l, 2 * c)  # a 4-valent map has 2c edges, so at most 2c strands
-        vb = volume_bounds(c, g, l, m, kind, filled)
+        vb = volume_bounds(l + c + 2 * m, c, g, m, kind, filled)
         assert (vb.upper is not None) == (kind == "TrivialMappingTorus" and m == 0 and not filled)
         assert vb.upper is None or vb.lower <= vb.upper
 
@@ -191,28 +191,28 @@ class TestVolumeBounds:
         circle of generate_fal(2, 25, seed=3) with t = 1 leaves c = 0 and
         l = 13.  Such a base is a filling, so no upper bound is claimed
         and no strand count raises."""
-        vb = volume_bounds(c, g, l, m, kind, True)
+        vb = volume_bounds(l + c + 2 * m, c, g, m, kind, True)
         assert vb.upper is None
         assert vb.lower == (l + c + 2 * m) * V_TET
 
     def test_lower_above_upper_is_an_internal_error(self):
         with pytest.raises(InternalInvariant, match="exceeds"):
-            volume_bounds(0, 2, 100, 0, "TrivialMappingTorus")
+            volume_bounds(100 + 0, 0, 2, 0, "TrivialMappingTorus")
 
     def test_low_genus_rejected(self):
         with pytest.raises(GenusTooSmall):
-            volume_bounds(3, 1, 1, 0, "TrivialMappingTorus")
+            volume_bounds(1 + 3, 3, 1, 0, "TrivialMappingTorus")
 
     @pytest.mark.parametrize("m", [10**400, int(8.9e307)], ids=["past_float", "product_inf"])
     def test_lower_bound_past_the_largest_float_refused(self, m):
         """10**400 does not convert to a float; 8.9e307 does, but times
         v_tet it overflows to infinity."""
         with pytest.raises(MalformedMap, match="not a finite float"):
-            volume_bounds(3, 2, 1, m, "MappingTorus")
-        assert math.isfinite(volume_bounds(3, 2, 1, int(8.8e307), "MappingTorus").lower)
+            volume_bounds(1 + 3 + 2 * m, 3, 2, m, "MappingTorus")
+        assert math.isfinite(volume_bounds(1 + 3 + 2 * int(8.8e307), 3, 2, int(8.8e307), "MappingTorus").lower)
 
     def test_planning_lower_bound(self):
-        vb = volume_bounds(3, 2, 1, 50, "MappingTorus")
+        vb = volume_bounds(1 + 3 + 2 * 50, 3, 2, 50, "MappingTorus")
         assert vb.lower > 2 * 50 * V_TET - 1e-9
         assert 2 * 50 * V_TET > 100
 
@@ -744,9 +744,9 @@ def test_bowtie_records_are_values():
     assert repr(BowtieDecomposition(2, 0, (), (), ())) == (
         "BowtieDecomposition(genus=2, c=0, white=(), circle_slots=(), half_twists=())"
     )
-    assert repr(volume_bounds(0, 2, 2, 0, "MappingTorus")) == (
+    assert repr(volume_bounds(2 + 0, 0, 2, 0, "MappingTorus")) == (
         "VolumeBounds(v_tet=1.0149416064096537, lower=2.0298832128193074, upper=None)"
     )
-    bounds = volume_bounds(4, 2, 1, 2, "TrivialMappingTorus")
+    bounds = volume_bounds(1 + 4 + 2 * 2, 4, 2, 2, "TrivialMappingTorus")
     for record in (d, build_nerve(d), d.boundary, prism_triangulation(d), bounds):
         check_value_record(record)

@@ -18,6 +18,7 @@ from surflink.errors import InternalInvariant, ParseError
 from surflink.fal_diagram import diagrams_isomorphic, fill_all
 from surflink.generator import generate_fal
 from surflink.io import (
+    KINDS,
     build_link_from_spec,
     diagram_from_json_dict,
     diagram_to_json_dict,
@@ -609,7 +610,7 @@ def test_malformed_file_exits_two(role, name, tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
-HUGE_BOUND_MESSAGE = "error: MalformedMap: counts too large: the lower bound (l + c + 2m) * v_tet is not a finite float\n"
+HUGE_BOUND_MESSAGE = "error: MalformedMap: counts too large: the lower bound cusp_count * v_tet is not a finite float\n"
 
 
 @pytest.mark.parametrize("command", ["bounds", "family"])
@@ -657,6 +658,24 @@ def test_doubled_cusp_count_past_a_finite_bound_exits_two(as_json, diagram_file,
     captured = capsys.readouterr()
     message = "error: MalformedMap: counts too large: the lower bound cusp_count * v_tet is not a finite float\n"
     assert (captured.out, captured.err) == ("", message)
+
+
+def test_filled_cusp_count_under_a_finite_bound_exits_zero(tmp_path, capsys):
+    """Filling the four circles of this base (l = 1, c = 4) leaves a link
+    of 2 + 2m cusps.  At this m, (l + c + 2m) * v_tet is past the largest
+    float but (2 + 2m) * v_tet is not: `family` used to exit 2 over the
+    larger bound, which it never printed."""
+    d = generate_fal(2, 4, seed=3, require_checkerboard=True)
+    filled = fill_all(d, dict.fromkeys(d.circles, 1))
+    m = float_edge_layer_count(filled)
+    assert not math.isfinite((d.l + d.c + 2 * m) * bowtie.V_TET)
+    spec = {"kind": "TrivialMappingTorus", "base": diagram_to_json_dict(d), "m": m, "s": [1, 1, 1, 1]}
+    spec.update(gamma_odd="a1", gamma_even="b1")
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert cli.main(["family", str(tmp_path / "spec.json"), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["cusp_count"] == filled.l + filled.c + 2 * m
+    assert math.isfinite(report["bounds"]["lower"])
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -1112,6 +1131,30 @@ def test_family_lower_bound_reads_the_cusp_count(tmp_path_factory, kind, t, s):
                     assert report["cusp_count"] == expected, spec
 
 
+@pytest.mark.parametrize("g,seed", [(g, seed) for g in (2, 3) for seed in range(6)])
+def test_family_and_bounds_print_one_bound(g, seed, tmp_path, capsys):
+    """`bounds` passes l + c + 2m cusps and `family` its link's cusp_count
+    to the one function that turns a count into Adams's bound, so the two
+    print the same bounds, except that a doubled family, whose base2 is the
+    base, has the base's l + c cusps more."""
+    d = generate_fal(g, 2 * g, seed=seed)
+    path = tmp_path / "d.json"
+    dump_diagram(d, str(path))
+    for kind in KINDS:
+        for m in (0, 1, 3):
+            spec = {"kind": kind, "base": str(path), "gamma_odd": "a1", "gamma_even": "b1", "m": m}
+            if kind == "MappingTorus":
+                spec["phi"] = [["a1", 1], ["b1", 1]]
+            (tmp_path / "spec.json").write_text(json.dumps(spec))
+            assert cli.main(["family", str(tmp_path / "spec.json"), "--json"]) == 0
+            family = json.loads(capsys.readouterr().out)["bounds"]
+            assert cli.main(["bounds", str(path), "--m", str(m), "--kind", kind, "--json"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            extra = d.l + d.c if kind == "DoubledThickenedSurface" else 0
+            assert family["upper"] == report["upper"], (kind, m)
+            assert math.isclose(family["lower"], report["lower"] + extra * bowtie.V_TET), (kind, m)
+
+
 @pytest.mark.parametrize("target", ["missing_dir", "directory"])
 @pytest.mark.parametrize(
     "argv",
@@ -1133,6 +1176,21 @@ def test_unwritable_output_exits_two(argv, target, diagram_file, tmp_path, capsy
     assert captured.out == ""
     assert captured.err.startswith(f"error: {out}: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("table", ["d.json", "./d.json"])
+def test_export_over_the_input_exits_two(table, diagram_file, tmp_path, monkeypatch, capsys):
+    """`decompose d.json --export-gluing d.json` used to replace the
+    diagram by its gluing table, exit 0 and report the table's digest as
+    the input's."""
+    _, path = diagram_file
+    before = Path(path).read_bytes()
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["decompose", "d.json", "--export-gluing", table, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {table}: the gluing table would overwrite the input diagram\n"
+    assert Path(path).read_bytes() == before
 
 
 class TestInternalError:

@@ -253,7 +253,7 @@ class TestPlanVolumeTarget:
         base = generate_fal(2, 4, seed=0)
         m = plan_volume_target(100)
         link = build_trivial_torus(base, build_layered(base, A1, B1, m))
-        vb = volume_bounds(base.c, base.genus, base.l, m, link.kind)
+        vb = volume_bounds(base.l + base.c + 2 * m, base.c, base.genus, m, link.kind)
         assert vb.lower > 2 * m * V_TET - 1e-9
         assert vb.lower > 100
 
