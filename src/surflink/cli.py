@@ -16,7 +16,7 @@ import argparse
 import os
 import sys
 
-from .errors import InternalInvariant, MonodromyActsTrivially, ParseError, SurflinkError
+from .errors import GenusTooSmall, InternalInvariant, MonodromyActsTrivially, ParseError, SurflinkError
 
 EXIT_PASS = 0
 EXIT_PROPERTY = 1
@@ -73,7 +73,7 @@ def _report(args, body: dict, holds: bool = True) -> int:
 def _write_diagram(diagram, output) -> int:
     from . import io as sio
 
-    if output:
+    if output is not None:
         sio.dump_diagram(diagram, output)
     else:
         sys.stdout.write(sio.dumps_json(sio.diagram_to_json_dict(diagram)))
@@ -100,21 +100,14 @@ def cmd_validate(args) -> int:
     diagram = sio.load_diagram(args.path)
     report = validate_fal(diagram)
     weakly_prime, witness = check_weakly_prime(diagram)
-    checks = {
-        "four_valent": report.four_valent,
-        "crossing_circles_bound_discs": report.crossing_discs,
-        "crossings_anchored": report.crossings_anchored,
-        "components_meet_circles": report.components_meet_circles,
-        "cellular": report.cellular,
-    }
     properties = {
         "checkerboard": checkerboard_coloring(diagram.map) is not None,
         "weakly_prime": weakly_prime,
         "weakly_prime_witness": witness,
     }
     counts = {"g": diagram.genus, "c": diagram.c, "l": diagram.l}
-    body = {"checks": checks, "properties": properties, "counts": counts}
-    return _report(args, body, all(checks.values()))
+    body = {"checks": report._asdict(), "properties": properties, "counts": counts}
+    return _report(args, body, report.ok)
 
 
 def cmd_augment(args) -> int:
@@ -147,7 +140,7 @@ def cmd_decompose(args) -> int:
 
     diagram = sio.load_diagram(args.path)
     table = args.export_gluing
-    if table and os.path.exists(table) and os.path.samefile(table, args.path):
+    if table is not None and os.path.exists(table) and os.path.samefile(table, args.path):
         raise ParseError(f"{table}: the gluing table would overwrite the input diagram")
     d = decompose(diagram)
     nerve = build_nerve(d)
@@ -165,7 +158,7 @@ def cmd_decompose(args) -> int:
             "white_face_law": d.white_count == d.c + 2 - 2 * d.genus,
         },
     }
-    if table:
+    if table is not None:
         pt = prism_triangulation(d)
         sio.write_text(table, pt.export_gluing_table())
         body["counts"]["tetrahedra"] = pt.tetrahedron_count
@@ -257,6 +250,8 @@ def cmd_curves(args) -> int:
             f"--genus {g} is above the cap of {MAX_CURVES_GENUS}: curve computations "
             f"build dense vectors of 2g entries"
         )
+    if g < 2:
+        raise GenusTooSmall("surface-group reduction needs genus >= 2")
     expected = _CURVES_WORD_COUNT[args.action]
     if len(args.words) != expected:
         raise ParseError(

@@ -72,9 +72,7 @@ def _check_lengths(x: Sequence[int], y: Sequence[int]) -> int:
 
 def basis_class(letter: int, g: int) -> HomologyClass:
     """Homology class of a single generator (signed letter index)."""
-    coords = [0] * (2 * g)
-    coords[abs(letter) - 1] = 1 if letter > 0 else -1
-    return tuple(coords)
+    return word_to_homology((letter,), g)
 
 
 def algebraic_intersection(x: HomologyClass, y: HomologyClass) -> int:
@@ -85,7 +83,6 @@ def algebraic_intersection(x: HomologyClass, y: HomologyClass) -> int:
 def twist_action(alpha: HomologyClass, x: HomologyClass, t: int = 1) -> HomologyClass:
     """Transvection: the homology action of the t-fold Dehn twist about a
     curve of class alpha."""
-    _check_lengths(alpha, x)
     k = t * algebraic_intersection(x, alpha)
     return tuple(xi + k * ai for xi, ai in zip(x, alpha))
 
@@ -127,13 +124,15 @@ def split_curve(curve, g: int) -> tuple:
     """(word or None, homology class) of a curve given as word text, a word
     tuple or a class vector.  Text is a word; an integer sequence of length
     2g is a class vector, any other length a word.  A word of exactly 2g
-    letters is therefore misread as a class (a known defect)."""
+    letters is therefore misread as a class (a known defect).  A word of
+    more than MAX_CURVE_WORD_LETTERS letters raises ParseError."""
     if isinstance(curve, str):
         word = parse_curve_word(curve, g)
     else:
         word = tuple(curve)
         if len(word) == 2 * g:
             return None, word
+        require_word_length(len(word))
     return word, word_to_homology(word, g)
 
 

@@ -243,7 +243,7 @@ class TwistRegion(namedtuple("TwistRegion", "crossings boundary_darts sign")):
 class ValidationReport(
     namedtuple(
         "ValidationReport",
-        "four_valent crossing_discs crossings_anchored components_meet_circles cellular",
+        "four_valent crossing_circles_bound_discs crossings_anchored components_meet_circles cellular",
     )
 ):
     __slots__ = ()

@@ -225,22 +225,11 @@ def _json_ints(value, field: str) -> tuple:
     return tuple(_json_int(x, field) for x in _json_list(value, field))
 
 
-def _curve_list(value, field: str, g: int) -> tuple:
-    """A curve given as a JSON list: a class vector when it has 2g
-    entries, else a word, whose length is capped as a text word's is."""
-    from .curves_mcg import require_word_length
-
-    curve = _json_ints(value, field)
-    if len(curve) != 2 * g:
-        require_word_length(len(curve))
-    return curve
-
-
-def _parse_curve_entry(entry, field: str, g: int):
+def _parse_curve_entry(entry, field: str):
     if isinstance(entry, str):
         return entry  # word text; split_curve parses it
     if isinstance(entry, list):
-        return _curve_list(entry, field, g)
+        return _json_ints(entry, field)
     raise ParseError(f"curve entry must be a word string or a list, got {type(entry)}")
 
 
@@ -256,7 +245,7 @@ def _parse_phi(entries, g: int):
         if isinstance(curve, str):
             curve = parse_curve_word(curve, g)
         else:
-            curve = _curve_list(curve, "phi", g)
+            curve = _json_ints(curve, "phi")
         letters.append((curve, _json_int(exp, "phi")))
     return MappingClassWord(tuple(letters), g)
 
@@ -279,8 +268,8 @@ def build_link_from_spec(spec: dict):
     base = _resolve_diagram(spec["base"], spec_dir)
     require_cellular(base)
     g = base.genus
-    gamma_odd = _parse_curve_entry(spec["gamma_odd"], "gamma_odd", g)
-    gamma_even = _parse_curve_entry(spec["gamma_even"], "gamma_even", g)
+    gamma_odd = _parse_curve_entry(spec["gamma_odd"], "gamma_odd")
+    gamma_even = _parse_curve_entry(spec["gamma_even"], "gamma_even")
     m = _json_int(spec["m"], "m")
     if m < 0:
         raise ParseError(f"spec field 'm' must be nonnegative, got {m}")

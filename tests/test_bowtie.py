@@ -134,6 +134,21 @@ def test_reglue_round_trip():
         ]
 
 
+@pytest.mark.parametrize("fills", [1, 3], ids=["one-slot", "three-slots"])
+def test_reglue_refuses_an_arc_not_in_two_slots(fills):
+    d = decompose(generate_fal(2, 4, seed=1))
+    slots = [list(s) for s in d.circle_slots]
+    arc = slots[0][0]
+    if fills == 1:
+        arc = 1 + max(e for s in slots for e in s)
+        slots[0][0] = arc
+    else:
+        k, pos = next((k, pos) for k, s in enumerate(slots) for pos, e in enumerate(s) if e != arc)
+        slots[k][pos] = arc
+    with pytest.raises(MalformedMap, match=f"arc {arc} does not have exactly two circle slots"):
+        reglue(d._replace(circle_slots=tuple(map(tuple, slots))))
+
+
 def test_decompose_relabel_invariant():
     from surflink.surface_map import CombinatorialMap
 
@@ -202,6 +217,11 @@ class TestVolumeBounds:
     def test_low_genus_rejected(self):
         with pytest.raises(GenusTooSmall):
             volume_bounds(1 + 3, 3, 1, 0, "TrivialMappingTorus")
+
+    @pytest.mark.parametrize("cusps, c, m", [(-1, 3, 0), (4, -1, 0), (4, 3, -1)], ids=["cusps", "c", "m"])
+    def test_negative_count_rejected(self, cusps, c, m):
+        with pytest.raises(MalformedMap, match="^counts must be nonnegative$"):
+            volume_bounds(cusps, c, 2, m, "MappingTorus")
 
     @pytest.mark.parametrize("m", [10**400, int(8.9e307)], ids=["past_float", "product_inf"])
     def test_lower_bound_past_the_largest_float_refused(self, m):

@@ -118,6 +118,17 @@ class TestValidateCommand:
         path.write_text("{")
         assert cli.main(["validate", str(path)]) == 2
 
+    def test_unknown_vertex_kind_exit_two(self, diagram_file, tmp_path, capsys):
+        d, _ = diagram_file
+        data = diagram_to_json_dict(d)
+        data["vertex_kind"][0] = "loop"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: vertex 0: unknown kind 'loop'\n"
+
     @pytest.mark.parametrize(
         "field,index,value",
         [
@@ -756,6 +767,27 @@ class TestDecomposeCommand:
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--genus", "2", "--circles", "4", "-o", ""],
+        ["fill", "{d}", "--t", "1,1,1,1", "-o", ""],
+        ["augment", "{d}", "-o", ""],
+        ["decompose", "{d}", "--export-gluing", ""],
+        ["decompose", "{d}", "--export-gluing", "", "--json"],
+    ],
+    ids=["generate", "fill", "augment", "decompose-text", "decompose-json"],
+)
+def test_empty_output_path_exits_two(argv, diagram_file, capsys):
+    """An empty output path is a path that cannot be written, not a
+    request for stdout or for no table."""
+    _, path = diagram_file
+    assert cli.main([arg.replace("{d}", path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 class TestBoundsCommand:
     def test_upper_only_for_trivial_kind(self, diagram_file, capsys):
         """The prism bound covers Sigma x S^1 over the base alone, so it is
@@ -999,6 +1031,15 @@ class TestFamilyCommand:
         spec = self._write_spec(tmp_path, path, extra)
         assert cli.main(["family", spec]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("entry", [["a1"], 5, ["a1", 1, 2]], ids=["one", "number", "three"])
+    def test_phi_entry_not_a_pair_exit_two(self, entry, diagram_file, tmp_path, capsys):
+        _, path = diagram_file
+        spec = self._write_spec(tmp_path, path, {"kind": "MappingTorus", "phi": [["a1", 1], entry]})
+        assert cli.main(["family", spec, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: phi letters must be [curve, exponent] pairs: {entry!r}\n"
 
     @pytest.mark.parametrize(
         "extra,name,cls",
@@ -1348,10 +1389,25 @@ class TestCurvesCommand:
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "words", [["intersect", "a1", "b1"], ["reduce", "a1b1"], ["conjugate", "a1", "b1"]]
+        "words, genus",
+        [
+            (["intersect", "a1", "b1"], "1"),
+            (["reduce", "a1b1"], "1"),
+            (["conjugate", "a1", "b1"], "1"),
+            (["intersect", "", ""], "0"),
+            (["reduce", "a1b1"], "0"),
+            (["conjugate", "a1", ""], "0"),
+            (["intersect", "a1", "b1"], "-1"),
+            (["reduce", ""], "-1"),
+            (["conjugate", "", ""], "-1"),
+        ],
+        ids=[f"words{i}" for i in range(9)],
     )
-    def test_genus_one_is_too_small(self, words, capsys):
-        assert cli.main(["curves", *words, "--genus", "1"]) == 2
+    def test_genus_one_is_too_small(self, words, genus, capsys):
+        """A genus below 2 is refused before any word is parsed, so an
+        empty word or a handle index past the genus does not decide the
+        message."""
+        assert cli.main(["curves", *words, "--genus", genus]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: GenusTooSmall: surface-group reduction needs genus >= 2\n"

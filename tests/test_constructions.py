@@ -14,13 +14,14 @@ from surflink.constructions import (
     fill_to_wga,
     plan_volume_target,
 )
-from surflink.curves_mcg import MappingClassWord, basis_class, split_curve, twist_action
+from surflink.curves_mcg import MAX_CURVE_WORD_LETTERS, MappingClassWord, basis_class, split_curve, twist_action
 from surflink.errors import (
     CoefficientCountMismatch,
     GenusMismatch,
     MonodromyActsTrivially,
     NoIntersectionCertificate,
     NonPositiveCoefficient,
+    ParseError,
     ZeroCoefficient,
 )
 from surflink.fal_diagram import (
@@ -52,6 +53,15 @@ class TestCurveClass:
 
     def test_short_word_tuple_abelianizes(self):
         assert split_curve((1, 2), 2)[1] == (1, 1, 0, 0)
+
+    def test_word_tuple_above_cap_refused(self):
+        with pytest.raises(ParseError, match=f"cap of {MAX_CURVE_WORD_LETTERS} letters"):
+            split_curve((1,) * (MAX_CURVE_WORD_LETTERS + 1), 2)
+        assert split_curve([1] * MAX_CURVE_WORD_LETTERS, 2)[1] == (MAX_CURVE_WORD_LETTERS, 0, 0, 0)
+
+    def test_list_of_2g_entries_is_a_class_not_a_word(self):
+        # Entries past the generator range show that no letter is checked.
+        assert split_curve([7, 0, -9, 0], 2) == (None, (7, 0, -9, 0))
 
 
 class TestBuildLayered:

@@ -73,6 +73,18 @@ class TestAlgebraicIntersection:
         assert lhs == rhs
 
 
+class TestBasisClass:
+    def test_signed_letters(self):
+        assert basis_class(4, 2) == (0, 0, 0, 1)
+        assert basis_class(-1, 2) == (-1, 0, 0, 0)
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_letter_outside_the_generators_refused(self, g):
+        for letter in (0, 2 * g + 1, -(2 * g + 1)):
+            with pytest.raises(ParseError, match=f"^letter {letter} outside generator range for genus {g}$"):
+                basis_class(letter, g)
+
+
 class TestTwistAction:
     @given(vectors(2), vectors(2), st.integers(-4, 4))
     def test_transvection_pairing_identity(self, alpha, gamma, t):
@@ -86,6 +98,10 @@ class TestTwistAction:
             twist_action(alpha, x, t), twist_action(alpha, y, t)
         )
         assert lhs == algebraic_intersection(x, y)
+
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            twist_action((1, 0), (1, 0, 0, 0))
 
     def test_inverse_twist_undoes(self):
         alpha = (1, 2, -1, 0, 3, 1)

@@ -267,7 +267,7 @@ class TestValidate:
         d = FalDiagram(m, genus(m), (CrossingCircle(),))
         report = validate_fal(d)
         assert not report.four_valent
-        assert not report.crossing_discs
+        assert not report.crossing_circles_bound_discs
 
     def test_component_missing_circle_fails(self):
         # Circle A, crossings B and C; one strand runs through B and C only.

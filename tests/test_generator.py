@@ -53,6 +53,12 @@ def test_low_genus_rejected():
         generate_fal(1, 3, seed=0)
 
 
+def test_no_insertion_tries_fails(monkeypatch):
+    monkeypatch.setattr(generator, "INSERT_TRIES", 0)
+    with pytest.raises(GenerationFailed, match=r"^could not generate a \(g=2, c=4\) diagram$"):
+        generate_fal(2, 4, seed=0)
+
+
 def test_reduced_no_small_faces():
     for seed in range(5):
         d = generate_fal(2, 8, seed=seed)

@@ -329,6 +329,15 @@ class TestTwoCut:
         with pytest.raises(InvalidCorridor):
             cut_along_two_cut(m, 0, 4, loop_face, loop_face)
 
+    def test_edge_outside_the_corridor_rejected(self):
+        # The loop edge 2 is not flanked by the two faces that flank edge 0.
+        m = loop_cluster()
+        fs = trace_faces(m)
+        fa, fb = sorted({fs.face_of[0], fs.face_of[1]})
+        assert {fs.face_of[2], fs.face_of[3]} != {fa, fb}
+        with pytest.raises(InvalidCorridor, match="edge 2 is not flanked by the two corridor faces"):
+            cut_along_two_cut(m, 0, 2, fa, fb)
+
 
 class TestSerialization:
     def test_round_trip(self):
