@@ -19,6 +19,7 @@ from functools import cached_property, lru_cache
 from itertools import permutations, product
 
 from .errors import (
+    Claim,
     DegenerateFace,
     GenusTooSmall,
     InternalInvariant,
@@ -33,7 +34,6 @@ __all__ = [
     "Nerve",
     "SurfaceTriangulation",
     "PrismTriangulation",
-    "VolumeBounds",
     "decompose",
     "reglue",
     "build_nerve",
@@ -297,13 +297,6 @@ _S3 = ((0, 0), (0, 1), (1, 1), (2, 1))
 _TET_LABELS = (_S1, _S2, _S3)
 
 
-class VolumeBounds(namedtuple("VolumeBounds", "v_tet lower upper")):
-    """upper is None unless the manifold is the unfilled TrivialMappingTorus
-    with no layer pairs."""
-
-    __slots__ = ()
-
-
 # The 24 permutations of (0, 1, 2, 3) in lexicographic order, the index of
 # each one's inverse, and the printed tail ",face,digits)" of a table entry
 # at 24 * (neighbour face) + (perm index).
@@ -454,16 +447,16 @@ def prism_triangulation(d: BowtieDecomposition) -> PrismTriangulation:
     return PrismTriangulation(3 * prisms, tuple(target), tuple(perm))
 
 
-def volume_bounds(cusps: int, c: int, g: int, m: int, kind: str, filled: bool = False) -> VolumeBounds:
-    """Adams's lower bound cusps * v_tet for a link of that many components,
-    counted by the caller, and the prism upper bound when the manifold is
-    the trivial mapping torus over the base diagram alone: m = 0 and no
-    fills.  The prisms triangulate Sigma x S^1 minus a diagram of circles
-    only; layer curves and fillings are not in that triangulation, so no
-    upper bound is claimed for them.  A base with crossings is itself a
-    filling, of the diagram its twist regions augment to, and its caller
-    passes filled=True.  A count whose bound is past the largest float
-    raises MalformedMap."""
+def volume_bounds(cusps: int, c: int, g: int, m: int, kind: str, filled: bool = False) -> tuple:
+    """(lower, upper) Claims: Adams's lower bound cusps * v_tet for a link
+    of that many components, counted by the caller, and the prism upper
+    bound when the manifold is the trivial mapping torus over the base
+    diagram alone: m = 0 and no fills.  The prisms triangulate Sigma x S^1
+    minus a diagram of circles only; layer curves and fillings are not in
+    that triangulation, so upper is None for them.  A base with crossings
+    is itself a filling, of the diagram its twist regions augment to, and
+    its caller passes filled=True.  Both bounds rest on hyperbolicity.  A
+    count whose bound is past the largest float raises MalformedMap."""
     if g < 2:
         raise GenusTooSmall("volume bounds require an ambient surface of genus >= 2")
     if min(cusps, c, m) < 0:
@@ -474,9 +467,10 @@ def volume_bounds(cusps: int, c: int, g: int, m: int, kind: str, filled: bool = 
         lower = math.inf
     if not math.isfinite(lower):
         raise MalformedMap("counts too large: the lower bound cusp_count * v_tet is not a finite float")
-    upper = None
-    if kind == "TrivialMappingTorus" and m == 0 and not filled:
-        upper = 6 * (3 * c + 2 * g - 2) * V_TET
-        if lower > upper:
-            raise InternalInvariant(f"volume lower bound {lower} exceeds upper bound {upper}")
-    return VolumeBounds(v_tet=V_TET, lower=lower, upper=upper)
+    adams = Claim("Adams", lower, ("hyperbolic",))
+    if kind != "TrivialMappingTorus" or m > 0 or filled:
+        return adams, None
+    upper = 6 * (3 * c + 2 * g - 2) * V_TET
+    if lower > upper:
+        raise InternalInvariant(f"volume lower bound {lower} exceeds upper bound {upper}")
+    return adams, Claim("prism count", upper, ("hyperbolic", "the prisms triangulate the link complement"))

@@ -175,9 +175,10 @@ def cmd_bounds(args) -> int:
     require_cellular(diagram)
     cusps = diagram.l + diagram.c + 2 * args.m
     # A diagram with crossings is a filling: no prism bound is claimed for it.
-    vb = volume_bounds(cusps, diagram.c, diagram.genus, args.m, args.kind, bool(diagram.crossings))
+    lower, upper = volume_bounds(cusps, diagram.c, diagram.genus, args.m, args.kind, bool(diagram.crossings))
     counts = {"g": diagram.genus, "c": diagram.c, "l": diagram.l, "m": args.m}
-    return _report(args, {"counts": counts, "lower": vb.lower, "upper": vb.upper, "kind": args.kind})
+    body = {"counts": counts, "lower": lower.value, "upper": upper and upper.value, "kind": args.kind}
+    return _report(args, body)
 
 
 def cmd_family(args) -> int:
@@ -188,12 +189,12 @@ def cmd_family(args) -> int:
     link = sio.build_link_from_spec(spec)
     base = link.family.base
     filled = bool(link.annular_coefficients or link.circle_coefficients or base.crossings)
-    vb = volume_bounds(link.cusp_count, base.c, base.genus, link.family.m, link.kind, filled)
+    lower, upper = volume_bounds(link.cusp_count, base.c, base.genus, link.family.m, link.kind, filled)
     body = {
         "kind": link.kind,
         "cusp_count": link.cusp_count,
         "counts": {"g": base.genus, "c": base.c, "l": base.l, "m": link.family.m},
-        "bounds": {"lower": vb.lower, "upper": vb.upper},
+        "bounds": {"lower": lower.value, "upper": upper and upper.value},
         "certificates": {
             "intersection": [link.family.certificate.kind, link.family.certificate.value],
             "monodromy": list(link.certificates),

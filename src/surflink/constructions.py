@@ -9,8 +9,8 @@ whose monodromy is certified on homology to move both classes, or the
 trivial mapping torus used for triangulation volume bounds.  Annular Dehn
 filling consumes the layer pairs (each filling spins transverse curves and
 costs two cusps); crossing-circle filling turns the base into an
-alternating twisted diagram.  Hyperbolicity is tracked as an assumption
-flag only.
+alternating twisted diagram.  Hyperbolicity is not checked; the volume
+bounds name it as a hypothesis.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from collections.abc import Sequence
 
 from .bowtie import V_TET
 from .curves_mcg import (
-    Certificate,
     MappingClassWord,
     acts_nontrivially,
     algebraic_intersection,
@@ -29,6 +28,7 @@ from .curves_mcg import (
     split_curve,
 )
 from .errors import (
+    Claim,
     CoefficientCountMismatch,
     GenusMismatch,
     MonodromyActsTrivially,
@@ -46,7 +46,6 @@ from .fal_diagram import (
 )
 
 __all__ = [
-    "IntersectionCertificate",
     "LayeredFamily",
     "ManifoldLink",
     "build_layered",
@@ -57,13 +56,6 @@ __all__ = [
     "fill_to_wga",
     "plan_volume_target",
 ]
-
-class IntersectionCertificate(namedtuple("IntersectionCertificate", "kind value")):
-    """How we know the two family curves intersect essentially: kind is
-    "homology", "oracle" or "asserted", value the count or None."""
-
-    __slots__ = ()
-
 
 class LayeredFamily(
     namedtuple(
@@ -76,7 +68,8 @@ class LayeredFamily(
 
     Odd-index pairs carry gamma_odd_class, even-index pairs
     gamma_even_class; smaller |i| lies nearer the projection surface.
-    base2 is the second base of a doubled family, otherwise None.
+    certificate is the Claim that the curves meet essentially; base2 is
+    the second base of a doubled family, otherwise None.
     """
 
     __slots__ = ()
@@ -86,8 +79,8 @@ class ManifoldLink(
     namedtuple(
         "ManifoldLink",
         "kind family monodromy annular_coefficients circle_coefficients "
-        "hyperbolic_assumed certificates filled_diagram wga_report twist_region_count",
-        defaults=(None, None, None, True, (), None, None, None),
+        "moves filled_diagram wga_report twist_region_count",
+        defaults=(None, None, None, (), None, None, None),
     )
 ):
     """A layered family embedded in a closed ambient manifold.
@@ -96,9 +89,21 @@ class ManifoldLink(
     "TrivialMappingTorus".  The monodromy is a MappingClassWord, the
     filled diagram a FalDiagram and its report a WgaReport, each None
     until set, as are the coefficient tuples and the twist-region count.
+    moves holds a mapping torus's Claims that the monodromy moves
+    gamma_odd and gamma_even, in that order.
     """
 
     __slots__ = ()
+
+    @property
+    def certificates(self) -> tuple:
+        """(name, "CertifiedNontrivial") for each class the monodromy moves."""
+        return tuple((name, "CertifiedNontrivial") for name, _ in zip(("gamma_odd", "gamma_even"), self.moves))
+
+    @property
+    def hyperbolic_assumed(self) -> bool:
+        """As the family report prints it; every kind's volume bounds rest on it."""
+        return self.kind != "TrivialMappingTorus"
 
     @property
     def cusp_count(self) -> int:
@@ -141,15 +146,15 @@ def build_layered(
             )
     pairing = algebraic_intersection(odd_class, even_class)
     if pairing != 0:
-        certificate = IntersectionCertificate("homology", pairing)
+        certificate = Claim("homology", pairing)
     else:
         oracle = None
         if odd_word is not None and even_word is not None:
             oracle = geometric_intersection_oracle(odd_word, even_word, g)
         if oracle:
-            certificate = IntersectionCertificate("oracle", oracle)
+            certificate = Claim("oracle", oracle, ("the curves are simple", "merge window |k|, |l| <= 4"))
         elif assert_intersection:
-            certificate = IntersectionCertificate("asserted", None)
+            certificate = Claim("asserted", None, ("the curves intersect essentially",))
         else:
             raise NoIntersectionCertificate(
                 "no evidence that the two curves intersect essentially"
@@ -181,29 +186,18 @@ def build_mapping_torus(
     to neither itself nor its negative.  An inconclusive class raises
     MonodromyActsTrivially."""
     family = family._replace(base=base)
-    names = ("gamma_odd", "gamma_even")
-    for name, cls in zip(names, (family.gamma_odd_class, family.gamma_even_class)):
-        if acts_nontrivially(phi, cls) is not Certificate.CertifiedNontrivial:
-            raise MonodromyActsTrivially(
-                f"monodromy action on {name} is homology-inconclusive"
-            )
-    return ManifoldLink(
-        kind="MappingTorus",
-        family=family,
-        monodromy=phi,
-        certificates=tuple((name, "CertifiedNontrivial") for name in names),
-    )
+    moves = ()
+    for name, cls in zip(("gamma_odd", "gamma_even"), (family.gamma_odd_class, family.gamma_even_class)):
+        moves += (acts_nontrivially(phi, cls),)
+        if moves[-1] is None:
+            raise MonodromyActsTrivially(f"monodromy action on {name} is homology-inconclusive")
+    return ManifoldLink(kind="MappingTorus", family=family, monodromy=phi, moves=moves)
 
 
 def build_trivial_torus(base: FalDiagram, family: LayeredFamily) -> ManifoldLink:
     """The product Sigma x S^1; the one ambient kind with a triangulation
     volume upper bound."""
-    family = family._replace(base=base)
-    return ManifoldLink(
-        kind="TrivialMappingTorus",
-        family=family,
-        hyperbolic_assumed=False,
-    )
+    return ManifoldLink(kind="TrivialMappingTorus", family=family._replace(base=base))
 
 
 def annular_fill(link: ManifoldLink, t: Sequence[int]) -> ManifoldLink:

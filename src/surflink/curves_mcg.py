@@ -14,7 +14,6 @@ tokens are concatenated with uppercase meaning inverse.
 
 from __future__ import annotations
 
-import enum
 import functools
 import re
 import sys
@@ -22,6 +21,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
 from .errors import (
+    Claim,
     GenusTooSmall,
     InternalInvariant,
     LengthBudgetExceeded,
@@ -35,7 +35,6 @@ __all__ = [
     "HomologyClass",
     "CurveWord",
     "MappingClassWord",
-    "Certificate",
     "algebraic_intersection",
     "twist_action",
     "mcg_apply",
@@ -54,11 +53,6 @@ __all__ = [
 
 HomologyClass = tuple  # length 2g, integer entries
 CurveWord = tuple  # nonzero signed generator indices
-
-
-class Certificate(enum.Enum):
-    CertifiedNontrivial = "CertifiedNontrivial"
-    Inconclusive = "Inconclusive"
 
 
 # -- homology engine ---------------------------------------------------------
@@ -145,14 +139,15 @@ def mcg_apply(phi: MappingClassWord, x: HomologyClass) -> HomologyClass:
     return out
 
 
-def acts_nontrivially(phi: MappingClassWord, gamma: HomologyClass) -> Certificate:
+def acts_nontrivially(phi: MappingClassWord, gamma: HomologyClass) -> Claim | None:
+    """Claim("homology", True) when phi maps the class to neither itself nor
+    its negative, so moves every curve of it; None when homology cannot tell."""
     if all(v == 0 for v in gamma):
         raise ZeroClass("the zero class carries no curve")
     image = mcg_apply(phi, gamma)
-    minus = tuple(-v for v in gamma)
-    if image != tuple(gamma) and image != minus:
-        return Certificate.CertifiedNontrivial
-    return Certificate.Inconclusive
+    if image != tuple(gamma) and image != tuple(-v for v in gamma):
+        return Claim("homology", True)
+    return None
 
 
 # -- word level: Dehn's algorithm --------------------------------------------

@@ -1,4 +1,14 @@
-"""Exception hierarchy shared by all surflink modules."""
+"""Exception hierarchy and the Claim record shared by all surflink modules."""
+
+from collections import namedtuple
+
+
+class Claim(namedtuple("Claim", "kind value hypotheses", defaults=((),))):
+    """A value and how it is known.  kind names the proof ("homology",
+    "oracle", "Adams", "prism count"), or is "asserted" for a value taken
+    unproved from the input; hypotheses names what the value rests on."""
+
+    __slots__ = ()
 
 
 class SurflinkError(Exception):

@@ -13,6 +13,7 @@ from collections import namedtuple
 from functools import cached_property
 
 from .errors import (
+    Claim,
     FillTooLarge,
     InternalInvariant,
     MalformedMap,
@@ -262,7 +263,7 @@ class WgaReport(
 ):
     """The WGA conditions as flags; weakly_prime_witness is None or the
     edge pair (e1, e2) that `check_weakly_prime` returned, and
-    representativity reads "InfiniteIncompressible" or "NotChecked"."""
+    representativity is None (not checked) or a Claim of its value."""
 
     __slots__ = ()
 
@@ -274,7 +275,8 @@ class WgaReport(
             and self.crossing_per_component
             and self.checkerboard
             and self.alternating
-            and self.representativity == "InfiniteIncompressible"
+            and self.representativity is not None
+            and self.representativity.value >= 4
         )
 
 
@@ -569,13 +571,15 @@ def check_weakly_prime(diagram: FalDiagram):
 
 def check_wga(diagram: FalDiagram, surface_incompressible: bool) -> WgaReport:
     """The WGA conditions as flags, with the weak-primeness witness; every
-    strand must meet a crossing."""
+    strand must meet a crossing.  The caller's surface_incompressible is
+    asserted, not checked: it makes the representativity infinite."""
     m = diagram.map
     try:
         alternating = check_alternating(diagram)
     except UnfilledCircle:
         alternating = False
     weakly_prime, witness = check_weakly_prime(diagram)
+    incompressible = Claim("asserted", float("inf"), ("the projection surface is incompressible",))
     return WgaReport(
         weakly_prime=weakly_prime,
         weakly_prime_witness=witness,
@@ -583,7 +587,7 @@ def check_wga(diagram: FalDiagram, surface_incompressible: bool) -> WgaReport:
         crossing_per_component=_strands_meet(diagram, set(diagram.crossings)),
         checkerboard=checkerboard_coloring(m) is not None,
         alternating=alternating,
-        representativity="InfiniteIncompressible" if surface_incompressible else "NotChecked",
+        representativity=incompressible if surface_incompressible else None,
     )
 
 

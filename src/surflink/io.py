@@ -130,6 +130,8 @@ def dumps_json(data) -> str:
 
 def write_text(path: str, text: str) -> None:
     """Write `text` to `path`; a path that cannot be written is bad input."""
+    if not path:
+        raise ParseError("the output path is empty")
     try:
         with open(path, "w") as fh:
             fh.write(text)

@@ -124,12 +124,12 @@ def test_criterion_3_triangulation_counts_and_closure():
 
 def test_criterion_4_bound_values():
     ok = f"{V_TET:.5f}".startswith("1.01494")
-    vb1 = volume_bounds(1 + 3, 3, 2, 0, "TrivialMappingTorus")
-    vb2 = volume_bounds(1 + 6, 6, 2, 0, "TrivialMappingTorus")
-    ok = ok and math.isclose(vb1.upper, 66 * V_TET, abs_tol=1e-9)
-    ok = ok and math.isclose(vb2.upper, 120 * V_TET, abs_tol=1e-9)
+    upper1 = volume_bounds(1 + 3, 3, 2, 0, "TrivialMappingTorus")[1].value
+    upper2 = volume_bounds(1 + 6, 6, 2, 0, "TrivialMappingTorus")[1].value
+    ok = ok and math.isclose(upper1, 66 * V_TET, abs_tol=1e-9)
+    ok = ok and math.isclose(upper2, 120 * V_TET, abs_tol=1e-9)
     ok = ok and math.isclose(
-        vb1.upper, 6 * (3 * 3 + 2 * 2 - 2) * V_TET, abs_tol=1e-9
+        upper1, 6 * (3 * 3 + 2 * 2 - 2) * V_TET, abs_tol=1e-9
     )
     _report(4, "volume bound values", ok)
     assert ok

@@ -19,6 +19,7 @@ from surflink.bowtie import (
     volume_bounds,
 )
 from surflink.errors import (
+    Claim,
     DegenerateFace,
     GenusTooSmall,
     InternalInvariant,
@@ -170,15 +171,26 @@ class TestVolumeBounds:
         assert f"{V_TET:.5f}".startswith("1.01494")
 
     def test_spot_values(self):
-        vb = volume_bounds(1 + 3, 3, 2, 0, "TrivialMappingTorus")
-        assert math.isclose(vb.lower, 4 * V_TET, abs_tol=1e-9)
-        assert math.isclose(vb.upper, 66 * V_TET, abs_tol=1e-9)
-        vb = volume_bounds(1 + 6, 6, 2, 0, "TrivialMappingTorus")
-        assert math.isclose(vb.upper, 120 * V_TET, abs_tol=1e-9)
+        lower, upper = volume_bounds(1 + 3, 3, 2, 0, "TrivialMappingTorus")
+        assert math.isclose(lower.value, 4 * V_TET, abs_tol=1e-9)
+        assert math.isclose(upper.value, 66 * V_TET, abs_tol=1e-9)
+        lower, upper = volume_bounds(1 + 6, 6, 2, 0, "TrivialMappingTorus")
+        assert math.isclose(upper.value, 120 * V_TET, abs_tol=1e-9)
 
     def test_upper_only_for_trivial_torus(self):
-        assert volume_bounds(1 + 3, 3, 2, 0, "MappingTorus").upper is None
-        assert volume_bounds(1 + 3 + 2 * 2, 3, 2, 2, "DoubledThickenedSurface").upper is None
+        assert volume_bounds(1 + 3, 3, 2, 0, "MappingTorus")[1] is None
+        assert volume_bounds(1 + 3 + 2 * 2, 3, 2, 2, "DoubledThickenedSurface")[1] is None
+
+    @pytest.mark.parametrize("kind", ["TrivialMappingTorus", "MappingTorus", "DoubledThickenedSurface"])
+    def test_bounds_are_claims_that_name_their_hypotheses(self, kind):
+        lower, upper = volume_bounds(1 + 3, 3, 2, 0, kind)
+        assert lower == Claim("Adams", 4 * V_TET, ("hyperbolic",))
+        if kind == "TrivialMappingTorus":
+            assert upper == Claim(
+                "prism count", 66 * V_TET, ("hyperbolic", "the prisms triangulate the link complement")
+            )
+        else:
+            assert upper is None
 
     @given(
         st.integers(0, 300),
@@ -190,9 +202,9 @@ class TestVolumeBounds:
     )
     def test_printed_lower_never_exceeds_printed_upper(self, c, g, l, m, kind, filled):
         l = min(l, 2 * c)  # a 4-valent map has 2c edges, so at most 2c strands
-        vb = volume_bounds(l + c + 2 * m, c, g, m, kind, filled)
-        assert (vb.upper is not None) == (kind == "TrivialMappingTorus" and m == 0 and not filled)
-        assert vb.upper is None or vb.lower <= vb.upper
+        lower, upper = volume_bounds(l + c + 2 * m, c, g, m, kind, filled)
+        assert (upper is not None) == (kind == "TrivialMappingTorus" and m == 0 and not filled)
+        assert upper is None or lower.value <= upper.value
 
     @given(
         st.integers(0, 300),
@@ -206,9 +218,9 @@ class TestVolumeBounds:
         circle of generate_fal(2, 25, seed=3) with t = 1 leaves c = 0 and
         l = 13.  Such a base is a filling, so no upper bound is claimed
         and no strand count raises."""
-        vb = volume_bounds(l + c + 2 * m, c, g, m, kind, True)
-        assert vb.upper is None
-        assert vb.lower == (l + c + 2 * m) * V_TET
+        lower, upper = volume_bounds(l + c + 2 * m, c, g, m, kind, True)
+        assert upper is None
+        assert lower.value == (l + c + 2 * m) * V_TET
 
     def test_lower_above_upper_is_an_internal_error(self):
         with pytest.raises(InternalInvariant, match="exceeds"):
@@ -229,11 +241,11 @@ class TestVolumeBounds:
         v_tet it overflows to infinity."""
         with pytest.raises(MalformedMap, match="not a finite float"):
             volume_bounds(1 + 3 + 2 * m, 3, 2, m, "MappingTorus")
-        assert math.isfinite(volume_bounds(1 + 3 + 2 * int(8.8e307), 3, 2, int(8.8e307), "MappingTorus").lower)
+        assert math.isfinite(volume_bounds(1 + 3 + 2 * int(8.8e307), 3, 2, int(8.8e307), "MappingTorus")[0].value)
 
     def test_planning_lower_bound(self):
-        vb = volume_bounds(1 + 3 + 2 * 50, 3, 2, 50, "MappingTorus")
-        assert vb.lower > 2 * 50 * V_TET - 1e-9
+        lower, _ = volume_bounds(1 + 3 + 2 * 50, 3, 2, 50, "MappingTorus")
+        assert lower.value > 2 * 50 * V_TET - 1e-9
         assert 2 * 50 * V_TET > 100
 
 
@@ -765,8 +777,8 @@ def test_bowtie_records_are_values():
         "BowtieDecomposition(genus=2, c=0, white=(), circle_slots=(), half_twists=())"
     )
     assert repr(volume_bounds(2 + 0, 0, 2, 0, "MappingTorus")) == (
-        "VolumeBounds(v_tet=1.0149416064096537, lower=2.0298832128193074, upper=None)"
+        "(Claim(kind='Adams', value=2.0298832128193074, hypotheses=('hyperbolic',)), None)"
     )
-    bounds = volume_bounds(1 + 4 + 2 * 2, 4, 2, 2, "TrivialMappingTorus")
-    for record in (d, build_nerve(d), d.boundary, prism_triangulation(d), bounds):
+    lower, upper = volume_bounds(1 + 4, 4, 2, 0, "TrivialMappingTorus")
+    for record in (d, build_nerve(d), d.boundary, prism_triangulation(d), lower, upper):
         check_value_record(record)

@@ -4,7 +4,6 @@ import pytest
 
 from surflink.bowtie import V_TET, volume_bounds
 from surflink.constructions import (
-    IntersectionCertificate,
     ManifoldLink,
     build_doubled,
     build_layered,
@@ -16,6 +15,7 @@ from surflink.constructions import (
 )
 from surflink.curves_mcg import MAX_CURVE_WORD_LETTERS, MappingClassWord, basis_class, split_curve, twist_action
 from surflink.errors import (
+    Claim,
     CoefficientCountMismatch,
     GenusMismatch,
     MonodromyActsTrivially,
@@ -27,10 +27,12 @@ from surflink.errors import (
 from surflink.fal_diagram import (
     CrossingCircle,
     FalDiagram,
+    check_wga,
     detect_twist_regions,
     fill_crossing_circle,
 )
 from surflink.generator import generate_fal
+from surflink.io import build_link_from_spec, diagram_to_json_dict
 from surflink.surface_map import CombinatorialMap
 from test_surface_map import check_value_record
 
@@ -68,12 +70,12 @@ class TestBuildLayered:
     def test_m_zero_is_base_alone(self):
         fam = build_layered(base_diagram(), A1, B1, 0)
         assert fam.m == 0
-        assert fam.certificate == IntersectionCertificate("homology", 1)
+        assert fam.certificate == Claim("homology", 1)
 
     def test_parity_and_pairing(self):
         fam = build_layered(base_diagram(), "a1", (0, 1, 0, 0), 3)
         assert (fam.gamma_odd_class, fam.gamma_even_class, fam.m) == (A1, B1, 3)
-        assert fam.certificate == IntersectionCertificate("homology", 1)
+        assert fam.certificate == Claim("homology", 1)
 
     def test_no_certificate(self):
         with pytest.raises(NoIntersectionCertificate):
@@ -91,7 +93,7 @@ class TestBuildLayered:
 
     def test_word_inputs_get_certificates(self):
         fam = build_layered(base_diagram(), "a1", "b1", 1)
-        assert fam.certificate == IntersectionCertificate("homology", 1)
+        assert fam.certificate == Claim("homology", 1)
 
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):
@@ -263,9 +265,9 @@ class TestPlanVolumeTarget:
         base = generate_fal(2, 4, seed=0)
         m = plan_volume_target(100)
         link = build_trivial_torus(base, build_layered(base, A1, B1, m))
-        vb = volume_bounds(base.l + base.c + 2 * m, base.c, base.genus, m, link.kind)
-        assert vb.lower > 2 * m * V_TET - 1e-9
-        assert vb.lower > 100
+        lower, _ = volume_bounds(base.l + base.c + 2 * m, base.c, base.genus, m, link.kind)
+        assert lower.value > 2 * m * V_TET - 1e-9
+        assert lower.value > 100
 
 
 class TestConstancySweep:
@@ -292,16 +294,75 @@ def test_family_records_are_values():
     assert repr(family).startswith("LayeredFamily(base=FalDiagram(")
     assert repr(family).endswith(
         "gamma_odd_class=(1, 0, 0, 0), gamma_even_class=(0, 1, 0, 0), m=2, "
-        "certificate=IntersectionCertificate(kind='homology', value=1), base2=None)"
+        "certificate=Claim(kind='homology', value=1, hypotheses=()), base2=None)"
     )
-    assert repr(family.certificate) == "IntersectionCertificate(kind='homology', value=1)"
+    assert repr(family.certificate) == "Claim(kind='homology', value=1, hypotheses=())"
     assert repr(link).startswith("ManifoldLink(kind='TrivialMappingTorus', family=LayeredFamily(base=FalDiagram(")
     assert repr(link).endswith(
         "monodromy=None, annular_coefficients=None, circle_coefficients=None, "
-        "hyperbolic_assumed=False, certificates=(), filled_diagram=None, wga_report=None, "
-        "twist_region_count=None)"
+        "moves=(), filled_diagram=None, wga_report=None, twist_region_count=None)"
     )
-    assert link == ManifoldLink("TrivialMappingTorus", family, hyperbolic_assumed=False)
+    assert link == ManifoldLink("TrivialMappingTorus", family)
     check_value_record(family.certificate)
     check_value_record(family, hashable=False)
     check_value_record(link, hashable=False)
+
+
+def mapping_torus_spec(base, **extra):
+    return {
+        "kind": "MappingTorus",
+        "base": diagram_to_json_dict(base),
+        "phi": [["a1", 1], ["b1", 1]],
+        "gamma_odd": "a1",
+        "gamma_even": "b1",
+        "m": 2,
+        **extra,
+    }
+
+
+class TestClaims:
+    def test_asserted_intersection_names_its_hypothesis(self):
+        link = build_link_from_spec(
+            mapping_torus_spec(base_diagram(c=4), kind="TrivialMappingTorus", gamma_even="a2", assert_intersection=True)
+        )
+        claim = link.family.certificate
+        assert (claim.kind, claim.value) == ("asserted", None)
+        assert claim.hypotheses == ("the curves intersect essentially",)
+
+    def test_oracle_intersection_names_what_it_rests_on(self):
+        # b1 and a1a2A1A2 pair to zero on homology; the oracle finds 2.
+        claim = build_layered(base_diagram(c=4), "b1", "a1a2A1A2", 1).certificate
+        assert claim[:2] == ("oracle", 2)
+        assert "the curves are simple" in claim.hypotheses
+
+    def test_monodromy_claims_are_homology_proofs(self):
+        link = build_link_from_spec(mapping_torus_spec(base_diagram(c=4)))
+        assert link.moves == (Claim("homology", True), Claim("homology", True))
+
+    @pytest.mark.parametrize("name", ["certificates", "hyperbolic_assumed"])
+    def test_read_only_properties(self, name):
+        base = base_diagram(c=4)
+        link = build_trivial_torus(base, build_layered(base, "a1", "b1", 1))
+        assert name not in ManifoldLink._fields
+        with pytest.raises(AttributeError):
+            setattr(link, name, None)
+
+
+def test_names_the_benchmark_harness_reads():
+    """perfbench/workloads.py reads these names of the library in-process,
+    so a change to any of them fails here before it breaks a benchmark run."""
+    base = base_diagram(c=4)
+    link = build_link_from_spec(mapping_torus_spec(base))
+    assert link.kind == "MappingTorus"
+    assert link.cusp_count == base.l + base.c + 4
+    assert (link.family.certificate.kind, link.family.certificate.value) == ("homology", 1)
+    assert link.certificates == (("gamma_odd", "CertifiedNontrivial"), ("gamma_even", "CertifiedNontrivial"))
+    assert link.hyperbolic_assumed is True
+    trivial = build_link_from_spec(mapping_torus_spec(base, kind="TrivialMappingTorus"))
+    assert (trivial.certificates, trivial.hyperbolic_assumed) == ((), False)
+    wga = fill_to_wga(build_trivial_torus(base, build_layered(base, "a1", "b1", 1)), [1] * base.c)
+    assert wga.filled_diagram.c == 0
+    assert wga.twist_region_count == base.c
+    report = check_wga(wga.filled_diagram, surface_incompressible=True)
+    assert wga.wga_report == report
+    assert wga.wga_report.wga_positive is report.weakly_prime

@@ -10,7 +10,7 @@ empty diagram."""
 
 import random
 
-from surflink.errors import SurflinkError, UnfilledCircle
+from surflink.errors import Claim, SurflinkError, UnfilledCircle
 from surflink.fal_diagram import (
     ValidationReport,
     WgaReport,
@@ -51,6 +51,9 @@ def reference_validate_fal(diagram):
     return ValidationReport(four_valent, crossing_discs, anchored, meet, cellular)
 
 
+INCOMPRESSIBLE = Claim("asserted", float("inf"), ("the projection surface is incompressible",))
+
+
 def reference_check_wga(diagram, surface_incompressible):
     """The former check_wga: every strand is walked for a crossing."""
     m = diagram.map
@@ -70,7 +73,7 @@ def reference_check_wga(diagram, surface_incompressible):
         crossing_per_component=per_component,
         checkerboard=checkerboard_coloring(m) is not None,
         alternating=alternating,
-        representativity="InfiniteIncompressible" if surface_incompressible else "NotChecked",
+        representativity=INCOMPRESSIBLE if surface_incompressible else None,
     )
 
 

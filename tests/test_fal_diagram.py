@@ -314,8 +314,14 @@ class TestWga:
         signs = choose_alternating_signs(d)
         filled = fill_all(d, {k: signs[k] for k in range(6)})
         report = check_wga(filled, surface_incompressible=False)
-        assert report.representativity == "NotChecked"
+        assert report.representativity is None
         assert not report.wga_positive
+
+    def test_incompressible_surface_is_asserted(self):
+        d = generate_fal(2, 6, seed=4, require_checkerboard=True)
+        filled = fill_all(d, dict(zip(d.circles, choose_alternating_signs(d))))
+        claim = check_wga(filled, surface_incompressible=True).representativity
+        assert claim == ("asserted", float("inf"), ("the projection surface is incompressible",))
 
     def test_non_alternating_reported(self):
         filled = fill_all(
