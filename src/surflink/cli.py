@@ -140,8 +140,10 @@ def cmd_decompose(args) -> int:
 
     diagram = sio.load_diagram(args.path)
     table = args.export_gluing
-    if table is not None and os.path.exists(table) and os.path.samefile(table, args.path):
-        raise ParseError(f"{table}: the gluing table would overwrite the input diagram")
+    if table is not None:
+        sio.require_output_path(table)
+        if os.path.exists(table) and os.path.samefile(table, args.path):
+            raise ParseError(f"{table}: the gluing table would overwrite the input diagram")
     d = decompose(diagram)
     nerve = build_nerve(d)
     body = {

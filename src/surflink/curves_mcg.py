@@ -188,7 +188,7 @@ def _direction_order(g: int) -> dict:
 @functools.lru_cache(maxsize=None)
 def _piece_units(g: int) -> tuple:
     """(width, fmt, R, code, doubled): the letter code that Dehn reduction
-    and the conjugacy closure's swaps hold their words in, at genus g.
+    and the conjugacy closure hold their words in, at genus g.
 
     A letter x has four numbers mod 4g: its position p in R, the position q
     of its inverse, p + 1 and q - 1.  Each is a native unsigned integer of
@@ -211,12 +211,6 @@ def _piece_units(g: int) -> tuple:
     return width, fmt, R, code, doubled
 
 
-def _decode(code: bytes, g: int) -> CurveWord:
-    """The word that a letter code of _piece_units holds."""
-    _, fmt, R, _, _ = _piece_units(g)
-    return tuple(map(R.__getitem__, memoryview(code[::4]).cast(fmt)))
-
-
 def dehn_reduce(w: CurveWord, g: int) -> CurveWord:
     """Cyclically reduced form with no subword longer than half the surface
     relator; length-nonincreasing and idempotent.
@@ -232,10 +226,12 @@ def dehn_reduce(w: CurveWord, g: int) -> CurveWord:
     word = _cyclic_reduce(w)
     if len(word) <= 2 * g:
         return word
-    width, _, _, code_of, doubled = _piece_units(g)
+    width, fmt, R, code_of, doubled = _piece_units(g)
     code = b"".join(map(code_of.__getitem__, word))
     reduced = _reduce_code(code, len(word), g, width, doubled)
-    return word if reduced is code else _decode(reduced, g)
+    if reduced is code:
+        return word
+    return tuple(map(R.__getitem__, memoryview(reduced[::4]).cast(fmt)))
 
 
 def _reduce_code(code: bytes, n: int, g: int, w: int, doubled: tuple) -> bytes:
@@ -319,47 +315,49 @@ def _replace_piece(code: bytes, n: int, g: int, w: int, doubled: tuple, length: 
     return word[trim * r : (size - trim) * r], size - 2 * trim
 
 
-def _half_relator_swaps(word: CurveWord, g: int) -> set:
+def _half_relator_swaps(code: bytes, n: int, g: int) -> set:
     """The Dehn reductions of the half-relator swaps of a Dehn-reduced
-    cyclic word: for each cyclic position of a piece of exactly 2g letters
-    of R or R^-1, a run of 2g - 1 zero bytes of _links, the word that
-    _replace_piece makes of it, reduced by _reduce_code."""
-    if len(word) < 2 * g:
+    cyclic word, given as its letter code of n letters: for each cyclic
+    position of a piece of exactly 2g letters of R or R^-1, a run of 2g - 1
+    zero bytes of _links, the code that _replace_piece makes of it, reduced
+    by _reduce_code."""
+    if n < 2 * g:
         return set()
-    width, _, _, code_of, doubled = _piece_units(g)
-    code = b"".join(map(code_of.__getitem__, word))
+    width, _, _, _, doubled = _piece_units(g)
     zeros = bytes(2 * g - 1)
     swaps = set()
     for kind, pairs in enumerate(_links(code, width, 2 * g - 1)):
         at = pairs.find(zeros)
         while at >= 0:
-            swaps.add(_replace_piece(code, len(word), g, width, doubled, 2 * g, at, kind))
+            swaps.add(_replace_piece(code, n, g, width, doubled, 2 * g, at, kind))
             at = pairs.find(zeros, at + 1)
-    return {_decode(_reduce_code(*swap, g, width, doubled), g) for swap in swaps}
+    return {_reduce_code(*swap, g, width, doubled) for swap in swaps}
 
 
-def _conjugacy_key(w: CurveWord, g: int, budget: int) -> tuple:
-    """The least word in the closure of w's Dehn reduction under rotation
-    and Dehn-reduced half-relator swaps (2g letters to the inverse of the
-    other half), closed over cyclic words: each is stored once, keyed by
-    its least rotation, and expanded once.  This is exact: a swap is the
-    rest of the cyclic word after the piece followed by the piece's
+def _conjugacy_key(w: CurveWord, g: int, budget: int) -> bytes:
+    """The least letter code in the closure of w's Dehn reduction under
+    rotation and Dehn-reduced half-relator swaps (2g letters to the inverse
+    of the other half), closed over cyclic words: each is stored once,
+    keyed by its least rotation, and expanded once.  This is exact: a swap
+    is the rest of the cyclic word after the piece followed by the piece's
     replacement, which does not depend on the rotation the word starts at.
     So every rotation has the same swaps, the closure reaches the same
     cyclic words as one over every rotation, and the least of their least
-    rotations is the least word of the rotation-closed class."""
+    rotations names the rotation-closed class."""
     if len(w) > budget:
         raise LengthBudgetExceeded(f"word of length {len(w)} exceeds budget {budget}")
+    width, _, _, code_of, _ = _piece_units(g)
+    r = 4 * width
     seen = set()
-    frontier = [dehn_reduce(w, g)]
+    frontier = [b"".join(map(code_of.__getitem__, dehn_reduce(w, g)))]
     while frontier:
-        word = frontier.pop()
-        # The least rotation starts at an occurrence of the least letter.
-        least = min(word, default=None)
-        key = min((word[i:] + word[:i] for i, x in enumerate(word) if x == least), default=word)
+        code = frontier.pop()
+        # The least rotation starts at a letter whose first byte is least.
+        least = min(code[::r], default=None)
+        key = min((code[i:] + code[:i] for i in range(0, len(code), r) if code[i] == least), default=code)
         if key not in seen:
             seen.add(key)
-            frontier += _half_relator_swaps(key, g)
+            frontier += _half_relator_swaps(key, len(key) // r, g)
     return min(seen)
 
 

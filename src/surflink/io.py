@@ -128,10 +128,15 @@ def dumps_json(data) -> str:
     return json_text(data, sort_keys=True, indent=2) + "\n"
 
 
-def write_text(path: str, text: str) -> None:
-    """Write `text` to `path`; a path that cannot be written is bad input."""
+def require_output_path(path: str) -> None:
+    """An empty output path names no file: it is bad input."""
     if not path:
         raise ParseError("the output path is empty")
+
+
+def write_text(path: str, text: str) -> None:
+    """Write `text` to `path`; a path that cannot be written is bad input."""
+    require_output_path(path)
     try:
         with open(path, "w") as fh:
             fh.write(text)

@@ -1219,6 +1219,22 @@ def test_unwritable_output_exits_two(argv, target, diagram_file, tmp_path, capsy
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_empty_export_path_is_refused_before_decomposing(json_flag, diagram_file, monkeypatch, capsys):
+    """`decompose --export-gluing ""` is refused after the diagram is read,
+    like the overwrite refusal, without decomposing it first."""
+    _, path = diagram_file
+
+    def refuse(diagram):
+        raise AssertionError("decompose ran before the empty path was refused")
+
+    monkeypatch.setattr(bowtie, "decompose", refuse)
+    assert cli.main(["decompose", path, "--export-gluing", "", *json_flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the output path is empty\n"
+
+
 @pytest.mark.parametrize("table", ["d.json", "./d.json"])
 def test_export_over_the_input_exits_two(table, diagram_file, tmp_path, monkeypatch, capsys):
     """`decompose d.json --export-gluing d.json` used to replace the

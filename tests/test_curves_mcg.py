@@ -230,7 +230,7 @@ class TestDehnReduce:
         has no half-relator swaps."""
         word = (1, 2 * g, -1, -2 * g) * (g // 2 + 1)
         assert dehn_reduce(word, g) == word
-        assert _half_relator_swaps(word, g) == set()
+        assert _half_relator_swaps(encode(word, g), len(word), g) == set()
 
     @given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3, 4, -4]), max_size=12))
     @settings(max_examples=150)
@@ -239,6 +239,32 @@ class TestDehnReduce:
         once = dehn_reduce(tuple(letters), g)
         assert len(once) <= len(letters)
         assert dehn_reduce(once, g) == once
+
+
+def encode(word: tuple, g: int) -> bytes:
+    """The letter code of _piece_units that holds word."""
+    code_of = curves_mcg._piece_units(g)[3]
+    return b"".join(code_of[x] for x in word)
+
+
+def decode(code: bytes, g: int) -> tuple:
+    """The word that a letter code holds, read back through the inverse of
+    the per-letter table, one letter's bytes at a time."""
+    code_of = curves_mcg._piece_units(g)[3]
+    letter_of = {c: x for x, c in code_of.items()}
+    r = len(code_of[1])
+    assert len(code) % r == 0
+    return tuple(letter_of[code[i : i + r]] for i in range(0, len(code), r))
+
+
+def least_encoded_form(w, g, budget):
+    """The least letter code among the former closure's forms of w."""
+    return min(encode(form, g) for form in reference_class_forms(w, g, budget))
+
+
+def half_relator_swaps(word, g):
+    """_half_relator_swaps of a word, read back as words."""
+    return {decode(code, g) for code in _half_relator_swaps(encode(word, g), len(word), g)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -467,6 +493,20 @@ def words_with_relator_pieces(draw, g):
     return tuple(word)
 
 
+def _seeded_piece_word(rng, g, pieces):
+    """Up to 6 random letters with the given number of relator pieces of
+    2g - 1 to 2g + 1 letters inserted: a seeded words_with_relator_pieces."""
+    R = surface_relator(g)
+    letters = [s * x for x in range(1, 2 * g + 1) for s in (1, -1)]
+    word = [rng.choice(letters) for _ in range(rng.randint(0, 6))]
+    for _ in range(pieces):
+        rel = R if rng.random() < 0.5 else _inverse_word(R)
+        start = rng.randrange(4 * g)
+        at = rng.randint(0, len(word))
+        word[at:at] = (rel + rel)[start : start + rng.randint(2 * g - 1, 2 * g + 1)]
+    return tuple(word)
+
+
 @st.composite
 def conjugacy_cases(draw, genera=(2, 3)):
     """A genus, a word, and a second word that is unrelated, a conjugate of
@@ -481,17 +521,22 @@ def conjugacy_cases(draw, genera=(2, 3)):
     return g, w1, x + w + _inverse_word(x)
 
 
+def check_against_the_former_closure(g, w1, w2, budget=64):
+    """Each word's key is the least encoded form of the former closure, and
+    conjugacy_equal gives reference_conjugacy_equal's answer under both
+    up_to_inverse values; those answers, in that order."""
+    for w in (w1, w2):
+        assert _conjugacy_key(w, g, budget) == least_encoded_form(w, g, budget), w
+    answers = [conjugacy_equal(w1, w2, g, budget=budget, up_to_inverse=u) for u in (False, True)]
+    assert answers == [reference_conjugacy_equal(w1, w2, g, u, budget=budget) for u in (False, True)], (w1, w2)
+    return answers
+
+
 class TestConjugacyKey:
     @settings(max_examples=120, deadline=None)
     @given(conjugacy_cases())
     def test_matches_the_former_rotation_closure(self, case):
-        g, w1, w2 = case
-        for w in (w1, w2):
-            assert _conjugacy_key(w, g, 64) == min(reference_class_forms(w, g, 64))
-        for up_to_inverse in (False, True):
-            assert conjugacy_equal(w1, w2, g, up_to_inverse=up_to_inverse) == (
-                reference_conjugacy_equal(w1, w2, g, up_to_inverse)
-            )
+        check_against_the_former_closure(*case)
 
     @settings(max_examples=25, deadline=None)
     @given(conjugacy_cases(genera=(70,)))
@@ -501,22 +546,45 @@ class TestConjugacyKey:
     def test_two_byte_swaps_match_the_former_rotation_closure(self, case):
         """At g = 70 the letter code's numbers are 2 bytes wide; a budget of
         200 letters admits the 2g-letter pieces that the cases insert."""
-        g, w1, w2 = case
-        for w in (w1, w2):
-            assert _conjugacy_key(w, g, 200) == min(reference_class_forms(w, g, 200))
-        for up_to_inverse in (False, True):
-            assert conjugacy_equal(w1, w2, g, budget=200, up_to_inverse=up_to_inverse) == (
-                reference_conjugacy_equal(w1, w2, g, up_to_inverse, budget=200)
-            )
+        check_against_the_former_closure(*case, budget=200)
+
+    @pytest.mark.parametrize("g, count, pieces", [(2, 200, 2), (3, 200, 2), (70, 3, 1)])
+    def test_seeded_batch_matches_the_former_rotation_closure(self, g, count, pieces):
+        """A fixed seeded batch: a word with half-relator pieces against a
+        conjugate of itself or of its inverse by a random conjugator, with
+        one or two rotations of R or R^-1 inserted, or against an unrelated
+        word.  Each pair's budget is its longer word's length, so it admits
+        the inserted rotations, 4g letters each; Dehn reduction removes
+        them."""
+        rng = random.Random(300 + g)
+        R = surface_relator(g)
+        answers = []
+        for _ in range(count):
+            w1 = _seeded_piece_word(rng, g, rng.randint(1, pieces))
+            shape = rng.choice(["unrelated", "conjugate", "inverse"])
+            if shape == "unrelated":
+                w2 = _seeded_piece_word(rng, g, rng.randint(1, pieces))
+            else:
+                w2 = list(w1 if shape == "conjugate" else _inverse_word(w1))
+                for _ in range(rng.randint(1, 2)):
+                    rel = R if rng.random() < 0.5 else _inverse_word(R)
+                    start = rng.randrange(4 * g)
+                    at = rng.randint(0, len(w2))
+                    w2[at:at] = rel[start:] + rel[:start]
+                x = _seeded_word(rng, g, rng.randint(1, 3))
+                w2 = x + tuple(w2) + _inverse_word(x)
+            answers += check_against_the_former_closure(g, w1, w2, max(len(w1), len(w2)))
+        assert True in answers and False in answers
 
     def test_each_cyclic_word_is_expanded_once(self, monkeypatch):
         """(a1b1A1B1)^8 a1: 256 cyclic words, none expanded as two rotations."""
         g = 2
         expanded = []
 
-        def spy(word, g):
-            expanded.append(word)
-            return _half_relator_swaps(word, g)
+        def spy(code, n, g):
+            expanded.append(decode(code, g))
+            assert len(expanded[-1]) == n
+            return _half_relator_swaps(code, n, g)
 
         monkeypatch.setattr(curves_mcg, "_half_relator_swaps", spy)
         _conjugacy_key(parse_curve_word("a1b1A1B1" * 8 + "a1", g), g, 64)
@@ -928,7 +996,7 @@ class TestRelatorTable:
         swapped = 0
         for word in words:
             expected = {dehn_reduce(s, g) for s in _relator_swaps(word, g, 2 * g)}
-            assert _half_relator_swaps(word, g) == expected, word
+            assert half_relator_swaps(word, g) == expected, word
             swapped += bool(expected)
         assert swapped > len(words) // 2
 
