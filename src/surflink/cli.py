@@ -347,7 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget", type=nonnegative, default=None, help="search budget (reduce ignores it)"
     )
-    p.add_argument("--up-to-inverse", action="store_true")
+    p.add_argument(
+        "--up-to-inverse",
+        action="store_true",
+        help="also match the second word's inverse (only conjugate reads it)",
+    )
     p.set_defaults(func=cmd_curves)
 
     return parser

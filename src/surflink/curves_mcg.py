@@ -461,13 +461,14 @@ def _count_orbits(linked, u: CurveWord, v: CurveWord, g: int) -> int:
     proved (ROADMAP item 10).  For each pair of pairs they are tried in
     order of k, then of l, each from -K up, and the first that Dehn-reduces
     u^k e v^l e'^-1 to the empty word merges the two.  Only (k, l) with
-    k[u] + l[v] = [e'] - [e] can pass, so for each k this solves
-    r = [e'] - [e] - k[u] for l = r/[v] by the first nonzero entry of [v]
-    and checks every entry: at most one l, the one the l loop would have
-    reached first.  When [v] = 0 every l passes if r = 0, in order.  So the
-    same candidates reach dehn_reduce in the same order, and every merge
-    is the one the full (k, l) window makes.  Each connecting element's
-    class is computed once.
+    k[u] + l[v] = [e'] - [e] can pass, so for each k this reads l off
+    the pivot, the first nonzero entry of [v], and then checks the other
+    entries lazily, stopping at the first that fails, without building the
+    residual [e'] - [e] - k[u]: at most one l, the one the l loop would have
+    reached first.  When [v] = 0 every l passes if that residual is 0, in
+    order.  So the same candidates reach dehn_reduce in the same order, and
+    every merge is the one the full (k, l) window makes.  Each connecting
+    element's class is computed once.
     """
     elements = {
         (i, j): tuple(_free_reduce(u[:i] + _inverse_word(v[:j]))) for i, j in linked
@@ -490,14 +491,13 @@ def _count_orbits(linked, u: CurveWord, v: CurveWord, g: int) -> int:
     def solutions(diff):
         """(k, l) in the window with k[u] + l[v] = diff, in window order."""
         for k in window:
-            r = [d - k * a for d, a in zip(diff, ab_u)]
             if pivot is None:
-                if not any(r):
+                if not any(d - k * a for d, a in zip(diff, ab_u)):
                     yield from ((k, l) for l in window)
                 continue
-            l, rest = divmod(r[pivot], ab_v[pivot])
+            l, rest = divmod(diff[pivot] - k * ab_u[pivot], ab_v[pivot])
             if not rest and l in window and all(
-                x == l * b for x, b in zip(r, ab_v)
+                d - k * a == l * b for d, a, b in zip(diff, ab_u, ab_v)
             ):
                 yield k, l
 

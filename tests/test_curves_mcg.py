@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -599,6 +600,18 @@ class TestConjugacyKey:
             conjugacy_equal((1,), (1, 2) * 20, 2, budget=16)
 
 
+@st.composite
+def oracle_law_cases(draw):
+    """Words u, v of 1-6 letters at g = 2 or 3, a conjugator x of 1-2
+    letters and a rotation offset r of u."""
+    g = draw(st.sampled_from([2, 3]))
+    letters = st.sampled_from([s * i for i in range(1, 2 * g + 1) for s in (1, -1)])
+    u = tuple(draw(st.lists(letters, min_size=1, max_size=6)))
+    v = tuple(draw(st.lists(letters, min_size=1, max_size=6)))
+    x = tuple(draw(st.lists(letters, min_size=1, max_size=2)))
+    return u, v, x, draw(st.integers(0, len(u) - 1)), g
+
+
 class TestIntersectionOracle:
     def test_pinned_values(self):
         g = 2
@@ -664,6 +677,19 @@ class TestIntersectionOracle:
             geometric_intersection_oracle(
                 tuple([1, 2] * 20), (2,), 2, budget=8
             )
+
+    @settings(max_examples=300, deadline=None)
+    @given(oracle_law_cases())
+    def test_metamorphic_laws(self, case):
+        u, v, x, r, g = case
+        geo = geometric_intersection_oracle(u, v, g)
+        assert geometric_intersection_oracle(v, u, g) == geo
+        assert geometric_intersection_oracle(_inverse_word(u), v, g) == geo
+        assert geometric_intersection_oracle(u[r:] + u[:r], v, g) == geo
+        assert geometric_intersection_oracle(x + u + _inverse_word(x), v, g) == geo
+        alg = algebraic_intersection(word_to_homology(u, g), word_to_homology(v, g))
+        assert geo >= abs(alg)
+        assert (geo - alg) % 2 == 0
 
     @pytest.mark.parametrize("g", [2, 3])
     def test_twist_images_of_the_dual_curve(self, g):
@@ -756,20 +782,25 @@ SPECIAL_PAIRS = [
 ]
 
 
+def _orbit_cases():
+    """300 seeded word pairs at g = 2 and 3, then SPECIAL_PAIRS."""
+    rng = random.Random(21)
+    cases = []
+    for _ in range(300):
+        g = rng.choice([2, 3])
+        letters = [s * x for x in range(1, 2 * g + 1) for s in (1, -1)]
+        w1 = tuple(rng.choice(letters) for _ in range(rng.randint(1, 7)))
+        w2 = tuple(rng.choice(letters) for _ in range(rng.randint(1, 7)))
+        cases.append((w1, w2, g))
+    return cases + [
+        (parse_curve_word(s1, g), parse_curve_word(s2, g), g)
+        for s1, s2, g, _ in SPECIAL_PAIRS
+    ]
+
+
 class TestOrbitMerge:
     def test_matches_the_former_window_loop(self, monkeypatch):
-        rng = random.Random(21)
-        cases = []
-        for _ in range(300):
-            g = rng.choice([2, 3])
-            letters = [s * x for x in range(1, 2 * g + 1) for s in (1, -1)]
-            w1 = tuple(rng.choice(letters) for _ in range(rng.randint(1, 7)))
-            w2 = tuple(rng.choice(letters) for _ in range(rng.randint(1, 7)))
-            cases.append((w1, w2, g))
-        cases += [
-            (parse_curve_word(s1, g), parse_curve_word(s2, g), g)
-            for s1, s2, g, _ in SPECIAL_PAIRS
-        ]
+        cases = _orbit_cases()
         values = [geometric_intersection_oracle(w1, w2, g) for w1, w2, g in cases]
         monkeypatch.setattr(curves_mcg, "_count_orbits", reference_count_orbits)
         assert values == [geometric_intersection_oracle(w1, w2, g) for w1, w2, g in cases]
@@ -798,6 +829,35 @@ class TestOrbitMerge:
         monkeypatch.setattr(curves_mcg, "word_to_homology", spy)
         curves_mcg._count_orbits(linked, u, v, g)
         assert len(calls) == len(linked) + 2
+
+    def test_same_candidates_in_the_same_order(self, monkeypatch):
+        # Both merges reach dehn_reduce with the same words in the same
+        # order: the fact that keeps every merge and oracle value unchanged.
+        cases = []
+        for w1, w2, g in _orbit_cases():
+            u, v = dehn_reduce(w1, g), dehn_reduce(w2, g)
+            if u and v:
+                cases.append((_linked_pairs(u, v, g), u, v, g))
+        assert len(cases) > 250
+        calls = []
+        reduce = dehn_reduce
+
+        def spy(w, g):
+            calls.append(w)
+            return reduce(w, g)
+
+        monkeypatch.setattr(curves_mcg, "dehn_reduce", spy)
+        monkeypatch.setattr(sys.modules[__name__], "dehn_reduce", spy)
+        reached = 0
+        for linked, u, v, g in cases:
+            calls.clear()
+            count = curves_mcg._count_orbits(linked, u, v, g)
+            merged = list(calls)
+            calls.clear()
+            assert count == reference_count_orbits(linked, u, v, g)
+            assert merged == calls, (u, v, g)
+            reached += len(calls)
+        assert reached > 400
 
 
 # -- reference ray walk --------------------------------------------------------
