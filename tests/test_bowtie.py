@@ -40,7 +40,7 @@ def test_white_face_law(g, c, seed):
     d = decompose(generate_fal(g, c, seed=seed))
     assert d.white_count == c + 2 - 2 * g
     assert d.shaded_count == 2 * c
-    assert len(d.ideal_vertices()) == 3 * c
+    assert d.ideal_vertices() == tuple(range(3 * c))
 
 
 @pytest.mark.parametrize("g,c,seed", CASES)
@@ -126,13 +126,14 @@ def test_white_polygon_missing_a_side_is_an_internal_error():
 
 
 def test_reglue_round_trip():
+    signs = set()
     for seed in range(4):
         fal = generate_fal(2, 6, seed=seed, half_twist_probability=0.5)
         back = reglue(decompose(fal))
         assert diagrams_isomorphic(back, fal)
-        assert [k.half_twist for k in back.vertex_kind] == [
-            k.half_twist for k in fal.vertex_kind
-        ]
+        assert back.vertex_kind == fal.vertex_kind
+        signs.update(k.half_twist_sign for k in fal.vertex_kind if k.half_twist)
+    assert signs == {1, -1}  # both signs are carried back
 
 
 @pytest.mark.parametrize("fills", [1, 3], ids=["one-slot", "three-slots"])
@@ -160,10 +161,8 @@ def test_decompose_relabel_invariant():
         {relabel[a]: relabel[b] for a, b in fal.map.opposite.items()},
     )
     fal2 = FalDiagram(m2, fal.genus, fal.vertex_kind)
-    a, b = decompose(fal), decompose(fal2)
-    assert a.white_count == b.white_count
-    assert sorted(len(p) for p in a.white) == sorted(len(p) for p in b.white)
-    assert diagrams_isomorphic(reglue(a), reglue(b))
+    assert decompose(fal) == decompose(fal2)
+    assert diagrams_isomorphic(reglue(decompose(fal2)), fal2)
 
 
 class TestVolumeBounds:
@@ -533,18 +532,34 @@ def reference_triangulate_white_faces(white, shaded):
     return tuple(triangles), tuple(cells)
 
 
+def tagged(fal, d):
+    """The positional pieces of d = decompose(fal) in the tagged form the
+    reference builders use: site s < 2c as ("arc", e) for the s-th edge of
+    fal.map.edges(), site 2c + k as ("beta", k); nerve edges as (site,
+    pair) and nerve faces as ((circle, half), triple)."""
+    name = [("arc", e) for e in fal.map.edges()] + [("beta", k) for k in range(d.c)]
+    nerve = build_nerve(d)
+    return SimpleNamespace(
+        white=tuple(tuple((name[s], side) for s, side in poly) for poly in d.white),
+        ideal_vertices=tuple(name[s] for s in d.ideal_vertices()),
+        nerve_edges=tuple((name[s], pair) for s, pair in enumerate(nerve.edges)),
+        nerve_faces=tuple(((t >> 1, t & 1), triple) for t, triple in enumerate(nerve.faces)),
+        cells=tuple((name[a], name[b]) for a, b in d.boundary.cells),
+    )
+
+
 def _assert_bowtie_matches_reference(fal):
     d = decompose(fal)
+    view = tagged(fal, d)
     white, shaded = reference_decompose(fal)
-    assert d.white == tuple(
+    assert view.white == tuple(
         tuple((site, 3 * (2 * k + half) + s) for site, (k, half, s, _) in poly) for poly in white
     )
     assert d.shaded_count == len(shaded)
-    assert d.ideal_vertices() == tuple(sorted({site for _, corners in shaded for site in corners}))
-    nerve = build_nerve(d)
-    assert (nerve.edges, nerve.faces) == reference_build_nerve(white, shaded)
+    assert view.ideal_vertices == tuple(sorted({site for _, corners in shaded for site in corners}))
+    assert (view.nerve_edges, view.nerve_faces) == reference_build_nerve(white, shaded)
     surface = triangulate_white_faces(d)
-    assert (surface.triangles, surface.cells) == reference_triangulate_white_faces(white, shaded)
+    assert (surface.triangles, view.cells) == reference_triangulate_white_faces(white, shaded)
 
 
 @given(g=st.sampled_from((2, 3, 4)), seed=st.integers(0, 2**16), data=st.data())
@@ -578,10 +593,34 @@ GOLDEN_BOUNDARY_DIGESTS = {
 
 @pytest.mark.parametrize("g,c,seed", sorted(GOLDEN_BOUNDARY_DIGESTS))
 def test_boundary_digest(g, c, seed):
-    d = decompose(generate_fal(g, c, seed=seed, half_twist_probability=0.5))
-    nerve = build_nerve(d)
-    key = repr((d.boundary.cells, d.boundary.triangles, nerve.edges, nerve.faces, d.ideal_vertices()))
+    fal = generate_fal(g, c, seed=seed, half_twist_probability=0.5)
+    d = decompose(fal)
+    view = tagged(fal, d)
+    key = repr((view.cells, d.boundary.triangles, view.nerve_edges, view.nerve_faces, view.ideal_vertices))
     assert hashlib.sha256(key.encode()).hexdigest() == GOLDEN_BOUNDARY_DIGESTS[g, c, seed]
+
+
+def _corrupt_site(d, old, new):
+    """d with the first polygon corner at site `old` moved to site `new`,
+    or dropped when `new` is None."""
+    p, i = next((p, i) for p, poly in enumerate(d.white) for i, (site, _) in enumerate(poly) if site == old)
+    poly = list(d.white[p])
+    poly[i : i + 1] = [] if new is None else [(new, poly[i][1])]
+    return d._replace(white=d.white[:p] + (tuple(poly),) + d.white[p + 1 :])
+
+
+@pytest.mark.parametrize(
+    "new, match",
+    [(15, "is not one of the 3c"), (-1, "is not one of the 3c"), (None, "1 polygon corners, not 2")],
+    ids=["past_3c", "negative", "used_once"],
+)
+def test_nerve_refuses_a_corrupt_site(new, match):
+    """The sites of c = 5 are 0..14.  A corner moved off site 14 to -1
+    would wrap back onto site 14 and leave it looking twice used; the
+    range check refuses it."""
+    d = decompose(generate_fal(2, 5, seed=2))
+    with pytest.raises(InternalInvariant, match=match):
+        build_nerve(_corrupt_site(d, 14, new))
 
 
 @pytest.mark.parametrize("corrupt", ["repeated", "replaced"])
